@@ -1,14 +1,16 @@
 (* Experiment harness: regenerates every table and figure of the paper plus
-   the ablations listed in DESIGN.md §4, and runs bechamel timing benchmarks.
+   the ablations listed in DESIGN.md §4, and the wall-time sections gated
+   by bench/gate.sh.
 
    Usage: dune exec bench/main.exe [-- section ...]
    Sections: table1 figure1 figure2 ablation-clique ablation-twostep
              ablation-policy ablation-battery ablation-fds ablation-shared
-             ablation-rebind ablation-modulo sweep preflight serve obs
-             scaling timing (default: all).
+             ablation-rebind ablation-modulo sweep preflight serve overload
+             obs scaling (default: all).
 
    Grid-shaped sections run through the Pchls_par.Pool domain pool and
-   append wall-time/grid/cache records to BENCH_sweep.json. *)
+   append wall-time/grid/cache records to BENCH_sweep.json. Every
+   BENCH_*.json is written with Pchls_obs.Json. *)
 
 module Graph = Pchls_dfg.Graph
 module Op = Pchls_dfg.Op
@@ -37,60 +39,59 @@ module Store = Pchls_cache.Store
 module Trace = Pchls_obs.Trace
 module Metrics = Pchls_obs.Metrics
 module Flight = Pchls_obs.Flight
+module Json = Pchls_obs.Json
 
 let section_header name = Format.printf "@.======== %s ========@.@." name
-
-(* Grid sections append one record each; written to BENCH_sweep.json at the
-   end of the run so the perf trajectory is tracked across PRs. *)
-type grid_record = {
-  section : string;
-  wall_s : float;
-  grid : int;
-  pool_jobs : int;
-  cache_stats : Store.stats option;
-}
-
-let grid_records : grid_record list ref = ref []
 
 let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let record ?cache_stats ~section ~wall_s ~grid ~pool_jobs () =
-  grid_records :=
-    { section; wall_s; grid; pool_jobs; cache_stats } :: !grid_records
-
 let hit_rate = function
   | Some { Store.hits; misses; _ } when hits + misses > 0 ->
     float_of_int hits /. float_of_int (hits + misses)
   | Some _ | None -> 0.
 
-let write_grid_records path =
-  let json_of_record r =
-    let cache =
-      match r.cache_stats with
-      | None -> "null"
-      | Some { Store.hits; misses; stores; memory_hits; disk_hits; _ } ->
-        Printf.sprintf
-          "{\"hits\": %d, \"misses\": %d, \"stores\": %d, \"memory_hits\": \
-           %d, \"disk_hits\": %d}"
-          hits misses stores memory_hits disk_hits
-    in
-    Printf.sprintf
-      "    {\"section\": \"%s\", \"wall_s\": %.6f, \"grid\": %d, \"jobs\": \
-       %d, \"hit_rate\": %.4f, \"cache\": %s}"
-      (String.escaped r.section) r.wall_s r.grid r.pool_jobs
-      (hit_rate r.cache_stats) cache
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"recommended_domains\": %d,\n  \"sections\": [\n%s\n  ]\n}\n"
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.map json_of_record (List.rev !grid_records)));
-  close_out oc;
-  Format.printf "@.wrote %s (%d grid records)@." path
-    (List.length !grid_records)
+let num f = Json.Number f
+let int n = Json.Number (float_of_int n)
+
+(* A gated record: bench/compare.exe matches "section" and gates
+   "wall_s"; the other fields are context. *)
+let section name wall_s fields =
+  Json.Obj (("section", Json.String name) :: ("wall_s", num wall_s) :: fields)
+
+let write_json path fields =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string (Json.Obj fields));
+      output_char oc '\n');
+  Format.printf "@.wrote %s@." path
+
+let write_sections path sections =
+  write_json path [ ("sections", Json.List sections) ]
+
+(* Grid sections append one record each; written to BENCH_sweep.json at the
+   end of the run so the perf trajectory is tracked across PRs. *)
+let grid_records = ref []
+
+let record ?cache_stats ~section:name ~wall_s ~grid ~pool_jobs () =
+  grid_records :=
+    section name wall_s
+      [
+        ("grid", int grid); ("jobs", int pool_jobs);
+        ("hit_rate", num (hit_rate cache_stats));
+        ( "cache",
+          match cache_stats with
+          | None -> Json.Null
+          | Some { Store.hits; misses; stores; memory_hits; disk_hits; _ } ->
+            Json.Obj
+              [
+                ("hits", int hits); ("misses", int misses);
+                ("stores", int stores); ("memory_hits", int memory_hits);
+                ("disk_hits", int disk_hits);
+              ] );
+      ]
+    :: !grid_records
 
 let table1_info g id =
   match Library.min_power Library.default (Graph.kind g id) with
@@ -100,6 +101,16 @@ let table1_info g id =
 
 let synth ?policy g t p =
   Engine.run ?policy ~library:Library.default ~time_limit:t ~power_limit:p g
+
+(* Rows of an ablation table computed in parallel on the domain pool,
+   printed in order and recorded as one grid section. *)
+let pooled_rows ~section grid row =
+  let jobs = Domain.recommended_domain_count () in
+  let rows, wall_s =
+    timed (fun () -> Pool.with_pool ~jobs (fun pool -> Pool.map pool row grid))
+  in
+  List.iter (fun r -> Format.printf "%s@." r) rows;
+  record ~section ~wall_s ~grid:(List.length grid) ~pool_jobs:jobs ()
 
 (* --- Table 1: the functional-unit library ------------------------------ *)
 
@@ -168,9 +179,12 @@ let figure2_powers =
 let figure2 () =
   section_header "Figure 2: power vs area under different time constraints";
   let jobs = Domain.recommended_domain_count () in
-  Format.printf "%-14s" "series \\ P<";
-  List.iter (fun p -> Format.printf "%7.1f" p) figure2_powers;
-  Format.printf "@.";
+  let header () =
+    Format.printf "%-14s" "series \\ P<";
+    List.iter (fun p -> Format.printf "%7.1f" p) figure2_powers;
+    Format.printf "@."
+  in
+  header ();
   let (), wall_s =
     timed (fun () ->
         List.iter
@@ -199,9 +213,7 @@ let figure2 () =
     "@.same series with budget tightening (Explore.tighten — the engine \
      retried under a descending ladder of tighter budgets, keeping the \
      best area — flatter, though the ladder can still skip a sweet spot):@.@.";
-  Format.printf "%-14s" "series \\ P<";
-  List.iter (fun p -> Format.printf "%7.1f" p) figure2_powers;
-  Format.printf "@.";
+  header ();
   let rows, wall_s =
     timed (fun () ->
         Pool.with_pool ~jobs (fun pool ->
@@ -323,13 +335,7 @@ let ablation_twostep () =
       ("diffeq2", Benchmarks.diffeq2, 30, 15.);
     ]
   in
-  let jobs = Domain.recommended_domain_count () in
-  let rows, wall_s =
-    timed (fun () -> Pool.with_pool ~jobs (fun pool -> Pool.map pool row grid))
-  in
-  List.iter (fun r -> Format.printf "%s@." r) rows;
-  record ~section:"ablation-twostep" ~wall_s ~grid:(List.length grid)
-    ~pool_jobs:jobs ();
+  pooled_rows ~section:"ablation-twostep" grid row;
   Format.printf
     "@.(the two-step baseline separates scheduling from binding, so it can \
      only reorder a fixed-module schedule; the engine can also retrade \
@@ -360,13 +366,7 @@ let ablation_policy () =
       ("iir_biquad", Benchmarks.iir_biquad, 15, 10.);
     ]
   in
-  let jobs = Domain.recommended_domain_count () in
-  let rows, wall_s =
-    timed (fun () -> Pool.with_pool ~jobs (fun pool -> Pool.map pool row grid))
-  in
-  List.iter (fun r -> Format.printf "%s@." r) rows;
-  record ~section:"ablation-policy" ~wall_s ~grid:(List.length grid)
-    ~pool_jobs:jobs ()
+  pooled_rows ~section:"ablation-policy" grid row
 
 (* --- Ablation A4: battery models on the Figure 1 profiles --------------- *)
 
@@ -596,11 +596,11 @@ let sweep_bench () =
   let parallel, t_par = timed (fun () -> run_all ~jobs ()) in
   record ~section:"sweep-parallel" ~wall_s:t_par ~grid:grid_size
     ~pool_jobs:jobs ();
-  let identical =
-    List.for_all2
-      (fun a b -> String.equal (point_signature a) (point_signature b))
-      sequential parallel
+  let same_points =
+    List.for_all2 (fun a b ->
+        String.equal (point_signature a) (point_signature b))
   in
+  let identical = same_points sequential parallel in
   let store = Store.in_memory () in
   let _, t_cold = timed (fun () -> run_all ~cache:store ~jobs ()) in
   let cold = Store.stats store in
@@ -622,11 +622,7 @@ let sweep_bench () =
   in
   record ~section:"sweep-cache-warm" ~cache_stats:warm_only ~wall_s:t_warm
     ~grid:grid_size ~pool_jobs:jobs ();
-  let cached_identical =
-    List.for_all2
-      (fun a b -> String.equal (point_signature a) (point_signature b))
-      sequential rerun
-  in
+  let cached_identical = same_points sequential rerun in
   Format.printf "grid: %d points (figure-2 series), jobs=%d@." grid_size jobs;
   Format.printf "sequential            %8.3f s@." t_seq;
   Format.printf "parallel              %8.3f s  (speedup %.2fx, identical: %b)@."
@@ -675,10 +671,8 @@ let preflight_bench () =
       "%-12s %5d nodes  bounds %9.6f s  engine %8.3f s  (engine/bounds %.0fx)@."
       name (Graph.node_count g) pf_s eng_s (eng_s /. pf_s);
     records :=
-      Printf.sprintf
-        "    {\"section\": \"preflight-bounds-%s\", \"wall_s\": %.6f, \
-         \"engine_s\": %.6f, \"nodes\": %d}"
-        name pf_s eng_s (Graph.node_count g)
+      section ("preflight-bounds-" ^ name) pf_s
+        [ ("engine_s", num eng_s); ("nodes", int (Graph.node_count g)) ]
       :: !records
   in
   let sized_case ~seed ~layers ~width =
@@ -759,20 +753,18 @@ let preflight_bench () =
   Format.printf "sweep with --preflight %7.3f s  (win %.1f%%)@." t_pruned
     win_pct;
   records :=
-    Printf.sprintf
-      "    {\"section\": \"preflight-sweep-pruned\", \"wall_s\": %.6f, \
-       \"grid\": %d, \"jobs\": %d, \"pruned\": %d, \"win_pct\": %.1f}"
-      t_pruned grid_size jobs n_pruned win_pct
-    :: Printf.sprintf
-         "    {\"section\": \"preflight-sweep-baseline\", \"wall_s\": %.6f, \
-          \"grid\": %d, \"jobs\": %d, \"infeasible_fraction\": %.4f}"
-         t_base grid_size jobs infeasible_fraction
+    section "preflight-sweep-pruned" t_pruned
+      [
+        ("grid", int grid_size); ("jobs", int jobs);
+        ("pruned", int n_pruned); ("win_pct", num win_pct);
+      ]
+    :: section "preflight-sweep-baseline" t_base
+         [
+           ("grid", int grid_size); ("jobs", int jobs);
+           ("infeasible_fraction", num infeasible_fraction);
+         ]
     :: !records;
-  let oc = open_out "BENCH_preflight.json" in
-  Printf.fprintf oc "{\n  \"sections\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.rev !records));
-  close_out oc;
-  Format.printf "@.wrote BENCH_preflight.json@.";
+  write_sections "BENCH_preflight.json" (List.rev !records);
   if false_prunes <> [] then begin
     List.iter
       (fun (pt, reason) ->
@@ -830,33 +822,96 @@ let obs_bench () =
       "engine.iterations"; "engine.backtracks"; "clique.gain_evaluated";
       "pasap.offset_delays";
     ];
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"elliptic\", \"t\": %d, \"p\": %g, \"reps\": %d,\n\
-    \  \"plain_s\": %.6f,\n\
-    \  \"traced_s\": %.6f,\n\
-    \  \"flight_s\": %.6f,\n\
-    \  \"overhead_pct\": %.2f,\n\
-    \  \"flight_overhead_pct\": %.2f,\n\
-    \  \"trace_events\": %d,\n\
-    \  \"flight_recorded\": %d,\n\
-    \  \"flight_retained\": %d,\n\
-    \  \"flight_dropped\": %d,\n\
-    \  \"sections\": [\n\
-    \    {\"section\": \"obs-untraced\", \"wall_s\": %.6f},\n\
-    \    {\"section\": \"obs-traced\", \"wall_s\": %.6f},\n\
-    \    {\"section\": \"obs-flight\", \"wall_s\": %.6f}\n\
-    \  ],\n\
-    \  \"metrics\": %s\n\
-     }\n"
-    t p reps plain_s traced_s flight_s overhead_pct flight_pct events
-    (Flight.recorded recorder) (Flight.retained recorder)
-    (Flight.dropped recorder) plain_s traced_s flight_s (Metrics.to_json ());
-  close_out oc;
-  Format.printf "@.wrote BENCH_obs.json@."
+  write_json "BENCH_obs.json"
+    [
+      ("benchmark", Json.String "elliptic"); ("t", int t); ("p", num p);
+      ("reps", int reps); ("plain_s", num plain_s);
+      ("traced_s", num traced_s); ("flight_s", num flight_s);
+      ("overhead_pct", num overhead_pct);
+      ("flight_overhead_pct", num flight_pct);
+      ("trace_events", int events);
+      ("flight_recorded", int (Flight.recorded recorder));
+      ("flight_retained", int (Flight.retained recorder));
+      ("flight_dropped", int (Flight.dropped recorder));
+      ( "sections",
+        Json.List
+          [
+            section "obs-untraced" plain_s [];
+            section "obs-traced" traced_s [];
+            section "obs-flight" flight_s [];
+          ] );
+      ( "metrics",
+        match Json.parse (Metrics.to_json ()) with
+        | Ok metrics -> metrics
+        | Error _ -> Json.Null );
+    ]
 
 (* --- Serve: load generator over the HTTP daemon -------------------------- *)
+
+(* One POST /synth on its own connection, read to EOF (the request asks
+   the daemon to close); returns the raw response. *)
+let post_synth port body =
+  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close sock with _ -> ())
+  @@ fun () ->
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let req =
+    Printf.sprintf
+      "POST /synth HTTP/1.1\r\nhost: bench\r\ncontent-length: %d\r\n\
+       connection: close\r\n\r\n%s"
+      (String.length body) body
+  in
+  let rec send off =
+    if off < String.length req then
+      send (off + Unix.write_substring sock req off (String.length req - off))
+  in
+  send 0;
+  let buf = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let rec recv () =
+    match Unix.read sock chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      recv ()
+  in
+  recv ();
+  Buffer.contents buf
+
+let status_of response = int_of_string (String.trim (String.sub response 9 3))
+
+(* [closed_loop ~clients ~requests call] makes [requests] calls from
+   [clients] threads, each starting its next call when the previous one
+   returns; [call id] is client [id]'s call, given the call's index.
+   Returns the per-call latencies (by index) and the wall time. *)
+let closed_loop ~clients ~requests call =
+  let latencies = Array.make requests 0. in
+  let next = Atomic.make 0 in
+  let client id =
+    let call = call id in
+    let rec go () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < requests then begin
+        let t0 = Unix.gettimeofday () in
+        call i;
+        latencies.(i) <- Unix.gettimeofday () -. t0;
+        go ()
+      end
+    in
+    go ()
+  in
+  let (), wall_s =
+    timed (fun () ->
+        List.iter Thread.join (List.init clients (Thread.create client)))
+  in
+  (latencies, wall_s)
+
+(* Nearest-rank order statistic of unsorted [samples]. *)
+let percentile samples p =
+  let sorted = Array.copy samples in
+  Array.sort compare sorted;
+  let n = Array.length sorted in
+  sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
 
 (* Drives an in-process pchls serve instance with a zipf-distributed
    workload over the paper benchmarks × a constraint grid — the skew
@@ -917,58 +972,13 @@ let serve_bench () =
       }
   in
   let port = Server.port srv in
-  let one_request body =
-    let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect ~finally:(fun () -> try Unix.close sock with _ -> ())
-    @@ fun () ->
-    Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    let req =
-      Printf.sprintf
-        "POST /synth HTTP/1.1\r\nhost: bench\r\ncontent-length: %d\r\n\
-         connection: close\r\n\r\n%s"
-        (String.length body) body
-    in
-    let rec send off =
-      if off < String.length req then
-        send (off + Unix.write_substring sock req off (String.length req - off))
-    in
-    send 0;
-    let buf = Buffer.create 1024 in
-    let chunk = Bytes.create 4096 in
-    let rec recv () =
-      match Unix.read sock chunk 0 4096 with
-      | 0 -> ()
-      | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        recv ()
-    in
-    recv ();
-    int_of_string (String.trim (String.sub (Buffer.contents buf) 9 3))
-  in
-  let latencies = Array.make requests 0. in
   let statuses = Array.make requests 0 in
-  let next = Atomic.make 0 in
   let coalesced_counter = Metrics.counter "serve.coalesced" in
   let coalesced0 = Metrics.counter_value coalesced_counter in
-  let client id =
-    let rng = Random.State.make [| 0xbeef; id |] in
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < requests then begin
-        let body = zipf rng in
-        let t0 = Unix.gettimeofday () in
-        let status = one_request body in
-        latencies.(i) <- Unix.gettimeofday () -. t0;
-        statuses.(i) <- status;
-        go ()
-      end
-    in
-    go ()
-  in
-  let (), wall_s =
-    timed (fun () ->
-        let workers = List.init clients (fun id -> Thread.create client id) in
-        List.iter Thread.join workers)
+  let latencies, wall_s =
+    closed_loop ~clients ~requests (fun id ->
+        let rng = Random.State.make [| 0xbeef; id |] in
+        fun i -> statuses.(i) <- status_of (post_synth port (zipf rng)))
   in
   let stats =
     match Server.store srv with
@@ -976,13 +986,8 @@ let serve_bench () =
     | None -> assert false
   in
   Server.stop srv;
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
-  let percentile p =
-    sorted.(min (requests - 1) (int_of_float (p *. float_of_int requests)))
-  in
-  let p50_ms = 1000. *. percentile 0.50
-  and p99_ms = 1000. *. percentile 0.99 in
+  let p50_ms = 1000. *. percentile latencies 0.50
+  and p99_ms = 1000. *. percentile latencies 0.99 in
   let req_per_s = float_of_int requests /. wall_s in
   let coalesced = Metrics.counter_value coalesced_counter - coalesced0 in
   let count status =
@@ -1000,21 +1005,18 @@ let serve_bench () =
     infeasible errors;
   Format.printf "cache: %d hits / %d misses (%.0f%% hit rate), %d coalesced@."
     stats.Store.hits stats.Store.misses (100. *. rate) coalesced;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"sections\": [\n\
-    \    {\"section\": \"serve-load\", \"wall_s\": %.6f, \"requests\": %d,\n\
-    \     \"clients\": %d, \"threads\": %d, \"jobs\": %d,\n\
-    \     \"req_per_s\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f,\n\
-    \     \"hit_rate\": %.4f, \"coalesced\": %d,\n\
-    \     \"status_200\": %d, \"status_422\": %d, \"status_other\": %d}\n\
-    \  ]\n\
-     }\n"
-    wall_s requests clients threads jobs req_per_s p50_ms p99_ms rate
-    coalesced ok infeasible errors;
-  close_out oc;
-  Format.printf "@.wrote BENCH_serve.json@.";
+  write_sections "BENCH_serve.json"
+    [
+      section "serve-load" wall_s
+        [
+          ("requests", int requests); ("clients", int clients);
+          ("threads", int threads); ("jobs", int jobs);
+          ("req_per_s", num req_per_s); ("p50_ms", num p50_ms);
+          ("p99_ms", num p99_ms); ("hit_rate", num rate);
+          ("coalesced", int coalesced); ("status_200", int ok);
+          ("status_422", int infeasible); ("status_other", int errors);
+        ];
+    ];
   if errors > 0 then begin
     Format.eprintf "serve-bench: %d request(s) answered neither 200 nor 422@."
       errors;
@@ -1038,38 +1040,12 @@ let overload_bench () =
   section_header "Overload: open-loop load at 2x capacity";
   let module Server = Pchls_serve.Server in
   let body = "{\"benchmark\":\"cosine\",\"time\":19,\"power\":25}" in
-  (* One closed connection per request; returns the status (0 on any
-     transport failure — a daemon crash would show up here) and whether
-     the answer was served degraded. *)
+  (* Returns the status (0 on any transport failure — a daemon crash
+     would show up here) and whether the answer was served degraded or
+     stale. *)
   let one_request port =
     try
-      let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Fun.protect ~finally:(fun () -> try Unix.close sock with _ -> ())
-      @@ fun () ->
-      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf
-          "POST /synth HTTP/1.1\r\nhost: bench\r\ncontent-length: %d\r\n\
-           connection: close\r\n\r\n%s"
-          (String.length body) body
-      in
-      let rec send off =
-        if off < String.length req then
-          send (off + Unix.write_substring sock req off (String.length req - off))
-      in
-      send 0;
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 4096 in
-      let rec recv () =
-        match Unix.read sock chunk 0 4096 with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          recv ()
-      in
-      recv ();
-      let text = Buffer.contents buf in
-      let status = int_of_string (String.trim (String.sub text 9 3)) in
+      let text = post_synth port body in
       let contains needle =
         let n = String.length needle and h = String.length text in
         let rec go i =
@@ -1077,14 +1053,8 @@ let overload_bench () =
         in
         go 0
       in
-      (status, contains "x-pchls-degraded", contains "waited too long")
+      (status_of text, contains "x-pchls-degraded", contains "waited too long")
     with _ -> (0, false, false)
-  in
-  let percentile latencies p =
-    let sorted = Array.copy latencies in
-    Array.sort compare sorted;
-    let n = Array.length sorted in
-    sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
   in
   (* At least two worker domains even on a one-CPU host: with jobs = 1
      the engine computes inline on handler sys-threads, pinning the main
@@ -1098,29 +1068,14 @@ let overload_bench () =
   (* Calibration: closed-loop at handler-thread concurrency, no queueing
      beyond capacity — the uncontended service rate and p99. *)
   let calib_n = 48 in
-  let calib_lat = Array.make calib_n 0. in
   let calib = Server.start base in
   let cport = Server.port calib in
   for _ = 1 to 4 do
     ignore (one_request cport)
   done;
-  let next = Atomic.make 0 in
-  let client () =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < calib_n then begin
-        let t0 = Unix.gettimeofday () in
-        ignore (one_request cport);
-        calib_lat.(i) <- Unix.gettimeofday () -. t0;
-        go ()
-      end
-    in
-    go ()
-  in
-  let (), calib_wall =
-    timed (fun () ->
-        let workers = List.init threads (fun _ -> Thread.create client ()) in
-        List.iter Thread.join workers)
+  let calib_lat, calib_wall =
+    closed_loop ~clients:threads ~requests:calib_n (fun _ _ ->
+        ignore (one_request cport))
   in
   Server.stop calib;
   let capacity_rps = float_of_int calib_n /. calib_wall in
@@ -1211,24 +1166,22 @@ let overload_bench () =
     "p99: admitted %.2f ms, shed-at-the-door %.2f ms (server-side max \
      %.2f ms)@."
     (1000. *. admitted_p99) (1000. *. shed_p99) shed_server_max_ms;
-  let oc = open_out "BENCH_overload.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"sections\": [\n\
-    \    {\"section\": \"overload\", \"wall_s\": %.6f, \"requests\": %d,\n\
-    \     \"threads\": %d, \"jobs\": %d, \"capacity_rps\": %.1f,\n\
-    \     \"uncontended_p99_ms\": %.3f, \"admitted\": %d, \"shed\": %d,\n\
-    \     \"shed_fast\": %d, \"shed_stale\": %d, \"degraded\": %d,\n\
-    \     \"status_other\": %d, \"goodput_rps\": %.1f,\n\
-    \     \"admitted_p99_ms\": %.3f, \"shed_p99_ms\": %.3f,\n\
-    \     \"shed_server_max_ms\": %.3f}\n\
-    \  ]\n\
-     }\n"
-    wall_s requests threads jobs capacity_rps (1000. *. unc_p99) n_admitted
-    n_shed n_fast n_stale n_degraded other goodput_rps (1000. *. admitted_p99)
-    (1000. *. shed_p99) shed_server_max_ms;
-  close_out oc;
-  Format.printf "@.wrote BENCH_overload.json@.";
+  write_sections "BENCH_overload.json"
+    [
+      section "overload" wall_s
+        [
+          ("requests", int requests); ("threads", int threads);
+          ("jobs", int jobs); ("capacity_rps", num capacity_rps);
+          ("uncontended_p99_ms", num (1000. *. unc_p99));
+          ("admitted", int n_admitted); ("shed", int n_shed);
+          ("shed_fast", int n_fast); ("shed_stale", int n_stale);
+          ("degraded", int n_degraded); ("status_other", int other);
+          ("goodput_rps", num goodput_rps);
+          ("admitted_p99_ms", num (1000. *. admitted_p99));
+          ("shed_p99_ms", num (1000. *. shed_p99));
+          ("shed_server_max_ms", num shed_server_max_ms);
+        ];
+    ];
   (* The overload contract, enforced: answered, fast sheds, bounded
      admitted tail. *)
   if other > 0 then begin
@@ -1278,12 +1231,10 @@ let scaling_bench () =
     let nodes = Graph.node_count g in
     let horizon = (cp * 2) + (nodes / 4) in
     let power_limit = 40. in
-    let add section wall_s extra =
+    let add ?(extra = []) name wall_s =
       records :=
-        Printf.sprintf
-          "    {\"section\": \"%s\", \"wall_s\": %.6f, \"nodes\": %d, \
-           \"horizon\": %d%s}"
-          section wall_s nodes horizon extra
+        section name wall_s
+          ([ ("nodes", int nodes); ("horizon", int horizon) ] @ extra)
         :: !records
     in
     let sched name run =
@@ -1296,7 +1247,7 @@ let scaling_bench () =
       Format.printf "%-14s %8.3fs  (%d nodes, horizon %d)@."
         (Printf.sprintf "%s-%s" name label)
         t nodes horizon;
-      add (Printf.sprintf "scaling-%s-%s" name label) t ""
+      add (Printf.sprintf "scaling-%s-%s" name label) t
     in
     sched "pasap" (fun () -> Pasap.run g ~info ~horizon ~power_limit ());
     sched "palap" (fun () -> Palap.run g ~info ~horizon ~power_limit ());
@@ -1312,9 +1263,9 @@ let scaling_bench () =
           (Printf.sprintf "engine-%s" label)
           t Engine.pp_stats stats;
         add
+          ~extra:[ ("decisions", int stats.Engine.decisions) ]
           (Printf.sprintf "scaling-engine-%s" label)
           t
-          (Printf.sprintf ", \"decisions\": %d" stats.Engine.decisions)
       | Engine.Infeasible { reason } ->
         Format.eprintf "scaling: engine-%s infeasible: %s@." label reason;
         exit 1
@@ -1322,67 +1273,7 @@ let scaling_bench () =
   leg ~label:"100" ~max_nodes:100 ~seed:2 ~engine:true;
   leg ~label:"1k" ~max_nodes:1000 ~seed:2 ~engine:true;
   leg ~label:"10k" ~max_nodes:10000 ~seed:2 ~engine:false;
-  let oc = open_out "BENCH_scaling.json" in
-  Printf.fprintf oc "{\n  \"sections\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.rev !records));
-  close_out oc;
-  Format.printf "@.wrote BENCH_scaling.json@."
-
-(* --- Timing ------------------------------------------------------------- *)
-
-let timing () =
-  section_header "Timing (bechamel): engine and scheduler runtimes";
-  let open Bechamel in
-  let engine_test (name, g, t, p) =
-    Test.make
-      ~name:(Printf.sprintf "engine/%s T=%d" name t)
-      (Staged.stage (fun () -> ignore (synth g t p)))
-  in
-  let pasap_test (name, g) =
-    let info = table1_info g in
-    Test.make
-      ~name:(Printf.sprintf "pasap/%s" name)
-      (Staged.stage (fun () ->
-           ignore (Pasap.run g ~info ~horizon:60 ~power_limit:12. ())))
-  in
-  let scalability (layers, width) =
-    let g = Generator.layered ~seed:7 ~layers ~width () in
-    Test.make
-      ~name:(Printf.sprintf "engine/rand %d nodes" (Graph.node_count g))
-      (Staged.stage (fun () ->
-           let info = table1_info g in
-           let cp =
-             Graph.critical_path g ~latency:(fun id ->
-                 (info id).Schedule.latency)
-           in
-           ignore (synth g (cp * 3) 15.)))
-  in
-  let tests =
-    Test.make_grouped ~name:"pchls"
-      (List.map engine_test
-         [
-           ("hal", Benchmarks.hal, 17, 10.);
-           ("cosine", Benchmarks.cosine, 19, 25.);
-           ("elliptic", Benchmarks.elliptic, 22, 15.);
-         ]
-      @ List.map pasap_test
-          [ ("hal", Benchmarks.hal); ("elliptic", Benchmarks.elliptic) ]
-      @ List.map scalability [ (4, 4); (8, 6); (12, 8) ])
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  Format.printf "%-28s %14s@." "benchmark" "ns/run";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some [ est ] -> Format.printf "%-28s %14.0f@." name est
-         | Some _ | None -> Format.printf "%-28s %14s@." name "n/a")
+  write_sections "BENCH_scaling.json" (List.rev !records)
 
 (* --- main ---------------------------------------------------------------- *)
 
@@ -1405,7 +1296,6 @@ let sections =
     ("overload", overload_bench);
     ("obs", obs_bench);
     ("scaling", scaling_bench);
-    ("timing", timing);
   ]
 
 let () =
@@ -1423,4 +1313,9 @@ let () =
           (String.concat ", " (List.map fst sections));
         exit 1)
     requested;
-  if !grid_records <> [] then write_grid_records "BENCH_sweep.json"
+  if !grid_records <> [] then
+    write_json "BENCH_sweep.json"
+      [
+        ("recommended_domains", int (Domain.recommended_domain_count ()));
+        ("sections", Json.List (List.rev !grid_records));
+      ]

@@ -25,28 +25,32 @@ module Style = Pchls_obs.Style
 module Event = Pchls_obs.Event
 module Flight = Pchls_obs.Flight
 module Budget = Pchls_resil.Budget
+module Request = Pchls_serve.Request
+module Server = Pchls_serve.Server
 
 open Cmdliner
 
 (* --- shared arguments -------------------------------------------------- *)
 
-let benchmark_conv =
+(* A converter that also applies one of the validators the server shares
+   ({!Request}): an out-of-range value is an argument error naming its
+   option (exit 124), where the server answers 400. *)
+let checked conv validate =
   let parse s =
-    match Benchmarks.find s with
-    | Some g -> Ok (s, g)
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown benchmark %S (try: %s)" s
-             (String.concat ", " (List.map fst Benchmarks.all))))
+    Result.bind (Arg.conv_parser conv s) (fun v ->
+        Result.map_error (fun msg -> `Msg msg) (validate v))
   in
-  let print ppf (name, _) = Format.pp_print_string ppf name in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let time_conv = checked Arg.int Request.time_limit
 
 let benchmark_opt =
   Arg.(
     value
-    & opt (some benchmark_conv) None
+    & opt
+        (some
+           (checked string (fun name -> Result.map fst (Request.benchmark name))))
+        None
     & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc:"Benchmark CDFG to use.")
 
 let file_opt =
@@ -65,93 +69,90 @@ let beh_opt =
         ~doc:"Compile the CDFG from a behavioural program instead (see \
               Pchls_lang).")
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  text
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* A bundled benchmark, a CDFG text file, or a behavioural program; exactly
    one must be given. *)
-let resolve_graph bench file beh =
-  match (bench, file, beh) with
-  | Some (name, g), None, None -> Ok (name, g)
-  | None, Some path, None -> (
-    match Pchls_dfg.Text_format.of_string (read_file path) with
-    | Ok g -> Ok (Pchls_dfg.Graph.name g, g)
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-  | None, None, Some path -> (
-    let name = Filename.remove_extension (Filename.basename path) in
-    match Pchls_lang.Elaborate.compile ~name (read_file path) with
-    | Ok { Pchls_lang.Elaborate.graph; _ } -> Ok (name, graph)
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
-  | None, None, None -> Error "a CDFG is required: -b NAME, --file or --beh"
-  | _ -> Error "pass exactly one of -b, --file, --beh"
-
 let graph_source =
-  let combine bench file beh =
-    match resolve_graph bench file beh with
-    | Ok src -> `Ok src
-    | Error msg -> `Error (false, msg)
+  let resolve bench file beh =
+    let source path make = Option.map (fun p -> make p (read_file p)) path in
+    Request.graph ~missing:"a CDFG is required: -b NAME, --file or --beh"
+      ~conflict:"pass exactly one of -b, --file, --beh"
+      (List.filter_map Fun.id
+         [
+           Option.map (fun name -> Request.Benchmark name) bench;
+           source file (fun origin text -> Request.Dfg { origin; text });
+           source beh (fun origin text ->
+               let name = Filename.remove_extension (Filename.basename origin) in
+               Request.Beh { origin; name; text });
+         ])
   in
-  Term.(ret (const combine $ benchmark_opt $ file_opt $ beh_opt))
+  Term.(term_result' (const resolve $ benchmark_opt $ file_opt $ beh_opt))
 
-let time_limit =
+let time_arg value_conv =
   Arg.(
     required
-    & opt (some int) None
+    & opt (some value_conv) None
     & info [ "t"; "time" ] ~docv:"CYCLES" ~doc:"Latency constraint in cycles.")
 
-let power_limit =
+let power_arg value_conv =
   Arg.(
     value
-    & opt float infinity
+    & opt value_conv infinity
     & info [ "p"; "power" ] ~docv:"P"
         ~doc:"Maximum power per clock cycle (default: unconstrained).")
 
+let time_limit = time_arg time_conv
+let power_limit = power_arg (checked Arg.float Request.power_limit)
+
 let policy =
-  let policy_conv =
-    Arg.enum
-      [
-        ("min-power", Engine.Min_power);
-        ("min-area", Engine.Min_area);
-        ("min-latency", Engine.Min_latency);
-      ]
-  in
   Arg.(
     value
-    & opt policy_conv Engine.Min_power
+    & opt (enum Request.policies) Engine.Min_power
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:"Default module selection: min-power, min-area or min-latency.")
 
-let register_area =
-  Arg.(
-    value
-    & opt float Cost_model.default.Cost_model.register_area
-    & info [ "reg-area" ] ~docv:"AREA" ~doc:"Area of one register.")
+let cost_model =
+  let register_area =
+    Arg.(
+      value
+      & opt float Cost_model.default.Cost_model.register_area
+      & info [ "reg-area" ] ~docv:"AREA" ~doc:"Area of one register.")
+  in
+  let mux_input_area =
+    Arg.(
+      value
+      & opt float Cost_model.default.Cost_model.mux_input_area
+      & info [ "mux-area" ] ~docv:"AREA"
+          ~doc:"Area per extra multiplexer input.")
+  in
+  let make register_area mux_input_area =
+    Cost_model.make ~register_area ~mux_input_area
+  in
+  Term.(term_result' (const make $ register_area $ mux_input_area))
 
-let mux_input_area =
-  Arg.(
-    value
-    & opt float Cost_model.default.Cost_model.mux_input_area
-    & info [ "mux-area" ] ~docv:"AREA"
-        ~doc:"Area per extra multiplexer input.")
+(* One synthesis point, as every single-point command takes it. *)
+type request = {
+  name : string;
+  graph : Graph.t;
+  time_limit : int;
+  power_limit : float;
+  policy : Engine.policy;
+  cost_model : Cost_model.t;
+}
 
-let cost_model reg mux =
-  match Cost_model.make ~register_area:reg ~mux_input_area:mux with
-  | Ok cm -> cm
-  | Error msg -> failwith msg
+let request =
+  let make (name, graph) time_limit power_limit policy cost_model =
+    { name; graph; time_limit; power_limit; policy; cost_model }
+  in
+  Term.(
+    const make $ graph_source $ time_limit $ power_limit $ policy $ cost_model)
 
 (* Optional user FU library (text format); defaults to the paper's Table 1. *)
 let library_opt =
   let library_conv =
     let parse path =
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      match Pchls_fulib.Text_format.of_string text with
+      match Pchls_fulib.Text_format.of_string (read_file path) with
       | Ok lib -> Ok lib
       | Error msg -> Error (`Msg (Printf.sprintf "%s: %s" path msg))
     in
@@ -221,10 +222,10 @@ let no_color_flag =
 
 let apply_color no_color = if no_color then Style.set_enabled (Some false)
 
-let write_file path text =
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
+let write_trace sink path =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Trace.to_chrome sink));
+  Format.printf "# trace: %d events -> %s@." (Trace.count sink) path
 
 (* Wraps a command body: installs a trace sink when --trace was given and
    writes the Chrome JSON afterwards; arms the flight recorder (plus its
@@ -238,8 +239,7 @@ let with_obs ?(flight = false) ~trace ~metrics f =
     | Some path ->
       let sink = Trace.make () in
       let code = Trace.with_sink sink f in
-      write_file path (Trace.to_chrome sink);
-      Format.printf "# trace: %d events -> %s@." (Trace.count sink) path;
+      write_trace sink path;
       code
   in
   let code =
@@ -261,28 +261,27 @@ let err_infeasible name reason =
 
 (* --- budget options (deadline + iteration cap) -------------------------- *)
 
-let deadline_ms_opt =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:"Wall-clock budget in milliseconds. When it expires the run \
-              stops at the next safe point and reports the best partial \
-              (anytime) result found so far, exiting 3 instead of hanging.")
-
-let max_iters_opt =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-iters" ] ~docv:"N"
-        ~doc:"Engine iteration budget (move-and-commit steps). Like \
-              $(b,--deadline-ms), expiry yields a partial result and exit \
-              code 3.")
-
-let the_budget deadline_ms max_iters =
-  match (deadline_ms, max_iters) with
-  | None, None -> None
-  | _ -> Some (Budget.make ?deadline_ms ?max_iters ())
+let budget =
+  let deadline_ms =
+    Arg.(
+      value
+      & opt (some (checked float Request.deadline_ms)) None
+      & info [ "deadline-ms" ] ~docv:"MS"
+          ~doc:"Wall-clock budget in milliseconds. When it expires the run \
+                stops at the next safe point and reports the best partial \
+                (anytime) result found so far, exiting 3 instead of hanging.")
+  in
+  let max_iters =
+    Arg.(
+      value
+      & opt (some (checked int Request.max_iters)) None
+      & info [ "max-iters" ] ~docv:"N"
+          ~doc:"Engine iteration budget (move-and-commit steps). Like \
+                $(b,--deadline-ms), expiry yields a partial result and exit \
+                code 3.")
+  in
+  let make deadline_ms max_iters = Request.budget ?deadline_ms ?max_iters () in
+  Term.(const make $ deadline_ms $ max_iters)
 
 (* Budgeted commands end through here: an exhausted budget downgrades the
    run to a partial (anytime) result, reported with exit code 3 so scripts
@@ -350,15 +349,22 @@ let print_cache_line ~jobs = function
     Format.printf "# jobs=%d cache: %a@." jobs Store.pp_stats
       (Store.stats store)
 
-let synthesize ?library ?self_check ?deadline ?preflight (name, g) t p pol reg
-    mux =
+let synthesize ?(library = Library.default) ?self_check ?deadline r =
   match
-    Engine.run ~cost_model:(cost_model reg mux) ~policy:pol ?self_check
-      ?deadline ?preflight ~library:(the_library library) ~time_limit:t
-      ~power_limit:p g
+    Engine.run ~cost_model:r.cost_model ~policy:r.policy ?self_check ?deadline
+      ~library ~time_limit:r.time_limit ~power_limit:r.power_limit r.graph
   with
-  | Engine.Synthesized (d, stats) -> Ok (name, d, stats)
-  | Engine.Infeasible { reason } -> Error (name, reason)
+  | Engine.Synthesized (d, stats) -> Ok (d, stats)
+  | Engine.Infeasible { reason } -> Error reason
+
+(* The single-point commands other than synth: synthesize, then hand the
+   design to [f]; an infeasible instance reports its reason and exits 1. *)
+let with_design ?library r f =
+  match synthesize ?library r with
+  | Ok (d, _) -> f d
+  | Error reason ->
+    err_infeasible r.name reason;
+    1
 
 (* Shared by synth / sweep / pareto: consult the static bound analysis
    before running the engine so provably-infeasible points are rejected
@@ -419,52 +425,40 @@ let self_check_flag =
               design; any error diagnostic fails the run.")
 
 let synth_cmd =
-  let run bench t p pol reg mux library gantt tighten rebind self_check
-      preflight cache_dir no_cache deadline_ms max_iters trace metrics flight
-      log_level =
+  let run r library gantt tighten rebind self_check preflight cache_dir
+      no_cache budget trace metrics flight log_level =
     apply_log log_level;
     with_obs ~flight ~trace ~metrics @@ fun () ->
+    let library = the_library library in
     let cache = synth_store no_cache cache_dir in
-    let budget = the_budget deadline_ms max_iters in
+    let budget = Request.start budget in
+    let { graph = g; time_limit; power_limit; policy; cost_model; _ } = r in
     let outcome =
       if tighten then
+        Explore.tighten ~cost_model ~policy ?cache ?deadline:budget ~library g
+          ~time_limit ~power_limit
+        |> Result.map (fun d -> (d, None))
+      else if Option.is_some cache then
+        (* Cached single-point synthesis goes through Explore so hits skip
+           the engine; engine stats are not available on a hit. *)
         match
-          Explore.tighten ~cost_model:(cost_model reg mux) ~policy:pol ?cache
-            ?deadline:budget ~library:(the_library library) (snd bench)
-            ~time_limit:t ~power_limit:p
+          Explore.solve ~cost_model ~policy ?deadline:budget ~preflight
+            ~library ?cache g ~time_limit ~power_limit
         with
-        | Ok d -> Ok (fst bench, d, None)
-        | Error reason -> Error (fst bench, reason)
+        | Explore.Feasible { design; _ } -> Ok (design, None)
+        | Explore.Infeasible reason | Explore.Pruned reason
+        | Explore.Failed reason ->
+          Error reason
       else
-        match cache with
-        | Some _ -> (
-          (* Cached single-point synthesis goes through Explore so hits
-             skip the engine; engine stats are not available on a hit. *)
-          match
-            Explore.sweep ~cost_model:(cost_model reg mux) ~policy:pol ?cache
-              ?deadline:budget ~preflight ~library:(the_library library)
-              (snd bench) ~times:[ t ] ~powers:[ p ]
-          with
-          | [ { Explore.result = Explore.Feasible { design; _ }; _ } ] ->
-            Ok (fst bench, design, None)
-          | [
-           {
-             Explore.result =
-               ( Explore.Infeasible reason
-               | Explore.Pruned reason
-               | Explore.Failed reason );
-             _;
-           };
-          ] ->
-            Error (fst bench, reason)
-          | _ -> assert false)
-        | None -> (
-          match
-            synthesize ?library ~self_check ?deadline:budget ~preflight bench
-              t p pol reg mux
-          with
-          | Ok (name, d, stats) -> Ok (name, d, Some stats)
-          | Error _ as e -> e)
+        match
+          if preflight then
+            Explore.certificate ~library g ~time_limit ~power_limit
+          else None
+        with
+        | Some reason -> Error reason
+        | None ->
+          synthesize ~library ~self_check ?deadline:budget r
+          |> Result.map (fun (d, stats) -> (d, Some stats))
     in
     (match cache with
     | Some store -> Format.printf "# cache: %a@." Store.pp_stats (Store.stats store)
@@ -472,22 +466,18 @@ let synth_cmd =
     finish ?budget
     @@
     match outcome with
-    | Ok (name, d, stats) ->
-      let d =
-        if rebind then
-          Pchls_core.Improve.rebind ~cost_model:(cost_model reg mux) d
-        else d
-      in
+    | Ok (d, stats) ->
+      let d = if rebind then Pchls_core.Improve.rebind ~cost_model d else d in
       Format.printf "%a@." Design.pp d;
       (match stats with
       | Some stats -> Format.printf "stats: %a@." Engine.pp_stats stats
       | None -> ());
       if gantt then Format.printf "@.%s@." (Pchls_core.Gantt.render d);
       if self_check then begin
-        let ds = Analysis.run_all ~library:(the_library library) d in
+        let ds = Analysis.run_all ~library d in
         List.iter (fun diag -> Format.eprintf "%a@." Diag.pp diag) ds;
         if Diag.has_errors ds then begin
-          Format.eprintf "%s: self-check failed: %s@." name
+          Format.eprintf "%s: self-check failed: %s@." r.name
             (Analysis.summary ds);
           1
         end
@@ -497,19 +487,18 @@ let synth_cmd =
         end
       end
       else 0
-    | Error (name, reason) ->
-      err_infeasible name reason;
+    | Error reason ->
+      err_infeasible r.name reason;
       1
   in
   Cmd.v
     (Cmd.info "synth" ~exits:budget_exits
        ~doc:"Synthesize a benchmark under (T, P) constraints.")
     Term.(
-      const run $ graph_source $ time_limit $ power_limit $ policy
-      $ register_area $ mux_input_area $ library_opt $ gantt_flag
-      $ tighten_flag $ rebind_flag $ self_check_flag $ preflight_flag
-      $ cache_dir_opt $ no_cache_flag $ deadline_ms_opt $ max_iters_opt
-      $ trace_opt $ metrics_flag $ flight_flag $ log_opt)
+      const run $ request $ library_opt $ gantt_flag $ tighten_flag
+      $ rebind_flag $ self_check_flag $ preflight_flag $ cache_dir_opt
+      $ no_cache_flag $ budget $ trace_opt $ metrics_flag $ flight_flag
+      $ log_opt)
 
 (* --- check ------------------------------------------------------------- *)
 
@@ -544,45 +533,42 @@ let check_cmd =
                 demand, energy, FU area) as a PRE005 informational \
                 diagnostic.")
   in
-  let run bench t p pol reg mux library json timings bounds no_color =
+  let run r library json timings bounds no_color =
     apply_color no_color;
-    match synthesize ?library bench t p pol reg mux with
-    | Ok (name, d, _) ->
-      let ds, times = Analysis.run_all_timed ~library:(the_library library) d in
-      let ds =
-        if bounds then
-          ds
-          @ [
-              Preflight.summary_diag
-                (Preflight.analyze ~library:(the_library library)
-                   ~time_limit:t ~power_limit:p (snd bench));
-            ]
-        else ds
-      in
-      if json then
-        if timings then
-          Format.printf "{\"diagnostics\": %s, \"timings_ns\": {%s}}@."
-            (String.trim (Diag.list_to_json ds))
-            (String.concat ", "
-               (List.map
-                  (fun (pass, ns) -> Printf.sprintf "\"%s\": %.0f" pass ns)
-                  times))
-        else print_endline (Diag.list_to_json ds)
-      else begin
-        List.iter print_diag ds;
-        if timings then
-          List.iter
-            (fun (pass, ns) ->
-              Format.printf "%s@."
-                (Style.dim
-                   (Printf.sprintf "# check.%-8s %8.0f ns" pass ns)))
-            times;
-        Format.printf "%s (T=%d, P<=%g): %s@." name t p (Analysis.summary ds)
-      end;
-      if Diag.has_errors ds then 1 else 0
-    | Error (name, reason) ->
-      err_infeasible name reason;
-      1
+    let library = the_library library in
+    with_design ~library r @@ fun d ->
+    let ds, times = Analysis.run_all_timed ~library d in
+    let ds =
+      if bounds then
+        ds
+        @ [
+            Preflight.summary_diag
+              (Preflight.analyze ~library ~time_limit:r.time_limit
+                 ~power_limit:r.power_limit r.graph);
+          ]
+      else ds
+    in
+    if json then
+      if timings then
+        Format.printf "{\"diagnostics\": %s, \"timings_ns\": {%s}}@."
+          (String.trim (Diag.list_to_json ds))
+          (String.concat ", "
+             (List.map
+                (fun (pass, ns) -> Printf.sprintf "\"%s\": %.0f" pass ns)
+                times))
+      else print_endline (Diag.list_to_json ds)
+    else begin
+      List.iter print_diag ds;
+      if timings then
+        List.iter
+          (fun (pass, ns) ->
+            Format.printf "%s@."
+              (Style.dim (Printf.sprintf "# check.%-8s %8.0f ns" pass ns)))
+          times;
+      Format.printf "%s (T=%d, P<=%g): %s@." r.name r.time_limit r.power_limit
+        (Analysis.summary ds)
+    end;
+    if Diag.has_errors ds then 1 else 0
   in
   Cmd.v
     (Cmd.info "check"
@@ -591,9 +577,8 @@ let check_cmd =
              machine-readable diagnostics. Exits 1 when any error-severity \
              diagnostic fires.")
     Term.(
-      const run $ graph_source $ time_limit $ power_limit $ policy
-      $ register_area $ mux_input_area $ library_opt $ json_flag
-      $ timings_flag $ bounds_flag $ no_color_flag)
+      const run $ request $ library_opt $ json_flag $ timings_flag
+      $ bounds_flag $ no_color_flag)
 
 (* --- preflight ---------------------------------------------------------- *)
 
@@ -639,24 +624,28 @@ let preflight_cmd =
              area bounds. Emits a machine-checkable infeasibility \
              certificate (PRE001-PRE004) and exits 1 when the bounds \
              contradict the (T, P<) constraints.")
+    (* Unchecked T and P<: Preflight.analyze rejects them itself (exit 2). *)
     Term.(
-      const run $ graph_source $ time_limit $ power_limit $ library_opt
-      $ exact_max $ json_flag $ no_color_flag)
+      const run $ graph_source $ time_arg Arg.int $ power_arg Arg.float
+      $ library_opt $ exact_max $ json_flag $ no_color_flag)
 
-(* --- sweep ------------------------------------------------------------- *)
+(* --- sweep / pareto ------------------------------------------------------ *)
 
-let p_from =
-  Arg.(value & opt float 2.5 & info [ "p-from" ] ~docv:"P" ~doc:"Sweep start.")
-
-let p_to =
-  Arg.(value & opt float 150. & info [ "p-to" ] ~docv:"P" ~doc:"Sweep end.")
-
-let p_step =
-  Arg.(value & opt float 2.5 & info [ "p-step" ] ~docv:"DP" ~doc:"Sweep step.")
-
-let power_range p_from p_to p_step =
-  let rec powers p = if p > p_to +. 1e-9 then [] else p :: powers (p +. p_step) in
-  powers p_from
+let power_range =
+  let p_from =
+    Arg.(value & opt float 2.5 & info [ "p-from" ] ~docv:"P" ~doc:"Sweep start.")
+  in
+  let p_to =
+    Arg.(value & opt float 150. & info [ "p-to" ] ~docv:"P" ~doc:"Sweep end.")
+  in
+  let p_step =
+    Arg.(
+      value & opt float 2.5 & info [ "p-step" ] ~docv:"DP" ~doc:"Sweep step.")
+  in
+  let make from upto step =
+    Request.power_range ~names:("--p-from", "--p-step") ~from ~upto ~step
+  in
+  Term.(term_result' (const make $ p_from $ p_to $ p_step))
 
 let print_pareto points =
   Format.printf "@.pareto front (T, P<, area):@.";
@@ -669,70 +658,50 @@ let print_pareto points =
       | Explore.Infeasible _ | Explore.Pruned _ | Explore.Failed _ -> ())
     (Explore.pareto points)
 
-let sweep_cmd =
-  let pareto_flag =
-    Arg.(value & flag & info [ "pareto" ] ~doc:"Also print the Pareto front.")
-  in
-  let run (name, g) t p_from p_to p_step pol reg mux pareto preflight jobs
-      cache_dir no_cache deadline_ms max_iters trace metrics flight log_level =
+(* sweep and pareto differ only in their time axis and in whether the
+   Pareto front is always printed. *)
+let grid_cmd name ~doc ~times ~pareto =
+  let run (gname, g) times powers policy cost_model pareto preflight jobs
+      cache_dir no_cache budget trace metrics flight log_level =
     apply_log log_level;
     with_obs ~flight ~trace ~metrics @@ fun () ->
     let cache = sweep_store no_cache cache_dir in
-    let budget = the_budget deadline_ms max_iters in
+    let budget = Request.start budget in
     let points =
-      Explore.sweep ~cost_model:(cost_model reg mux) ~policy:pol ~jobs ?cache
-        ?deadline:budget ~preflight ~library:Library.default g ~times:[ t ]
-        ~powers:(power_range p_from p_to p_step)
+      Explore.sweep ~cost_model ~policy ~jobs ?cache ?deadline:budget
+        ~preflight ~library:Library.default g ~times ~powers
     in
-    Format.printf "# benchmark=%s@.%s@." name (Explore.render_table points);
+    Format.printf "# benchmark=%s@.%s@." gname (Explore.render_table points);
     if pareto then print_pareto points;
     print_cache_line ~jobs cache;
     finish ?budget 0
   in
   Cmd.v
-    (Cmd.info "sweep" ~exits:budget_exits
-       ~doc:"Sweep the power constraint and report area (Figure 2 style).")
+    (Cmd.info name ~exits:budget_exits ~doc)
     Term.(
-      const run $ graph_source $ time_limit $ p_from $ p_to $ p_step $ policy
-      $ register_area $ mux_input_area $ pareto_flag $ preflight_flag
-      $ jobs_opt $ cache_dir_opt $ no_cache_flag $ deadline_ms_opt
-      $ max_iters_opt $ trace_opt $ metrics_flag $ flight_flag $ log_opt)
+      const run $ graph_source $ times $ power_range $ policy $ cost_model
+      $ pareto $ preflight_flag $ jobs_opt $ cache_dir_opt $ no_cache_flag
+      $ budget $ trace_opt $ metrics_flag $ flight_flag $ log_opt)
 
-(* --- pareto ------------------------------------------------------------- *)
+let sweep_cmd =
+  grid_cmd "sweep"
+    ~doc:"Sweep the power constraint and report area (Figure 2 style)."
+    ~times:Term.(const (fun t -> [ t ]) $ time_limit)
+    ~pareto:
+      Arg.(value & flag & info [ "pareto" ] ~doc:"Also print the Pareto front.")
 
 let pareto_cmd =
-  let times =
-    Arg.(
-      non_empty
-      & opt (list int) []
-      & info [ "times" ] ~docv:"T1,T2,..."
-          ~doc:"Latency constraints (cycles) spanning the grid rows.")
-  in
-  let run (name, g) times p_from p_to p_step pol reg mux preflight jobs
-      cache_dir no_cache deadline_ms max_iters trace metrics flight log_level =
-    apply_log log_level;
-    with_obs ~flight ~trace ~metrics @@ fun () ->
-    let cache = sweep_store no_cache cache_dir in
-    let budget = the_budget deadline_ms max_iters in
-    let points =
-      Explore.sweep ~cost_model:(cost_model reg mux) ~policy:pol ~jobs ?cache
-        ?deadline:budget ~preflight ~library:Library.default g ~times
-        ~powers:(power_range p_from p_to p_step)
-    in
-    Format.printf "# benchmark=%s@.%s@." name (Explore.render_table points);
-    print_pareto points;
-    print_cache_line ~jobs cache;
-    finish ?budget 0
-  in
-  Cmd.v
-    (Cmd.info "pareto" ~exits:budget_exits
-       ~doc:"Synthesize a full (T, P<) constraint grid in parallel and \
-             report the non-dominated (time, power, area) trade-off front.")
-    Term.(
-      const run $ graph_source $ times $ p_from $ p_to $ p_step $ policy
-      $ register_area $ mux_input_area $ preflight_flag $ jobs_opt
-      $ cache_dir_opt $ no_cache_flag $ deadline_ms_opt $ max_iters_opt
-      $ trace_opt $ metrics_flag $ flight_flag $ log_opt)
+  grid_cmd "pareto"
+    ~doc:
+      "Synthesize a full (T, P<) constraint grid in parallel and report the \
+       non-dominated (time, power, area) trade-off front."
+    ~times:
+      Arg.(
+        non_empty
+        & opt (list time_conv) []
+        & info [ "times" ] ~docv:"T1,T2,..."
+            ~doc:"Latency constraints (cycles) spanning the grid rows.")
+    ~pareto:(Term.const true)
 
 (* --- cache -------------------------------------------------------------- *)
 
@@ -773,7 +742,7 @@ let cache_cmd =
 (* --- profile ----------------------------------------------------------- *)
 
 let profile_cmd =
-  let run (name, g) t p pol reg mux library trace no_color =
+  let run r library trace no_color =
     apply_color no_color;
     (* A profiling run: always trace, always report. Synthesis goes through
        Explore.solve with a fresh in-memory store so the trace also shows
@@ -782,15 +751,11 @@ let profile_cmd =
     let sink = Trace.make () in
     let result =
       Trace.with_sink sink (fun () ->
-          Explore.solve ~cost_model:(cost_model reg mux) ~policy:pol
-            ~library:(the_library library) ~cache:(Store.in_memory ()) g
-            ~time_limit:t ~power_limit:p)
+          Explore.solve ~cost_model:r.cost_model ~policy:r.policy
+            ~library:(the_library library) ~cache:(Store.in_memory ()) r.graph
+            ~time_limit:r.time_limit ~power_limit:r.power_limit)
     in
-    (match trace with
-    | None -> ()
-    | Some path ->
-      write_file path (Trace.to_chrome sink);
-      Format.printf "# trace: %d events -> %s@." (Trace.count sink) path);
+    Option.iter (write_trace sink) trace;
     let report () =
       Format.printf "@.%s@." (Style.bold "spans:");
       print_string (Trace.render_tree sink);
@@ -801,15 +766,18 @@ let profile_cmd =
     | Explore.Feasible { design = d; _ } ->
       Format.printf "%s@."
         (Style.bold
-           (Printf.sprintf "power profile of %s (T=%d, P<=%g):" name t p));
+           (Printf.sprintf "power profile of %s (T=%d, P<=%g):" r.name
+              r.time_limit r.power_limit));
       print_string
         (Profile.render ~width:50
-           ?limit:(if Float.is_finite p then Some p else None)
+           ?limit:
+             (if Float.is_finite r.power_limit then Some r.power_limit
+              else None)
            (Design.profile d));
       report ();
       0
     | Explore.Infeasible reason | Explore.Pruned reason ->
-      err_infeasible name reason;
+      err_infeasible r.name reason;
       report ();
       1
     | Explore.Failed reason ->
@@ -822,10 +790,7 @@ let profile_cmd =
        ~doc:"Synthesize under a tracing sink, render the per-cycle power \
              profile, the span tree and the metrics table; --trace also \
              writes the Chrome trace_event JSON.")
-    Term.(
-      const run $ graph_source $ time_limit $ power_limit $ policy
-      $ register_area $ mux_input_area $ library_opt $ trace_opt
-      $ no_color_flag)
+    Term.(const run $ request $ library_opt $ trace_opt $ no_color_flag)
 
 (* --- trace -------------------------------------------------------------- *)
 
@@ -992,12 +957,12 @@ let fuzz_run_term =
           ~doc:"Cap on generated operation nodes per case (I/O nodes come \
                 on top).")
   in
-  let run runs seed jobs max_nodes exact_max_vertices library corpus
-      deadline_ms max_iters trace metrics flight log_level no_color =
+  let run runs seed jobs max_nodes exact_max_vertices library corpus budget
+      trace metrics flight log_level no_color =
     apply_color no_color;
     apply_log log_level;
     with_obs ~flight ~trace ~metrics @@ fun () ->
-    let budget = the_budget deadline_ms max_iters in
+    let budget = Request.start budget in
     let config =
       {
         Fuzz.runs;
@@ -1024,9 +989,8 @@ let fuzz_run_term =
   in
   Term.(
     const run $ runs_opt $ seed_opt $ jobs_opt $ max_nodes_opt
-    $ exact_max_vertices_opt $ library_opt $ corpus_opt $ deadline_ms_opt
-    $ max_iters_opt $ trace_opt $ metrics_flag $ flight_flag $ log_opt
-    $ no_color_flag)
+    $ exact_max_vertices_opt $ library_opt $ corpus_opt $ budget $ trace_opt
+    $ metrics_flag $ flight_flag $ log_opt $ no_color_flag)
 
 let fuzz_cmd =
   let replay_cmd =
@@ -1076,11 +1040,11 @@ let battery_cmd =
       value & opt float 50_000.
       & info [ "capacity" ] ~docv:"C" ~doc:"Battery capacity (power-cycles).")
   in
-  let run bench t p pol reg mux capacity =
-    match synthesize bench t p pol reg mux with
-    | Ok (name, d, _) ->
+  let run r capacity =
+    with_design r @@ fun d ->
       let profile = Profile.to_array (Design.profile d) in
-      Format.printf "battery lifetimes for %s (T=%d, P<=%g):@." name t p;
+      Format.printf "battery lifetimes for %s (T=%d, P<=%g):@." r.name
+        r.time_limit r.power_limit;
       List.iter
         (fun model ->
           let v = Sim.lifetime model ~profile ~max_cycles:1_000_000_000 in
@@ -1101,16 +1065,11 @@ let battery_cmd =
         (Format.asprintf "%a" Pchls_battery.Rakhmatov.pp rak)
         Sim.pp_verdict v;
       0
-    | Error (name, reason) ->
-      err_infeasible name reason;
-      1
   in
   Cmd.v
     (Cmd.info "battery"
        ~doc:"Estimate battery lifetime of the synthesized design.")
-    Term.(
-      const run $ graph_source $ time_limit $ power_limit $ policy
-      $ register_area $ mux_input_area $ capacity)
+    Term.(const run $ request $ capacity)
 
 (* --- report ------------------------------------------------------------ *)
 
@@ -1120,24 +1079,18 @@ let report_cmd =
       value & flag
       & info [ "summary" ] ~doc:"Emit the one-row design summary instead.")
   in
-  let run bench t p pol reg mux summary no_color =
+  let run r summary no_color =
     apply_color no_color;
-    match synthesize bench t p pol reg mux with
-    | Ok (_, d, _) ->
-      print_string
-        (if summary then Pchls_core.Report.summary_csv d
-         else Pchls_core.Report.csv d);
-      0
-    | Error (name, reason) ->
-      err_infeasible name reason;
-      1
+    with_design r @@ fun d ->
+    print_string
+      (if summary then Pchls_core.Report.summary_csv d
+       else Pchls_core.Report.csv d);
+    0
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:"Synthesize and emit a per-operation CSV report.")
-    Term.(
-      const run $ graph_source $ time_limit $ power_limit $ policy
-      $ register_area $ mux_input_area $ summary_flag $ no_color_flag)
+    Term.(const run $ request $ summary_flag $ no_color_flag)
 
 (* --- dot --------------------------------------------------------------- *)
 
@@ -1151,7 +1104,7 @@ let dot_cmd =
   let time_opt =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some time_conv) None
       & info [ "t"; "time" ] ~docv:"CYCLES" ~doc:"Latency constraint.")
   in
   let run (name, g) annotate time_opt p =
@@ -1212,9 +1165,8 @@ let rtl_cmd =
           ~doc:"Emit functionally complete Verilog (real operation bodies, \
                 I/O ports) instead of the structural skeleton.")
   in
-  let run bench t p pol reg mux lang width testbench control vcd functional =
-    match synthesize bench t p pol reg mux with
-    | Ok (_, d, _) ->
+  let run r lang width testbench control vcd functional =
+    with_design r @@ fun d ->
       let n = Netlist.of_design d in
       print_string
         (if vcd then Pchls_rtl.Vcd.of_design d
@@ -1227,16 +1179,12 @@ let rtl_cmd =
            | `Vhdl, true -> Pchls_rtl.Testbench.vhdl n
            | `Verilog, true -> Pchls_rtl.Testbench.verilog n);
       0
-    | Error (name, reason) ->
-      err_infeasible name reason;
-      1
   in
   Cmd.v
     (Cmd.info "rtl" ~doc:"Synthesize and emit RTL (VHDL or Verilog).")
     Term.(
-      const run $ graph_source $ time_limit $ power_limit $ policy
-      $ register_area $ mux_input_area $ lang $ width $ testbench_flag
-      $ control_flag $ vcd_flag $ functional_flag)
+      const run $ request $ lang $ width $ testbench_flag $ control_flag
+      $ vcd_flag $ functional_flag)
 
 (* --- serve -------------------------------------------------------------- *)
 
@@ -1274,7 +1222,7 @@ let serve_cmd =
   let serve_deadline_opt =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (checked float Request.deadline_ms)) None
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:"Ceiling on (and default for) per-request synthesis \
                 budgets. A request whose budget expires gets HTTP 206 with \
@@ -1365,7 +1313,8 @@ let serve_cmd =
     apply_log log_level;
     let config =
       {
-        Pchls_serve.Server.host;
+        Server.default_config with
+        Server.host;
         port;
         threads;
         jobs;
@@ -1383,15 +1332,11 @@ let serve_cmd =
         max_queue;
         queue_age_ms;
         shed_threshold;
-        degrade_deadline_ms =
-          Pchls_serve.Server.default_config.Pchls_serve.Server.degrade_deadline_ms;
         breaker;
-        breaker_cooldown_ms =
-          Pchls_serve.Server.default_config.Pchls_serve.Server.breaker_cooldown_ms;
         watchdog_ms = (if watchdog_ms > 0. then Some watchdog_ms else None);
       }
     in
-    match Pchls_serve.Server.run config with
+    match Server.run config with
     | code -> code
     | exception Unix.Unix_error (e, _, _) ->
       Format.eprintf "serve: %s@." (Unix.error_message e);
@@ -1448,7 +1393,7 @@ let setup_logs () = apply_log (Sys.getenv_opt "PCHLS_LOG")
 let () =
   setup_logs ();
   let doc = "power-constrained high-level synthesis (Nielsen & Madsen, DATE'03)" in
-  let info = Cmd.info "pchls" ~version:Pchls_serve.Server.version ~doc in
+  let info = Cmd.info "pchls" ~version:Server.version ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval'

@@ -48,7 +48,15 @@ let run_all_timed ?library ?max_instances d =
     | Some library ->
       pass "preflight" h_preflight (fun () -> preflight_lint ~library d)
   in
-  let sched = pass "sched" h_sched (fun () -> Sched_lint.lint_design d) in
+  let sched =
+    pass "sched" h_sched (fun () ->
+        let power_limit = Design.power_limit d in
+        Pchls_sched.Schedule.lint (Design.graph d) (Design.schedule d)
+          ~info:(Design.info d) ~time_limit:(Design.time_limit d)
+          ?power_limit:
+            (if Float.is_finite power_limit then Some power_limit else None)
+          ())
+  in
   let bind = pass "bind" h_bind (fun () -> Bind_lint.lint ?max_instances d) in
   let net =
     pass "netlist" h_netlist (fun () ->

@@ -858,7 +858,7 @@ let self_check_lock st s =
 
 let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
     ?(max_instances = []) ?(seed_instances = []) ?(self_check = false)
-    ?(preflight = false) ?deadline ~library ~time_limit
+    ?deadline ~library ~time_limit
     ?(power_limit = infinity) g =
   if time_limit < 1 then invalid_arg "Engine.run: time_limit < 1";
   if power_limit <= 0. then invalid_arg "Engine.run: power_limit <= 0";
@@ -884,27 +884,6 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
     if Pchls_resil.Fault.fires ~key:0 "engine.power-check" then infinity
     else power_limit
   in
-  (* Optional static early-reject: a preflight certificate proves no
-     schedule satisfies (T, P<), so the engine need not search at all. Uses
-     the post-fault limit so chaos runs stay self-consistent. *)
-  let static_reject =
-    if not preflight then None
-    else
-      let module Preflight = Pchls_preflight.Preflight in
-      let pf =
-        Preflight.analyze ~exact_max_vertices:0 ~library ~time_limit
-          ~power_limit g
-      in
-      Option.map
-        (fun c ->
-          Printf.sprintf "preflight: %s: %s"
-            (Preflight.certificate_code c)
-            (Preflight.certificate_to_string c))
-        (Preflight.first_certificate pf)
-  in
-  match static_reject with
-  | Some reason -> Infeasible { reason }
-  | None ->
   Metrics.incr m_runs;
   (* The whole search is delimited so an escaping exception hits the
      flight-recorder crash hook before the caller unwinds further — the

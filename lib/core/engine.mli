@@ -71,14 +71,6 @@ type outcome =
     and the run also ends with [Design.assemble]'s full validation either
     way).
 
-    [preflight] (default [false]) runs the static bound analysis
-    ({!Pchls_preflight.Preflight.analyze}, without the exact area search)
-    before any scheduling: when a certificate proves the instance
-    infeasible, the run returns [Infeasible] immediately with a
-    ["preflight: PRE0xx: ..."] reason instead of searching. Sound — the
-    engine only skips work it could never have completed — but the reason
-    string differs from the engine's own, so the default stays off.
-
     [deadline] makes the run {e anytime}: the budget is polled at every
     engine-iteration boundary, and its wall clock / cancellation also
     interrupt the pasap/palap offset loops mid-iteration. On exhaustion the
@@ -97,7 +89,6 @@ val run :
   ?max_instances:(string * int) list ->
   ?seed_instances:Pchls_fulib.Module_spec.t list ->
   ?self_check:bool ->
-  ?preflight:bool ->
   ?deadline:Pchls_resil.Budget.t ->
   library:Pchls_fulib.Library.t ->
   time_limit:int ->

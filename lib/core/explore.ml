@@ -40,10 +40,10 @@ let prune_reason_of_cached reason =
   then Some (String.sub reason n (String.length reason - n))
   else None
 
-(* The cheap certificate-only configuration: no exact area search. Never
-   raises — a malformed grid point (T < 1, P <= 0) falls through to the
-   engine, which reports it per-point. *)
-let static_certificate ~library g ~time_limit ~power_limit =
+(* The cheap certificate-only configuration: no exact area search. A
+   malformed grid point (T < 1, P <= 0) falls through to the engine, which
+   reports it per-point. *)
+let certificate ~library g ~time_limit ~power_limit =
   match
     Preflight.analyze ~exact_max_vertices:0 ~library ~time_limit ~power_limit
       g
@@ -71,14 +71,16 @@ let fingerprint ?(cost_model = Cost_model.default) ?(policy = Engine.Min_power)
       Fingerprint.of_string ("policy:" ^ Engine.policy_to_string policy);
     ]
 
+let feasible design =
+  Feasible
+    {
+      area = (Design.area design).Design.total;
+      peak = Profile.peak (Design.profile design);
+      design;
+    }
+
 let result_of_outcome = function
-  | Engine.Synthesized (design, _) ->
-    Feasible
-      {
-        area = (Design.area design).Design.total;
-        peak = Profile.peak (Design.profile design);
-        design;
-      }
+  | Engine.Synthesized (design, _) -> feasible design
   | Engine.Infeasible { reason } -> Infeasible reason
 
 let summary_of_result = function
@@ -117,7 +119,7 @@ let solve ?cost_model ?policy ?deadline ?(preflight = false) ~library ?cache
   let engine () =
     match
       if preflight then
-        static_certificate ~library g ~time_limit ~power_limit
+        certificate ~library g ~time_limit ~power_limit
       else None
     with
     | Some reason -> Pruned reason
@@ -161,13 +163,7 @@ let solve ?cost_model ?policy ?deadline ?(preflight = false) ~library ?cache
         Design.assemble ~cost_model ~graph:g ~time_limit ~power_limit
           ~instances
       with
-      | Ok design ->
-        Feasible
-          {
-            area = (Design.area design).Design.total;
-            peak = Profile.peak (Design.profile design);
-            design;
-          }
+      | Ok design -> feasible design
       | Error _ -> miss ()))
 
 let sweep ?cost_model ?policy ?(jobs = 1) ?cache ?deadline
@@ -186,7 +182,7 @@ let sweep ?cost_model ?policy ?(jobs = 1) ?cache ?deadline
     match deadline with
     | Some b when Budget.exhausted b -> None
     | Some _ | None -> (
-      match static_certificate ~library g ~time_limit ~power_limit with
+      match certificate ~library g ~time_limit ~power_limit with
       | None -> None
       | Some reason ->
         (match (cache, fp) with

@@ -37,6 +37,19 @@ val fingerprint :
   Pchls_dfg.Graph.t ->
   Pchls_cache.Fingerprint.t
 
+(** [certificate ~library g ~time_limit ~power_limit] is the first
+    infeasibility certificate of the static bound analysis
+    ({!Pchls_preflight.Preflight.analyze}, without the exact area search)
+    as ["PRE0xx: ..."], if any. This is the reason a [preflight] run gives
+    for a [Pruned] point. Never raises: an out-of-range T or P< yields
+    [None]. *)
+val certificate :
+  library:Pchls_fulib.Library.t ->
+  Pchls_dfg.Graph.t ->
+  time_limit:int ->
+  power_limit:float ->
+  string option
+
 (** [solve ~library g ~time_limit ~power_limit] synthesizes one grid point,
     consulting [cache] when given (as in {!sweep}); [fp] skips re-deriving
     the {!fingerprint}. This is the unit of work behind {!sweep} and

@@ -1,3 +1,5 @@
+module Json = Pchls_obs.Json
+
 type severity = Error | Warning | Info
 type layer = Dfg | Schedule | Binding | Netlist
 
@@ -86,30 +88,14 @@ let to_string d =
 
 let pp ppf d = Format.pp_print_string ppf (to_string d)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json d =
   Printf.sprintf
     {|{"code":"%s","severity":"%s","layer":"%s","entity":"%s","message":"%s"}|}
-    (json_escape d.code)
+    (Json.escape d.code)
     (severity_to_string d.severity)
     (layer_to_string d.layer)
-    (json_escape (entity_to_string d.entity))
-    (json_escape d.message)
+    (Json.escape (entity_to_string d.entity))
+    (Json.escape d.message)
 
 let list_to_json = function
   | [] -> "[]"

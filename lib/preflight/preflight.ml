@@ -6,6 +6,7 @@ module Profile = Pchls_power.Profile
 module Cgraph = Pchls_compat.Cgraph
 module Exact = Pchls_compat.Exact
 module Diag = Pchls_diag.Diag
+module Json = Pchls_obs.Json
 
 let eps = Profile.eps
 
@@ -647,11 +648,11 @@ let json_float f =
 let json_certificate c =
   let b = Buffer.create 64 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"code\":%S" (certificate_code c);
+  add "{\"code\":\"%s\"" (certificate_code c);
   (match c with
   | No_admissible_module { kind; power_limit; min_power } ->
-    add ",\"kind\":%S,\"power_limit\":%s,\"min_power\":%s"
-      (Op.to_string kind) (json_float power_limit)
+    add ",\"kind\":\"%s\",\"power_limit\":%s,\"min_power\":%s"
+      (Json.escape (Op.to_string kind)) (json_float power_limit)
       (match min_power with None -> "null" | Some p -> json_float p)
   | Latency_exceeded { limit; lower_bound; path } ->
     add ",\"limit\":%d,\"lower_bound\":%d,\"path\":[%s]" limit lower_bound
@@ -667,14 +668,14 @@ let json_certificate c =
   | Energy_deficit { energy_lb; capacity } ->
     add ",\"energy_lb\":%s,\"capacity\":%s" (json_float energy_lb)
       (json_float capacity));
-  add ",\"message\":%S}" (certificate_to_string c);
+  add ",\"message\":\"%s\"}" (Json.escape (certificate_to_string c));
   Buffer.contents b
 
 let to_json r =
   let b = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"graph\":%S,\"time_limit\":%d,\"power_limit\":%s,\"infeasible\":%b"
-    r.graph_name r.time_limit (json_float r.power_limit) (infeasible r);
+  add "{\"graph\":\"%s\",\"time_limit\":%d,\"power_limit\":%s,\"infeasible\":%b"
+    (Json.escape r.graph_name) r.time_limit (json_float r.power_limit) (infeasible r);
   (match r.bounds with
   | None -> add ",\"bounds\":null"
   | Some bo ->

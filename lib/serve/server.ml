@@ -1,12 +1,8 @@
 let src = Logs.Src.create "pchls.serve" ~doc:"synthesis service daemon"
 
 module Log = (val Logs.src_log src : Logs.LOG)
-module Graph = Pchls_dfg.Graph
-module Benchmarks = Pchls_dfg.Benchmarks
-module Text_format = Pchls_dfg.Text_format
 module Library = Pchls_fulib.Library
 module Module_spec = Pchls_fulib.Module_spec
-module Engine = Pchls_core.Engine
 module Design = Pchls_core.Design
 module Explore = Pchls_core.Explore
 module Analysis = Pchls_analysis.Analysis
@@ -103,14 +99,10 @@ let default_config =
     watchdog_ms = None;
   }
 
-(* The value shared through a coalesced flight: the engine outcome plus
-   the leader's budget verdict, so followers report the same partiality
-   the leader observed. *)
-type work =
-  | Solved of Explore.result
-  | Swept of Explore.point list
-
-type flight = { work : work; partial : string option }
+(* What a coalesced flight shares: the engine outcome plus the leader's
+   budget verdict, so followers report the same partiality the leader
+   observed. *)
+type 'a flights = ('a * string option) Coalesce.t
 
 type t = {
   config : config;
@@ -118,7 +110,8 @@ type t = {
   bound_port : int;
   cache : Store.t option;
   pool : Pool.t;
-  flights : flight Coalesce.t;
+  synths : Explore.result flights;
+  sweeps : Explore.point list flights;
   admission : Unix.file_descr Admission.t;
   breakers : (string * Breaker.t) list;
   watchdog : Watchdog.t option;
@@ -184,29 +177,28 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
-let opt_string name json =
-  match Json.member name json with
-  | Some (Json.String s) -> Some s
-  | Some _ -> bad "%S must be a string" name
-  | None -> None
+(* An optional field of one JSON type: [get] extracts it, and a value of
+   any other type is a caller error. *)
+let opt_field get kind name json =
+  Option.map
+    (fun v ->
+      match get v with Some x -> x | None -> bad "%S must be %s" name kind)
+    (Json.member name json)
 
-let opt_number name json =
-  match Json.member name json with
-  | Some (Json.Number f) -> Some f
-  | Some _ -> bad "%S must be a number" name
-  | None -> None
+let opt_string =
+  opt_field (function Json.String s -> Some s | _ -> None) "a string"
+
+let opt_number =
+  opt_field (function Json.Number f -> Some f | _ -> None) "a number"
+
+let opt_bool = opt_field (function Json.Bool b -> Some b | _ -> None) "a boolean"
 
 let opt_int name json =
-  match opt_number name json with
-  | Some f when Float.is_integer f -> Some (int_of_float f)
-  | Some _ -> bad "%S must be an integer" name
-  | None -> None
-
-let opt_bool name json =
-  match Json.member name json with
-  | Some (Json.Bool b) -> Some b
-  | Some _ -> bad "%S must be a boolean" name
-  | None -> None
+  Option.map
+    (fun f ->
+      if Float.is_integer f then int_of_float f
+      else bad "%S must be an integer" name)
+    (opt_number name json)
 
 let number_list name json =
   match Json.member name json with
@@ -226,40 +218,37 @@ let parse_body (req : Http.request) =
   | Ok json -> json
   | Error msg -> bad "invalid JSON body: %s" msg
 
+(* The verdict of one of the shared {!Request} checks; [checked] reports
+   a reason about one value under the field's own name. *)
+let or_bad = function Ok v -> v | Error msg -> raise (Bad msg)
+let checked name check v =
+  or_bad (Result.map_error (Printf.sprintf "%S %s" name) (check v))
+
 (* Exactly one graph source, mirroring the CLI's -b/--file/--beh. *)
-let resolve_graph json =
-  let benchmark = opt_string "benchmark" json in
-  let dfg = opt_string "dfg" json in
-  let beh = opt_string "beh" json in
-  match (benchmark, dfg, beh) with
-  | Some name, None, None -> (
-    match Benchmarks.find name with
-    | Some g -> (name, g)
-    | None ->
-      bad "unknown benchmark %S (try: %s)" name
-        (String.concat ", " (List.map fst Benchmarks.all)))
-  | None, Some text, None -> (
-    match Text_format.of_string text with
-    | Ok g -> (Graph.name g, g)
-    | Error msg -> bad "dfg: %s" msg)
-  | None, None, Some source -> (
-    let name = Option.value (opt_string "name" json) ~default:"request" in
-    match Pchls_lang.Elaborate.compile ~name source with
-    | Ok { Pchls_lang.Elaborate.graph; _ } -> (name, graph)
-    | Error msg -> bad "beh: %s" msg)
-  | None, None, None -> bad "a graph is required: benchmark, dfg or beh"
-  | _ -> bad "pass exactly one of benchmark, dfg, beh"
+let graph_field json =
+  let source name make = Option.map make (opt_string name json) in
+  or_bad
+    (Request.graph ~missing:"a graph is required: benchmark, dfg or beh"
+       ~conflict:"pass exactly one of benchmark, dfg, beh"
+       (List.filter_map Fun.id
+          [
+            source "benchmark" (fun name -> Request.Benchmark name);
+            source "dfg" (fun text -> Request.Dfg { origin = "dfg"; text });
+            source "beh" (fun text ->
+                let name =
+                  Option.value (opt_string "name" json) ~default:"request"
+                in
+                Request.Beh { origin = "beh"; name; text });
+          ]))
 
 let time_field json =
   match opt_int "time" json with
-  | Some t when t >= 1 -> t
-  | Some t -> bad "\"time\" must be >= 1, got %d" t
+  | Some t -> checked "time" Request.time_limit t
   | None -> bad "\"time\" is required"
 
 let power_field json =
   match opt_number "power" json with
-  | Some p when p > 0. -> p
-  | Some p -> bad "\"power\" must be > 0, got %g" p
+  | Some p -> checked "power" Request.power_limit p
   | None -> infinity
 
 let times_field json =
@@ -268,8 +257,9 @@ let times_field json =
   | Some ts ->
     List.map
       (fun f ->
-        if Float.is_integer f && f >= 1. then int_of_float f
-        else bad "\"times\" entries must be integers >= 1")
+        match Request.time_limit (int_of_float f) with
+        | Ok t when Float.is_integer f -> t
+        | Ok _ | Error _ -> bad "\"times\" entries must be integers >= 1")
       ts
   | None -> [ time_field json ]
 
@@ -277,21 +267,21 @@ let powers_field json =
   match number_list "powers" json with
   | Some [] -> bad "\"powers\" must not be empty"
   | Some ps ->
-    List.iter (fun p -> if p <= 0. then bad "\"powers\" entries must be > 0") ps;
-    ps
+    List.map
+      (fun p ->
+        match Request.power_limit p with
+        | Ok p -> p
+        | Error _ -> bad "\"powers\" entries must be > 0")
+      ps
   | None -> (
     match
       (opt_number "p_from" json, opt_number "p_to" json, opt_number "p_step" json)
     with
     | None, None, None -> [ power_field json ]
-    | Some p_from, Some p_to, p_step ->
-      let p_step = Option.value p_step ~default:2.5 in
-      if p_from <= 0. || p_step <= 0. then
-        bad "\"p_from\" and \"p_step\" must be > 0";
-      let rec range p = if p > p_to +. 1e-9 then [] else p :: range (p +. p_step) in
-      let ps = range p_from in
-      if ps = [] then bad "empty power range [%g, %g]" p_from p_to;
-      ps
+    | Some from, Some upto, step ->
+      or_bad
+        (Request.power_range ~names:("\"p_from\"", "\"p_step\"") ~from ~upto
+           ~step:(Option.value step ~default:2.5))
     | _ -> bad "a power range needs both \"p_from\" and \"p_to\"")
 
 let max_grid_points = 10_000
@@ -304,12 +294,7 @@ let grid_fields json =
   (times, powers)
 
 let policy_field json =
-  match opt_string "policy" json with
-  | None -> None
-  | Some "min-power" -> Some Engine.Min_power
-  | Some "min-area" -> Some Engine.Min_area
-  | Some "min-latency" -> Some Engine.Min_latency
-  | Some s -> bad "unknown policy %S (min-power, min-area, min-latency)" s
+  Option.map (fun name -> or_bad (Request.policy name)) (opt_string "policy" json)
 
 let preflight_field json = Option.value (opt_bool "preflight" json) ~default:false
 
@@ -326,42 +311,16 @@ let degrade_mode srv json : degrade =
   | Some "preflight" -> `Preflight
   | Some s -> bad "unknown \"degraded\" mode %S (none, clamped, preflight)" s
 
-(* The per-request budget: the request's own deadline_ms/max_iters,
-   ceilinged by (and defaulting to) the server-wide max_deadline_ms.
-   [clamp_ms] (degraded mode) forces a deadline at most that tight, so
-   the anytime engine answers quickly with whatever it has. *)
-let request_budget ?clamp_ms config json =
-  let deadline_ms =
-    match (opt_number "deadline_ms" json, config.max_deadline_ms) with
-    | Some d, _ when d < 0. -> bad "\"deadline_ms\" must be >= 0"
-    | Some d, Some cap -> Some (Float.min d cap)
-    | Some d, None -> Some d
-    | None, cap -> cap
-  in
-  let deadline_ms =
-    match clamp_ms with
-    | None -> deadline_ms
-    | Some c -> Some (match deadline_ms with None -> c | Some d -> Float.min d c)
-  in
-  let max_iters =
-    match opt_int "max_iters" json with
-    | Some i when i < 0 -> bad "\"max_iters\" must be >= 0"
-    | other -> other
-  in
-  match (deadline_ms, max_iters) with
-  | None, None -> None
-  | _ -> Some (Budget.make ?deadline_ms ?max_iters ())
-
-let budget_signature json config =
-  Printf.sprintf "dl=%s,mi=%s"
-    (match (opt_number "deadline_ms" json, config.max_deadline_ms) with
-    | Some d, Some cap -> string_of_float (Float.min d cap)
-    | Some d, None -> string_of_float d
-    | None, Some cap -> string_of_float cap
-    | None, None -> "-")
-    (match opt_int "max_iters" json with
-    | Some i -> string_of_int i
-    | None -> "-")
+(* The request's own deadline_ms/max_iters, ceilinged by (and defaulting
+   to) the server-wide max_deadline_ms. *)
+let budget_field config json =
+  Request.budget ?ceiling_ms:config.max_deadline_ms
+    ?deadline_ms:
+      (Option.map (checked "deadline_ms" Request.deadline_ms)
+         (opt_number "deadline_ms" json))
+    ?max_iters:
+      (Option.map (checked "max_iters" Request.max_iters) (opt_int "max_iters" json))
+    ()
 
 (* --- response encoding -------------------------------------------------- *)
 
@@ -371,47 +330,53 @@ let error_body ~error reason =
   Json.to_string
     (Json.Obj [ ("error", Json.String error); ("reason", Json.String reason) ])
 
-let json_of_design name (d : Design.t) ~area ~peak =
+let design_fields name (d : Design.t) ~area ~peak =
   let breakdown = Design.area d in
-  Json.Obj
-    [
-      ("name", Json.String name);
-      ("feasible", Json.Bool true);
-      ("time_limit", Json.Number (float_of_int (Design.time_limit d)));
-      ("power_limit", number_or_null (Design.power_limit d));
-      ("area", Json.Number area);
-      ("peak", Json.Number peak);
-      ( "area_breakdown",
-        Json.Obj
-          [
-            ("fu", Json.Number breakdown.Design.fu);
-            ("registers", Json.Number breakdown.Design.registers);
-            ("mux", Json.Number breakdown.Design.mux);
-            ("total", Json.Number breakdown.Design.total);
-          ] );
-      ("makespan", Json.Number (float_of_int (Design.makespan d)));
-      ("registers", Json.Number (float_of_int (Design.register_count d)));
-      ("energy", Json.Number (Design.energy d));
-      ( "instances",
-        Json.List
-          (List.map
-             (fun (inst : Design.instance) ->
-               Json.Obj
-                 [
-                   ("module", Json.String inst.Design.spec.Module_spec.name);
-                   ( "ops",
-                     Json.List
-                       (List.map
-                          (fun (op, start) ->
-                            Json.List
-                              [
-                                Json.Number (float_of_int op);
-                                Json.Number (float_of_int start);
-                              ])
-                          inst.Design.ops) );
-                 ])
-             (Design.instances d)) );
-    ]
+  [
+    ("name", Json.String name);
+    ("feasible", Json.Bool true);
+    ("time_limit", Json.Number (float_of_int (Design.time_limit d)));
+    ("power_limit", number_or_null (Design.power_limit d));
+    ("area", Json.Number area);
+    ("peak", Json.Number peak);
+    ( "area_breakdown",
+      Json.Obj
+        [
+          ("fu", Json.Number breakdown.Design.fu);
+          ("registers", Json.Number breakdown.Design.registers);
+          ("mux", Json.Number breakdown.Design.mux);
+          ("total", Json.Number breakdown.Design.total);
+        ] );
+    ("makespan", Json.Number (float_of_int (Design.makespan d)));
+    ("registers", Json.Number (float_of_int (Design.register_count d)));
+    ("energy", Json.Number (Design.energy d));
+    ( "instances",
+      Json.List
+        (List.map
+           (fun (inst : Design.instance) ->
+             Json.Obj
+               [
+                 ("module", Json.String inst.Design.spec.Module_spec.name);
+                 ( "ops",
+                   Json.List
+                     (List.map
+                        (fun (op, start) ->
+                          Json.List
+                            [
+                              Json.Number (float_of_int op);
+                              Json.Number (float_of_int start);
+                            ])
+                        inst.Design.ops) );
+               ])
+           (Design.instances d)) );
+  ]
+
+let infeasible_fields name reason =
+  [
+    ("name", Json.String name);
+    ("error", Json.String "infeasible");
+    ("reason", Json.String reason);
+  ]
 
 let json_of_point (pt : Explore.point) =
   let base =
@@ -446,6 +411,9 @@ let apply_partial status body_fields = function
     let status = if status = 200 || status = 422 then 206 else status in
     (status, body_fields @ [ ("partial", Json.String reason) ])
 
+let respond status fields =
+  Http.response status (Json.to_string (Json.Obj fields))
+
 (* --- handlers ----------------------------------------------------------- *)
 
 let dispatch srv f = Pool.run srv.pool f
@@ -473,31 +441,50 @@ let maybe_hang srv budget =
     done
   end
 
-(* Engine work under watchdog supervision. The watchdog cancels the
-   budget of a task past the wall limit; the engine winds down at its
-   next poll, and [killed] tells us the partial result is not a budget
-   verdict but a reclaim — answered as 500, never 206. *)
-let supervised srv ~key ~budget f =
-  match (srv.watchdog, budget) with
-  | Some wd, Some b ->
-    let task = Watchdog.watch wd ~id:key ~budget:b in
-    let v = Fun.protect ~finally:(fun () -> Watchdog.complete wd task) f in
-    if Watchdog.killed task then raise (Killed key);
-    v
-  | _ -> f ()
+(* The deadline clamp of a degraded (clamped-mode) request. *)
+let clamp_ms srv = function
+  | `Clamp -> Some srv.config.degrade_deadline_ms
+  | `None -> None
+
+(* One engine task of a request: [f] runs on the pool under the request's
+   budget, whose clock starts here (the wait for a pool domain counts) and
+   whose deadline is tightened to [clamp_ms] in degraded mode. Under a
+   watchdog the budget always exists — it is the cancellation seam the
+   watchdog kills through — and a task past the wall limit winds down at
+   its next poll and raises [Killed]: a reclaim, answered 500, never a 206
+   budget verdict. Otherwise the result comes back with the budget's
+   partial verdict. *)
+let engine_task srv ~key ?clamp_ms budget f =
+  let budget =
+    match (Request.start ?clamp_ms budget, srv.watchdog) with
+    | None, Some _ -> Some (Budget.make ())
+    | b, _ -> b
+  in
+  let run () =
+    dispatch srv (fun () ->
+        maybe_hang srv budget;
+        f budget)
+  in
+  let v =
+    match (srv.watchdog, budget) with
+    | Some wd, Some b ->
+      let task = Watchdog.watch wd ~id:key ~budget:b in
+      let v = Fun.protect ~finally:(fun () -> Watchdog.complete wd task) run in
+      if Watchdog.killed task then raise (Killed key);
+      v
+    | _ -> run ()
+  in
+  (v, Option.map Budget.reason_to_string (Option.bind budget Budget.check))
 
 (* A watchdog-killed leader says nothing about the computation, so a
    coalesced follower reruns once as its own request instead of sharing
    the corpse. *)
-let coalesce srv ~key compute =
+let coalesce flights ~key compute =
   let retry_on = function Killed _ -> true | _ -> false in
-  let outcome, role = Coalesce.run ~retry_on srv.flights ~key compute in
+  let outcome, role = Coalesce.run ~retry_on flights ~key compute in
   match outcome with
-  | Ok flight -> (flight, role)
+  | Ok flight -> (flight, ("coalesced", Json.Bool (role = Coalesce.Joined)))
   | Error e -> raise e
-
-let respond status fields =
-  Http.response status (Json.to_string (Json.Obj fields))
 
 (* Stamp a degraded answer: the x-pchls-degraded header is the contract
    clients key on (the body shape varies by endpoint and mode). *)
@@ -511,100 +498,64 @@ let with_degraded (mode : degrade) resp =
         ("x-pchls-degraded", degrade_to_string mode) :: resp.Http.headers;
     }
 
-(* Requests under watchdog supervision always get a budget — a request
-   with no limits of its own still needs the cancellation seam the
-   watchdog kills through. *)
-let ensure_cancellable srv budget =
-  match (budget, srv.watchdog) with
-  | None, Some _ -> Some (Budget.make ())
-  | b, _ -> b
-
-(* Degraded-to-preflight answers: static bounds alone, computed inline —
-   no pool slot, no engine iteration. Infeasibility proved by the bounds
-   is exact and keeps its 422; anything else is an honest "unknown"
-   answered as 206 partial. *)
-let degraded_synth srv ~name g ~time_limit ~power_limit =
-  let r =
-    Preflight.analyze ~library:srv.config.library ~time_limit ~power_limit g
-  in
+(* A preflight report answer: infeasibility proved by the bounds is exact
+   (422); anything else is 200, or 206 partial when [degraded]. The
+   Preflight layer's own JSON is spliced under "report", so the HTTP
+   payload and `pchls preflight --json` never drift. *)
+let report_response ?(degraded = false) ~name r =
   let infeasible = Preflight.infeasible r in
-  let body =
-    Printf.sprintf
-      "{\"name\":\"%s\",\"degraded\":\"preflight\",\"partial\":\"degraded\",\
-       \"infeasible\":%b,\"report\":%s}"
-      (Json.escape name) infeasible
-      (String.trim (Preflight.to_json r))
-  in
-  Http.response (if infeasible then 422 else 206) body
+  Http.response
+    (if infeasible then 422 else if degraded then 206 else 200)
+    (Printf.sprintf "{\"name\":\"%s\",%s\"infeasible\":%b,\"report\":%s}"
+       (Json.escape name)
+       (if degraded then "\"degraded\":\"preflight\",\"partial\":\"degraded\","
+        else "")
+       infeasible
+       (String.trim (Preflight.to_json r)))
 
 let handle_synth srv req =
   let json = parse_body req in
-  let name, g = resolve_graph json in
+  let name, g = graph_field json in
   let time_limit = time_field json in
   let power_limit = power_field json in
   match degrade_mode srv json with
   | `Preflight ->
-    with_degraded `Preflight (degraded_synth srv ~name g ~time_limit ~power_limit)
+    (* Static bounds alone, computed inline: no pool slot, no engine
+       iteration. *)
+    with_degraded `Preflight
+      (report_response ~degraded:true ~name
+         (Preflight.analyze ~library:srv.config.library ~time_limit
+            ~power_limit g))
   | (`None | `Clamp) as mode ->
     let policy = policy_field json in
     let preflight = preflight_field json in
+    let budget = budget_field srv.config json in
     let fp = Explore.fingerprint ?policy ~library:srv.config.library g in
     let key =
       Printf.sprintf "synth|%s|t=%d|p=%h|pf=%b|%s|deg=%s" fp time_limit
-        power_limit preflight
-        (budget_signature json srv.config)
+        power_limit preflight (Request.signature budget)
         (degrade_to_string mode)
     in
-    let clamp_ms =
-      match mode with
-      | `Clamp -> Some srv.config.degrade_deadline_ms
-      | `None -> None
+    let (result, partial), coalesced =
+      coalesce srv.synths ~key (fun () ->
+          engine_task srv ~key ?clamp_ms:(clamp_ms srv mode) budget
+            (fun deadline ->
+              Explore.solve ?policy ?deadline ~preflight
+                ~library:srv.config.library ?cache:srv.cache ~fp g ~time_limit
+                ~power_limit))
     in
-    let compute () =
-      let budget =
-        ensure_cancellable srv (request_budget ?clamp_ms srv.config json)
-      in
-      let result =
-        supervised srv ~key ~budget (fun () ->
-            dispatch srv (fun () ->
-                maybe_hang srv budget;
-                Explore.solve ?policy ?deadline:budget ~preflight
-                  ~library:srv.config.library ?cache:srv.cache ~fp g ~time_limit
-                  ~power_limit))
-      in
-      {
-        work = Solved result;
-        partial =
-          Option.map Budget.reason_to_string (Option.bind budget Budget.check);
-      }
+    let answer status fields =
+      let status, fields = apply_partial status fields partial in
+      respond status (fields @ [ coalesced ])
     in
-    let flight, role = coalesce srv ~key compute in
-    let coalesced = ("coalesced", Json.Bool (role = Coalesce.Joined)) in
     with_degraded mode
-      (match flight.work with
-      | Solved (Explore.Feasible { area; peak; design }) ->
-        let status, fields =
-          apply_partial 200
-            (match json_of_design name design ~area ~peak with
-            | Json.Obj fields -> fields
-            | _ -> assert false)
-            flight.partial
-        in
-        respond status (fields @ [ coalesced ])
-      | Solved (Explore.Infeasible reason | Explore.Pruned reason) ->
-        let status, fields =
-          apply_partial 422
-            [
-              ("name", Json.String name);
-              ("error", Json.String "infeasible");
-              ("reason", Json.String reason);
-            ]
-            flight.partial
-        in
-        respond status (fields @ [ coalesced ])
-      | Solved (Explore.Failed reason) ->
-        Http.response 500 (error_body ~error:"internal" reason)
-      | Swept _ -> assert false (* key namespaces are disjoint *))
+      (match result with
+      | Explore.Feasible { area; peak; design } ->
+        answer 200 (design_fields name design ~area ~peak)
+      | Explore.Infeasible reason | Explore.Pruned reason ->
+        answer 422 (infeasible_fields name reason)
+      | Explore.Failed reason ->
+        Http.response 500 (error_body ~error:"internal" reason))
 
 let degraded_sweep srv ~name g ~times ~powers =
   let points =
@@ -638,84 +589,60 @@ let degraded_sweep srv ~name g ~times ~powers =
 
 let handle_sweep srv req ~pareto =
   let json = parse_body req in
-  let name, g = resolve_graph json in
+  let name, g = graph_field json in
   let times, powers = grid_fields json in
   match degrade_mode srv json with
   | `Preflight -> with_degraded `Preflight (degraded_sweep srv ~name g ~times ~powers)
   | (`None | `Clamp) as mode ->
     let policy = policy_field json in
     let preflight = preflight_field json in
+    let budget = budget_field srv.config json in
     let fp = Explore.fingerprint ?policy ~library:srv.config.library g in
     let key =
       Printf.sprintf "sweep|%s|t=%s|p=%s|pf=%b|%s|deg=%s" fp
         (String.concat "," (List.map string_of_int times))
         (String.concat "," (List.map (Printf.sprintf "%h") powers))
-        preflight
-        (budget_signature json srv.config)
+        preflight (Request.signature budget)
         (degrade_to_string mode)
     in
-    let clamp_ms =
-      match mode with
-      | `Clamp -> Some srv.config.degrade_deadline_ms
-      | `None -> None
+    (* The whole grid is one pool task: grid points run sequentially
+       against the shared cache while concurrent requests spread across
+       the pool's domains. *)
+    let (points, partial), coalesced =
+      coalesce srv.sweeps ~key (fun () ->
+          engine_task srv ~key ?clamp_ms:(clamp_ms srv mode) budget
+            (fun deadline ->
+              Explore.sweep ?policy ?deadline ~preflight
+                ~library:srv.config.library ?cache:srv.cache g ~times ~powers))
     in
-    let compute () =
-      let budget =
-        ensure_cancellable srv (request_budget ?clamp_ms srv.config json)
-      in
-      (* The whole grid is one pool task: grid points run sequentially
-         against the shared cache while concurrent requests spread across
-         the pool's domains. *)
-      let points =
-        supervised srv ~key ~budget (fun () ->
-            dispatch srv (fun () ->
-                maybe_hang srv budget;
-                Explore.sweep ?policy ?deadline:budget ~preflight
-                  ~library:srv.config.library ?cache:srv.cache g ~times ~powers))
-      in
-      {
-        work = Swept points;
-        partial =
-          Option.map Budget.reason_to_string (Option.bind budget Budget.check);
-      }
+    let fields =
+      [
+        ("name", Json.String name);
+        ("points", Json.List (List.map json_of_point points));
+      ]
+      @ (if pareto then
+           [
+             ( "pareto",
+               Json.List (List.map json_of_point (Explore.pareto points)) );
+           ]
+         else [])
+      @ [ coalesced ]
     in
-    let flight, role = coalesce srv ~key compute in
-    (match flight.work with
-    | Swept points ->
-      let fields =
-        [
-          ("name", Json.String name);
-          ("points", Json.List (List.map json_of_point points));
-        ]
-        @ (if pareto then
-             [
-               ( "pareto",
-                 Json.List (List.map json_of_point (Explore.pareto points)) );
-             ]
-           else [])
-        @ [ ("coalesced", Json.Bool (role = Coalesce.Joined)) ]
-      in
-      let status, fields = apply_partial 200 fields flight.partial in
-      with_degraded mode (respond status fields)
-    | Solved _ -> assert false (* key namespaces are disjoint *))
+    let status, fields = apply_partial 200 fields partial in
+    with_degraded mode (respond status fields)
 
 let handle_check srv req =
   let json = parse_body req in
-  let name, g = resolve_graph json in
+  let name, g = graph_field json in
   let time_limit = time_field json in
   let power_limit = power_field json in
   let policy = policy_field json in
-  let budget = ensure_cancellable srv (request_budget srv.config json) in
+  let budget = budget_field srv.config json in
   let fp = Explore.fingerprint ?policy ~library:srv.config.library g in
-  let result =
-    supervised srv ~key:("check|" ^ fp) ~budget (fun () ->
-        dispatch srv (fun () ->
-            maybe_hang srv budget;
-            Explore.solve ?policy ?deadline:budget ~library:srv.config.library
-              ?cache:srv.cache ~fp g ~time_limit ~power_limit))
-  in
-  let partial =
-    Option.map Budget.reason_to_string (Option.bind budget Budget.check)
+  let result, partial =
+    engine_task srv ~key:("check|" ^ fp) budget (fun deadline ->
+        Explore.solve ?policy ?deadline ~library:srv.config.library
+          ?cache:srv.cache ~fp g ~time_limit ~power_limit)
   in
   match result with
   | Explore.Feasible { design; _ } ->
@@ -745,38 +672,21 @@ let handle_check srv req =
     Http.response status body
   | Explore.Infeasible reason | Explore.Pruned reason ->
     let status, fields =
-      apply_partial 422
-        [
-          ("name", Json.String name);
-          ("error", Json.String "infeasible");
-          ("reason", Json.String reason);
-        ]
-        partial
+      apply_partial 422 (infeasible_fields name reason) partial
     in
     respond status fields
   | Explore.Failed reason -> Http.response 500 (error_body ~error:"internal" reason)
 
 let handle_preflight srv req =
   let json = parse_body req in
-  let name, g = resolve_graph json in
+  let name, g = graph_field json in
   let time_limit = time_field json in
   let power_limit = power_field json in
   let exact_max = opt_int "exact_max" json in
-  let r =
-    dispatch srv (fun () ->
-        Preflight.analyze ?exact_max_vertices:exact_max
-          ~library:srv.config.library ~time_limit ~power_limit g)
-  in
-  let status = if Preflight.infeasible r then 422 else 200 in
-  (* Splice the Preflight layer's own JSON rendering under "report" so the
-     HTTP payload and `pchls preflight --json` never drift. *)
-  let body =
-    Printf.sprintf "{\"name\":\"%s\",\"infeasible\":%b,\"report\":%s}"
-      (Json.escape name)
-      (Preflight.infeasible r)
-      (String.trim (Preflight.to_json r))
-  in
-  Http.response status body
+  report_response ~name
+    (dispatch srv (fun () ->
+         Preflight.analyze ?exact_max_vertices:exact_max
+           ~library:srv.config.library ~time_limit ~power_limit g))
 
 let handle_healthz srv =
   let cache =
@@ -1316,7 +1226,8 @@ let start config =
       bound_port;
       cache;
       pool = Pool.create ~jobs:config.jobs ();
-      flights = Coalesce.create ();
+      synths = Coalesce.create ();
+      sweeps = Coalesce.create ();
       admission =
         Admission.create ~max_depth:config.max_queue
           ~max_age_ms:config.queue_age_ms ();

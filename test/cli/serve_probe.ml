@@ -2,7 +2,8 @@
    server (ephemeral port), exercises the telemetry surface — /healthz
    shape, x-request-id echo, Prometheus negotiation, /debug/flight, the
    SIGUSR1 flight dump and the JSON-lines access log — and prints
-   byte-stable lines (every number redacted to <n>) for cram to pin. *)
+   byte-stable lines (every number redacted to <n>) for cram to pin.
+   With the argument `wire` it prints exact response bodies instead. *)
 
 module Server = Pchls_serve.Server
 module Json = Pchls_obs.Json
@@ -91,7 +92,36 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let () =
+(* `pchls-serve-probe wire`: the exact response bodies of the synthesis
+   endpoints for hal, one request per line, so any change to the wire
+   format shows up as a diff. Every body is deterministic: requests run
+   one at a time against a fresh server. *)
+let wire () =
+  let srv =
+    Server.start { Server.default_config with Server.port = 0; threads = 1; jobs = 1 }
+  in
+  let port = Server.port srv in
+  List.iter
+    (fun (path, body) ->
+      let status, _, resp = request port ~meth:"POST" ~path body in
+      Printf.printf "%s %s\n-> %d %s\n" path body status resp)
+    [
+      ("/synth", {|{"benchmark":"hal","time":8,"power":60}|});
+      ("/synth", {|{"benchmark":"hal","time":4,"power":10}|});
+      ("/synth", {|{"benchmark":"hal","time":8,"max_iters":0}|});
+      ("/synth", {|{"benchmark":"hal","time":5,"power":100,"preflight":true}|});
+      ("/synth", {|{"benchmark":"hal","time":5,"power":100,"degraded":"preflight"}|});
+      ("/sweep", {|{"benchmark":"hal","time":8,"p_from":10,"p_to":30,"p_step":10}|});
+      ("/pareto", {|{"benchmark":"hal","times":[6,8],"powers":[20,60]}|});
+      ("/check", {|{"benchmark":"hal","time":17,"power":10}|});
+      ("/preflight", {|{"benchmark":"hal","time":5,"power":100}|});
+      ("/synth", {|{"benchmark":"hal","time":0}|});
+      ("/sweep", {|{"benchmark":"hal","time":8,"p_from":10,"p_to":5}|});
+      ("/synth", {|{"benchmark":"hal","time":8,"policy":"min-cost"}|});
+    ];
+  Server.stop srv
+
+let telemetry () =
   let config =
     {
       Server.default_config with
@@ -177,3 +207,8 @@ let () =
          | Some (Json.Number _) -> true
          | _ -> false)
        records)
+
+let () =
+  match Sys.argv with
+  | [| _; "wire" |] -> wire ()
+  | _ -> telemetry ()

@@ -15,7 +15,6 @@ module Netlist = Pchls_rtl.Netlist
 module Diag = Pchls_diag.Diag
 module Analysis = Pchls_analysis.Analysis
 module Dfg_lint = Pchls_analysis.Dfg_lint
-module Sched_lint = Pchls_analysis.Sched_lint
 module Bind_lint = Pchls_analysis.Bind_lint
 module Netlist_lint = Pchls_analysis.Netlist_lint
 module H = Test_helpers
@@ -97,18 +96,18 @@ let test_dfg_raw_clean () =
   check_clean "hal vs default library"
     (Dfg_lint.lint ~library:Library.default Benchmarks.hal)
 
-(* --- sched_lint ------------------------------------------------------- *)
+(* --- schedule lint ---------------------------------------------------- *)
 
 let test_sched_codes () =
   let g = H.chain3 () in
   let unscheduled = Schedule.of_alist [ (0, 0); (2, 2) ] in
   check_fires "unscheduled" "SCH001"
-    (Sched_lint.lint g unscheduled ~info:info1 ());
+    (Schedule.lint g unscheduled ~info:info1 ());
   let spike = Schedule.of_alist [ (0, 0); (1, 1); (2, 2) ] in
   check_fires "power" "SCH005"
-    (Sched_lint.lint g spike ~info:info1 ~power_limit:0.5 ());
+    (Schedule.lint g spike ~info:info1 ~power_limit:0.5 ());
   check_fires "latency" "SCH004"
-    (Sched_lint.lint g spike ~info:info1 ~time_limit:2 ())
+    (Schedule.lint g spike ~info:info1 ~time_limit:2 ())
 
 (* --- bind_lint -------------------------------------------------------- *)
 

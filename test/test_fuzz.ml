@@ -6,7 +6,7 @@
 module Graph = Pchls_dfg.Graph
 module Op = Pchls_dfg.Op
 module Library = Pchls_fulib.Library
-module Chaos = Pchls_core.Chaos
+module Fault = Pchls_resil.Fault
 module Engine = Pchls_core.Engine
 module Design = Pchls_core.Design
 module Sampler = Pchls_fuzz.Sampler
@@ -185,9 +185,9 @@ let test_corpus_missing_dir () =
 let test_chaos_bug_caught_and_shrunk () =
   let dir = temp_dir () in
   Fun.protect
-    ~finally:(fun () -> Chaos.set None)
+    ~finally:(fun () -> Fault.set None)
     (fun () ->
-      Chaos.set (Some "no-power-check");
+      Fault.set (Some "no-power-check");
       let config =
         {
           Fuzz.default_config with
@@ -219,7 +219,7 @@ let test_chaos_bug_caught_and_shrunk () =
       in
       Alcotest.(check bool) "a repro shrunk to <= 8 nodes" true (smallest <= 8);
       (* With the fault disarmed, every minimized repro passes again. *)
-      Chaos.set None;
+      Fault.set None;
       match Fuzz.replay ~library:lib ~corpus:dir () with
       | Error m -> Alcotest.fail m
       | Ok r ->
@@ -233,9 +233,9 @@ let test_chaos_bug_caught_and_shrunk () =
 
 let test_worker_faults_tallied_not_findings () =
   Fun.protect
-    ~finally:(fun () -> Chaos.set None)
+    ~finally:(fun () -> Fault.set None)
     (fun () ->
-      Chaos.set (Some "pool.worker:0.3:5");
+      Fault.set (Some "pool.worker:0.3:5");
       let config =
         { Fuzz.default_config with Fuzz.runs = 40; seed = 1; jobs = 2 }
       in
@@ -258,7 +258,7 @@ let test_worker_faults_tallied_not_findings () =
       in
       Alcotest.(check bool) "report shows the tally" true
         (contains (Printf.sprintf "%d faulted" s.Fuzz.faulted) line);
-      Chaos.set None;
+      Fault.set None;
       let clean =
         match Fuzz.run config with Ok s -> s | Error m -> Alcotest.fail m
       in

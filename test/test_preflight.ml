@@ -239,6 +239,27 @@ let test_render_and_json () =
   Alcotest.(check bool) "one error diag" true
     (List.length diags >= 1 && Pchls_diag.Diag.has_errors diags)
 
+(* Strings are JSON-escaped, not OCaml-escaped: a UTF-8 graph name
+   survives a strict parse (OCaml's %S would emit "h\195\164l"). *)
+let test_json_non_ascii_name () =
+  let text = Pchls_dfg.Text_format.to_string B.hal in
+  let body = String.sub text 9 (String.length text - 9) in
+  Alcotest.(check string) "hal text starts with its name" "graph hal"
+    (String.sub text 0 9);
+  let g =
+    match Pchls_dfg.Text_format.of_string ("graph h\xc3\xa4l" ^ body) with
+    | Ok g -> g
+    | Error msg -> Alcotest.fail msg
+  in
+  match Pchls_obs.Json.parse (Preflight.to_json (analyze ~time_limit:5 g)) with
+  | Ok json ->
+    Alcotest.(check (option string)) "graph name round-trips"
+      (Some "h\xc3\xa4l")
+      (match Pchls_obs.Json.member "graph" json with
+      | Some (Pchls_obs.Json.String s) -> Some s
+      | _ -> None)
+  | Error msg -> Alcotest.fail ("to_json is not JSON: " ^ msg)
+
 let test_invalid_args () =
   Alcotest.check_raises "bad T" (Invalid_argument
     "Preflight.analyze: time_limit must be >= 1") (fun () ->
@@ -275,6 +296,8 @@ let () =
       ( "io",
         [
           Alcotest.test_case "render and json" `Quick test_render_and_json;
+          Alcotest.test_case "json escapes a UTF-8 name" `Quick
+            test_json_non_ascii_name;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
         ] );
     ]
