@@ -40,6 +40,7 @@ module Trace = Pchls_obs.Trace
 module Metrics = Pchls_obs.Metrics
 module Flight = Pchls_obs.Flight
 module Json = Pchls_obs.Json
+module Http = Pchls_serve.Http
 
 let section_header name = Format.printf "@.======== %s ========@.@." name
 
@@ -848,38 +849,6 @@ let obs_bench () =
 
 (* --- Serve: load generator over the HTTP daemon -------------------------- *)
 
-(* One POST /synth on its own connection, read to EOF (the request asks
-   the daemon to close); returns the raw response. *)
-let post_synth port body =
-  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close sock with _ -> ())
-  @@ fun () ->
-  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let req =
-    Printf.sprintf
-      "POST /synth HTTP/1.1\r\nhost: bench\r\ncontent-length: %d\r\n\
-       connection: close\r\n\r\n%s"
-      (String.length body) body
-  in
-  let rec send off =
-    if off < String.length req then
-      send (off + Unix.write_substring sock req off (String.length req - off))
-  in
-  send 0;
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec recv () =
-    match Unix.read sock chunk 0 4096 with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      recv ()
-  in
-  recv ();
-  Buffer.contents buf
-
-let status_of response = int_of_string (String.trim (String.sub response 9 3))
-
 (* [closed_loop ~clients ~requests call] makes [requests] calls from
    [clients] threads, each starting its next call when the previous one
    returns; [call id] is client [id]'s call, given the call's index.
@@ -978,7 +947,9 @@ let serve_bench () =
   let latencies, wall_s =
     closed_loop ~clients ~requests (fun id ->
         let rng = Random.State.make [| 0xbeef; id |] in
-        fun i -> statuses.(i) <- status_of (post_synth port (zipf rng)))
+        fun i ->
+          statuses.(i) <-
+            (Http.call ~port ~meth:"POST" ~path:"/synth" (zipf rng)).Http.status)
   in
   let stats =
     match Server.store srv with
@@ -1040,20 +1011,21 @@ let overload_bench () =
   section_header "Overload: open-loop load at 2x capacity";
   let module Server = Pchls_serve.Server in
   let body = "{\"benchmark\":\"cosine\",\"time\":19,\"power\":25}" in
+  let stale = Json.String "request waited too long in the admission queue" in
   (* Returns the status (0 on any transport failure — a daemon crash
      would show up here) and whether the answer was served degraded or
      stale. *)
   let one_request port =
     try
-      let text = post_synth port body in
-      let contains needle =
-        let n = String.length needle and h = String.length text in
-        let rec go i =
-          i + n <= h && (String.sub text i n = needle || go (i + 1))
-        in
-        go 0
+      let r = Http.call ~port ~meth:"POST" ~path:"/synth" body in
+      let reason =
+        match Json.parse r.Http.body with
+        | Ok json -> Json.member "reason" json
+        | Error _ -> None
       in
-      (status_of text, contains "x-pchls-degraded", contains "waited too long")
+      ( r.Http.status,
+        Http.header r.Http.headers "x-pchls-degraded" <> None,
+        reason = Some stale )
     with _ -> (0, false, false)
   in
   (* At least two worker domains even on a one-CPU host: with jobs = 1

@@ -803,9 +803,10 @@ let trace_cmd =
   in
   let validate_cmd =
     let run path =
-      match Trace.validate_chrome (read_file path) with
-      | Ok n ->
-        Format.printf "%s: valid Chrome trace, %d events@." path n;
+      match Event.of_chrome (read_file path) with
+      | Ok events ->
+        Format.printf "%s: valid Chrome trace, %d events@." path
+          (List.length events);
         0
       | Error msg ->
         Format.eprintf "%s: %s: %s@." path (Style.red "invalid trace") msg;

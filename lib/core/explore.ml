@@ -239,24 +239,18 @@ let sweep ?cost_model ?policy ?(jobs = 1) ?cache ?deadline
         match pruned with None -> Some (i, tp) | Some _ -> None)
       prepared
   in
+  (* One path at every [jobs]: a one-job pool runs inline, and every point
+     gets the same retry and [pool.worker] fault seam. *)
   let evaluated =
-    if jobs <= 1 then
-      List.map
-        (fun ((_, tp) as item) ->
-          match eval item with
-          | p -> p
-          | exception exn -> failed_point tp (Printexc.to_string exn))
-        live
-    else
-      Pool.with_pool ~jobs (fun pool ->
-          List.map2
-            (fun (_, tp) outcome ->
-              match outcome with
-              | Ok p -> p
-              | Error (f : Pool.failure) ->
-                failed_point tp (Printexc.to_string f.exn))
-            live
-            (Pool.try_map ~retries:1 pool eval live))
+    Pool.with_pool ~jobs:(max 1 jobs) (fun pool ->
+        List.map2
+          (fun (_, tp) outcome ->
+            match outcome with
+            | Ok p -> p
+            | Error (f : Pool.failure) ->
+              failed_point tp (Printexc.to_string f.exn))
+          live
+          (Pool.try_map ~retries:1 pool eval live))
   in
   (* stitch pruned and evaluated points back into grid order *)
   let rec merge prepared evaluated =
@@ -309,8 +303,11 @@ let pareto points =
            Int.compare a.time_limit b.time_limit
          else Float.compare a.power_limit b.power_limit)
 
-let tighten ?cost_model ?policy ?(steps = 6) ?cache ?deadline ~library g
-    ~time_limit ~power_limit =
+(* How many tightened budgets [tighten] tries after the first design. *)
+let tighten_steps = 6
+
+let tighten ?cost_model ?policy ?cache ?deadline ~library g ~time_limit
+    ~power_limit =
   Trace.span ~cat:"explore" "explore.tighten" @@ fun () ->
   let fp =
     Option.map (fun _ -> fingerprint ?cost_model ?policy ~library g) cache
@@ -347,7 +344,7 @@ let tighten ?cost_model ?policy ?(steps = 6) ?cache ?deadline ~library g
             let best = if area d' < area best then d' else best in
             refine best budget d' (remaining - 1))
     in
-    Ok (refine first power_limit first steps)
+    Ok (refine first power_limit first tighten_steps)
 
 (* Sorted ascending and deduplicated, so tables render identically whatever
    order (or multiplicity) the sweep's times/powers were given in. *)

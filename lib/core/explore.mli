@@ -79,9 +79,11 @@ val solve :
 (** [sweep ~library g ~times ~powers] synthesizes every grid point, in row
     (time) then column (power) order. Optional arguments as {!Engine.run}.
 
-    [jobs] (default 1) evaluates grid points on a {!Pchls_par.Pool} of that
-    many domains — synthesis is pure, so the result is point-for-point
-    identical to the sequential sweep, whatever the completion order.
+    [jobs] (default 1; below 1 counts as 1) evaluates grid points on a
+    {!Pchls_par.Pool} of that many domains — synthesis is pure, so the
+    result is point-for-point identical to the sequential sweep, whatever
+    the completion order. One job runs inline through the same pool path,
+    so retries and fault points behave alike at every [jobs].
 
     [cache] memoizes each point under {!fingerprint}: hits skip the engine
     entirely (feasible entries are rebuilt into full designs via
@@ -141,16 +143,15 @@ val render_table : point list -> string
     meeting a tighter budget also meets [power_limit]. Budgets descend from
     [power_limit] (or from the first design's measured peak when the limit is
     infinite), each step taking the smaller of 3/4 of the previous budget and
-    just under the previous design's peak, for at most [steps] (default 6)
-    further syntheses. Returns the smallest-area design found; [Error] only
-    when even the original budget is infeasible.
+    just under the previous design's peak, for at most 6 further
+    syntheses. Returns the smallest-area design found; [Error] only when
+    even the original budget is infeasible.
 
     [cache] memoizes every ladder attempt exactly as in {!sweep}, so
     repeated tightenings of the same configuration re-run nothing. *)
 val tighten :
   ?cost_model:Cost_model.t ->
   ?policy:Engine.policy ->
-  ?steps:int ->
   ?cache:Pchls_cache.Store.t ->
   ?deadline:Pchls_resil.Budget.t ->
   library:Pchls_fulib.Library.t ->

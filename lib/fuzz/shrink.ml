@@ -52,7 +52,10 @@ let candidates inst =
   in
   node_drops @ edge_drops @ loosen
 
-let minimize ?(max_steps = 200) ~predicate ~bucket inst =
+(* How many simplifications [minimize] accepts before it stops. *)
+let max_steps = 200
+
+let minimize ~predicate ~bucket inst =
   let fails i =
     match predicate i with
     | Some f when Oracle.bucket f = bucket -> Some f

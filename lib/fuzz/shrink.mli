@@ -19,13 +19,12 @@
 type predicate = Sampler.instance -> Oracle.failure option
 
 (** [minimize ~predicate ~bucket inst] shrinks [inst], accepting at most
-    [max_steps] (default [200]) simplifications. Returns the minimized
-    instance and its (bucket-equal) failure.
+    200 simplifications. Returns the minimized instance and its
+    (bucket-equal) failure.
 
     @raise Invalid_argument when [predicate inst] itself does not fail in
     [bucket] — minimizing a non-failure is a caller bug. *)
 val minimize :
-  ?max_steps:int ->
   predicate:predicate ->
   bucket:string ->
   Sampler.instance ->

@@ -63,8 +63,10 @@ let chrome_document evs =
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
 
-(* The inverse, for offline rendering of saved dumps. Microsecond floats
-   carry 3 decimals, so rounding back to nanoseconds is exact. *)
+(* The inverse, and the one strict reader of saved dumps: every field
+   {!to_json} writes is required and checked, so [pchls trace validate]
+   and [pchls trace tree] accept exactly the same documents. Microsecond
+   floats carry 3 decimals, so rounding back to nanoseconds is exact. *)
 let of_chrome text =
   let ( let* ) = Result.bind in
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -77,30 +79,29 @@ let of_chrome text =
   in
   let ns_of_us f = Int64.of_float (Float.round (f *. 1e3)) in
   let event i ev =
-    let str field =
+    let non_negative field =
       match Json.member field ev with
-      | Some (Json.String s) -> Some s
-      | _ -> None
-    in
-    let num field =
-      match Json.member field ev with
-      | Some (Json.Number f) -> Some f
-      | _ -> None
+      | Some (Json.Number f) when f >= 0. -> Ok f
+      | Some (Json.Number _) -> fail "event %d: negative %s" i field
+      | Some _ -> fail "event %d: %s is not a number" i field
+      | None -> fail "event %d: missing %s" i field
     in
     let* name =
-      match str "name" with
-      | Some s when s <> "" -> Ok s
-      | _ -> fail "event %d: missing name" i
+      match Json.member "name" ev with
+      | Some (Json.String s) when s <> "" -> Ok s
+      | Some (Json.String _) -> fail "event %d: empty name" i
+      | Some _ -> fail "event %d: name is not a string" i
+      | None -> fail "event %d: missing name" i
     in
-    let cat = Option.value (str "cat") ~default:"" in
-    let* ts =
-      match num "ts" with
-      | Some f when f >= 0. -> Ok f
-      | _ -> fail "event %d: missing or negative ts" i
+    let* cat =
+      match Json.member "cat" ev with
+      | Some (Json.String s) -> Ok s
+      | Some _ -> fail "event %d: cat is not a string" i
+      | None -> fail "event %d: missing cat" i
     in
-    let tid =
-      match num "tid" with Some f -> int_of_float f | None -> 0
-    in
+    let* ts = non_negative "ts" in
+    let* _pid = non_negative "pid" in
+    let* tid = non_negative "tid" in
     let* args =
       match Json.member "args" ev with
       | None -> Ok []
@@ -119,16 +120,20 @@ let of_chrome text =
       | Some _ -> fail "event %d: args is not an object" i
     in
     let* phase =
-      match str "ph" with
-      | Some "X" -> (
-        match num "dur" with
-        | Some d when d >= 0. -> Ok (Complete { dur_ns = ns_of_us d })
-        | _ -> fail "event %d: complete event without a dur" i)
-      | Some "i" -> Ok Instant
-      | Some ph -> fail "event %d: unsupported phase %S" i ph
+      match Json.member "ph" ev with
+      | Some (Json.String "X") ->
+        let* dur = non_negative "dur" in
+        Ok (Complete { dur_ns = ns_of_us dur })
+      | Some (Json.String "i") -> (
+        match Json.member "s" ev with
+        | Some (Json.String ("t" | "p" | "g")) -> Ok Instant
+        | Some _ -> fail "event %d: bad instant scope" i
+        | None -> fail "event %d: instant without scope" i)
+      | Some (Json.String ph) -> fail "event %d: unknown phase %S" i ph
+      | Some _ -> fail "event %d: ph is not a string" i
       | None -> fail "event %d: missing ph" i
     in
-    Ok { name; cat; phase; ts_ns = ns_of_us ts; tid; args }
+    Ok { name; cat; phase; ts_ns = ns_of_us ts; tid = int_of_float tid; args }
   in
   let rec all i acc = function
     | [] -> Ok (List.rev acc)

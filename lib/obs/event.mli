@@ -40,8 +40,13 @@ val to_json : t -> string
 val chrome_document : t list -> string
 
 (** [of_chrome text] parses a Chrome [trace_event] document (strict
-    {!Json} parser) back into events — the inverse of {!chrome_document}
-    for the subset pchls emits ([ph] of ["X"] or ["i"], string args).
+    {!Json} parser) back into events — the inverse of {!chrome_document},
+    and the one strict reader behind [pchls trace validate] and
+    [pchls trace tree]. It checks the schema pchls emits: every event has
+    a non-empty [name], a string [cat], non-negative numeric [ts], [pid]
+    and [tid], string-valued [args] if any, and a [ph] of ["X"] (with a
+    non-negative [dur]) or ["i"] (with a scope [s] of ["t"], ["p"] or
+    ["g"]). The first violation is the [Error], naming the event's index.
     Microsecond timestamps convert back to nanoseconds exactly at the
     3-decimal precision {!to_json} writes. *)
 val of_chrome : string -> (t list, string) result

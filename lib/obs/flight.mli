@@ -19,8 +19,8 @@
     [GET /debug/flight] endpoint), {!install_sigusr1} (dump on
     [SIGUSR1]), and {!note_crash} (uncaught-exception paths in
     [Engine.run], [Pchls_par.Pool] and the serve handler). All dumps are
-    valid Chrome [trace_event] documents ({!Trace.validate_chrome}
-    accepts them). See docs/OBSERVABILITY.md. *)
+    valid Chrome [trace_event] documents ({!Event.of_chrome} reads
+    them). See docs/OBSERVABILITY.md. *)
 
 type t
 

@@ -91,73 +91,6 @@ let total_recorded () = Atomic.get total
 
 let to_chrome sink = Event.chrome_document (events sink)
 
-(* --- validation --------------------------------------------------------- *)
-
-let validate_chrome text =
-  let ( let* ) = Result.bind in
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let* json = Json.parse text in
-  let* evs =
-    match Json.member "traceEvents" json with
-    | Some (Json.List evs) -> Ok evs
-    | Some _ -> fail "traceEvents is not an array"
-    | None -> fail "missing traceEvents"
-  in
-  let non_negative_number i field ev =
-    match Json.member field ev with
-    | Some (Json.Number f) when f >= 0. -> Ok ()
-    | Some (Json.Number _) -> fail "event %d: negative %s" i field
-    | Some _ -> fail "event %d: %s is not a number" i field
-    | None -> fail "event %d: missing %s" i field
-  in
-  let check i ev =
-    let* () =
-      match Json.member "name" ev with
-      | Some (Json.String s) when s <> "" -> Ok ()
-      | Some (Json.String _) -> fail "event %d: empty name" i
-      | Some _ -> fail "event %d: name is not a string" i
-      | None -> fail "event %d: missing name" i
-    in
-    let* () =
-      match Json.member "cat" ev with
-      | Some (Json.String _) -> Ok ()
-      | Some _ -> fail "event %d: cat is not a string" i
-      | None -> fail "event %d: missing cat" i
-    in
-    let* () = non_negative_number i "ts" ev in
-    let* () = non_negative_number i "pid" ev in
-    let* () = non_negative_number i "tid" ev in
-    let* () =
-      match Json.member "args" ev with
-      | None -> Ok ()
-      | Some (Json.Obj fields) ->
-        if
-          List.for_all
-            (fun (_, v) -> match v with Json.String _ -> true | _ -> false)
-            fields
-        then Ok ()
-        else fail "event %d: non-string arg value" i
-      | Some _ -> fail "event %d: args is not an object" i
-    in
-    match Json.member "ph" ev with
-    | Some (Json.String "X") -> non_negative_number i "dur" ev
-    | Some (Json.String "i") -> (
-      match Json.member "s" ev with
-      | Some (Json.String ("t" | "p" | "g")) -> Ok ()
-      | Some _ -> fail "event %d: bad instant scope" i
-      | None -> fail "event %d: instant without scope" i)
-    | Some (Json.String ph) -> fail "event %d: unknown phase %S" i ph
-    | Some _ -> fail "event %d: ph is not a string" i
-    | None -> fail "event %d: missing ph" i
-  in
-  let rec all i = function
-    | [] -> Ok (List.length evs)
-    | ev :: rest ->
-      let* () = check i ev in
-      all (i + 1) rest
-  in
-  all 0 evs
-
 (* --- human-readable tree ------------------------------------------------ *)
 
 let render_tree sink = Event.render_tree (events sink)

@@ -83,15 +83,6 @@ val total_recorded : unit -> int
     events as [ph:"X"] and instants as [ph:"i"]. *)
 val to_chrome : sink -> string
 
-(** [validate_chrome text] strictly parses [text] ({!Json.parse}) and
-    checks the [trace_event] schema [to_chrome] promises: a top-level
-    object with a [traceEvents] array whose every element has a non-empty
-    string [name], string [cat], [ph] of ["X"] or ["i"], non-negative
-    numbers [ts] and [pid]/[tid], a non-negative [dur] when [ph] is
-    ["X"], a scope [s] when [ph] is ["i"], and string-valued [args].
-    Returns the event count. *)
-val validate_chrome : string -> (int, string) result
-
 (** [render_tree sink] — an indented per-domain span tree with durations
     and arguments, for terminal consumption ([pchls profile]). *)
 val render_tree : sink -> string

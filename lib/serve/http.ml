@@ -8,10 +8,10 @@ type request = {
   body : string;
 }
 
-let header r name = List.assoc_opt (String.lowercase_ascii name) r.headers
+let header headers name = List.assoc_opt (String.lowercase_ascii name) headers
 
 let keep_alive r =
-  match Option.map String.lowercase_ascii (header r "connection") with
+  match Option.map String.lowercase_ascii (header r.headers "connection") with
   | Some "close" -> false
   | Some "keep-alive" -> true
   | Some _ | None -> String.equal r.version "HTTP/1.1"
@@ -151,6 +151,7 @@ let parse_target target =
     (percent_decode path, query)
 
 let is_method_char = function 'A' .. 'Z' -> true | _ -> false
+let is_digit = function '0' .. '9' -> true | _ -> false
 
 (* Header field names are RFC 9110 tokens; the subset check below rejects
    whitespace, control characters and separators, which is what matters
@@ -162,16 +163,33 @@ let is_token_char = function
     true
   | _ -> false
 
+let check_version version =
+  if not (String.equal version "HTTP/1.1" || String.equal version "HTTP/1.0")
+  then bad "unsupported version %S" version
+
 let parse_request_line line =
   match String.split_on_char ' ' line with
   | [ meth; target; version ] ->
     if meth = "" || not (String.for_all is_method_char meth) then
       bad "malformed method %S" meth;
-    if not (String.equal version "HTTP/1.1" || String.equal version "HTTP/1.0")
-    then bad "unsupported version %S" version;
+    check_version version;
     let path, query = parse_target target in
     (meth, target, path, query, version)
   | _ -> bad "malformed request line %S" line
+
+(* status-line = HTTP-version SP 3DIGIT SP [reason-phrase]; the reason
+   phrase is free text and ignored. *)
+let parse_status_line line =
+  match String.split_on_char ' ' line with
+  | version :: code :: _ ->
+    check_version version;
+    if
+      String.length code <> 3
+      || (not (String.for_all is_digit code))
+      || code < "100" || code > "599"
+    then bad "malformed status code %S" code;
+    int_of_string code
+  | _ -> bad "malformed status line %S" line
 
 let parse_header_line line =
   match String.index_opt line ':' with
@@ -192,8 +210,8 @@ let content_length r headers =
   | (_, v) :: rest ->
     if List.exists (fun (_, v') -> v' <> v) rest then
       bad "conflicting content-length headers";
-    if v = "" || not (String.for_all (function '0' .. '9' -> true | _ -> false) v)
-    then bad "malformed content-length %S" v;
+    if v = "" || not (String.for_all is_digit v) then
+      bad "malformed content-length %S" v;
     let len =
       match int_of_string_opt v with
       | Some n -> n
@@ -213,23 +231,37 @@ let content_length r headers =
                  len r.max_body_bytes)));
     len
 
+(* Once [pending] runs short, the body is read straight into its own
+   buffer and never past its end, so a multi-megabyte body (a client
+   reading /debug/flight) costs linear copying, not a copy per chunk. *)
 let read_body r len =
-  let rec go () =
-    if String.length r.pending >= len then begin
-      let body = String.sub r.pending 0 len in
-      r.pending <-
-        String.sub r.pending len (String.length r.pending - len);
-      body
-    end
-    else if refill r then go ()
-    else bad "stream ended %d bytes into a %d byte body"
-        (String.length r.pending) len
-  in
-  go ()
+  let have = String.length r.pending in
+  if have >= len then begin
+    let body = String.sub r.pending 0 len in
+    r.pending <- String.sub r.pending len (have - len);
+    body
+  end
+  else begin
+    let body = Buffer.create (have + Bytes.length r.chunk) in
+    Buffer.add_string body r.pending;
+    r.pending <- "";
+    while Buffer.length body < len do
+      let want = min (len - Buffer.length body) (Bytes.length r.chunk) in
+      let n = if r.closed then 0 else r.fill r.chunk 0 want in
+      if n = 0 then begin
+        r.closed <- true;
+        bad "stream ended %d bytes into a %d byte body" (Buffer.length body) len
+      end;
+      Buffer.add_subbytes body r.chunk 0 n
+    done;
+    Buffer.contents body
+  end
 
-let read_request r =
+(* What requests and responses share: a start line ([what], parsed by
+   [parse_start]), the header section and a Content-Length-framed body. *)
+let read_message r ~what parse_start =
   try
-    (* Tolerate blank line(s) between pipelined requests (RFC 9112 §2.2)
+    (* Tolerate blank line(s) between pipelined messages (RFC 9112 §2.2)
        but bound them by the header budget so a stream of newlines cannot
        spin forever. *)
     let rec first_line skipped =
@@ -238,12 +270,12 @@ let read_request r =
       match read_line r ~header_budget:r.max_header_bytes with
       | None ->
         if r.pending = "" then raise (Parse_error Eof)
-        else bad "stream ended inside the request line"
+        else bad "stream ended inside the %s" what
       | Some "" -> first_line (skipped + 2)
       | Some line -> line
     in
     let line = first_line 0 in
-    let meth, target, path, query, version = parse_request_line line in
+    let start = parse_start line in
     let rec headers acc consumed =
       if consumed > r.max_header_bytes then
         bad "header section exceeds %d bytes" r.max_header_bytes
@@ -259,14 +291,25 @@ let read_request r =
     in
     let headers = headers [] (String.length line) in
     let body = read_body r (content_length r headers) in
-    Ok { meth; target; path; query; version; headers; body }
+    Ok (start, headers, body)
   with Parse_error e -> Error e
+
+let read_request r =
+  Result.map
+    (fun ((meth, target, path, query, version), headers, body) ->
+      { meth; target; path; query; version; headers; body })
+    (read_message r ~what:"request line" parse_request_line)
 
 type response = {
   status : int;
   headers : (string * string) list;
   body : string;
 }
+
+let read_response r =
+  Result.map
+    (fun (status, headers, body) -> { status; headers; body })
+    (read_message r ~what:"status line" parse_status_line)
 
 let reason_phrase = function
   | 200 -> "OK"
@@ -288,19 +331,52 @@ let response ?(content_type = "application/json") ?(headers = []) status body
     =
   { status; headers = ("content-type", content_type) :: headers; body }
 
-let to_string ~keep_alive resp =
-  let b = Buffer.create (String.length resp.body + 256) in
-  Buffer.add_string b
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" resp.status
-       (reason_phrase resp.status));
+(* Start line, headers, then the framing every message carries. *)
+let render ~keep_alive start headers body =
+  let b = Buffer.create (String.length body + 256) in
+  Buffer.add_string b start;
+  Buffer.add_string b "\r\n";
   List.iter
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
-    resp.headers;
+    headers;
   Buffer.add_string b
-    (Printf.sprintf "content-length: %d\r\n" (String.length resp.body));
+    (Printf.sprintf "content-length: %d\r\n" (String.length body));
   Buffer.add_string b
     (if keep_alive then "connection: keep-alive\r\n"
      else "connection: close\r\n");
   Buffer.add_string b "\r\n";
-  Buffer.add_string b resp.body;
+  Buffer.add_string b body;
   Buffer.contents b
+
+let to_string ~keep_alive resp =
+  render ~keep_alive
+    (Printf.sprintf "HTTP/1.1 %d %s" resp.status (reason_phrase resp.status))
+    resp.headers resp.body
+
+let request_to_string ?(headers = []) ~keep_alive ~meth ~target body =
+  render ~keep_alive (Printf.sprintf "%s %s HTTP/1.1" meth target) headers body
+
+(* --- client ------------------------------------------------------------- *)
+
+let write_all fd s =
+  let len = String.length s in
+  let rec go off =
+    if off < len then
+      match Unix.write_substring fd s off (len - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
+        go off
+  in
+  try go 0 with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ()
+
+let call ?(headers = []) ~port ~meth ~path body =
+  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  write_all sock
+    (request_to_string
+       ~headers:(("host", "127.0.0.1") :: headers)
+       ~keep_alive:false ~meth ~target:path body);
+  match read_response (reader ~max_body_bytes:max_int (Unix.read sock)) with
+  | Ok resp -> resp
+  | Error e -> failwith (meth ^ " " ^ path ^ ": " ^ error_to_string e)

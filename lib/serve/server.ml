@@ -113,7 +113,7 @@ type t = {
   synths : Explore.result flights;
   sweeps : Explore.point list flights;
   admission : Unix.file_descr Admission.t;
-  breakers : (string * Breaker.t) list;
+  breakers : (string * Breaker.t) list;  (* keyed by endpoint path *)
   watchdog : Watchdog.t option;
   stopping : bool Atomic.t;
   inflight_count : int Atomic.t;
@@ -745,8 +745,9 @@ let handle_healthz srv =
         | bs ->
           Json.Obj
             (List.map
-               (fun (name, b) ->
-                 (name, Json.String (Breaker.state_to_string (Breaker.state b))))
+               (fun (_, b) ->
+                 ( Breaker.name b,
+                   Json.String (Breaker.state_to_string (Breaker.state b)) ))
                bs) );
       ( "watchdog",
         match srv.watchdog with
@@ -792,7 +793,7 @@ let wants_prometheus (req : Http.request) =
   | Some ("prometheus" | "text") -> true
   | Some _ -> false
   | None -> (
-    match Http.header req "accept" with
+    match Http.header req.Http.headers "accept" with
     | Some accept -> contains_text_plain accept
     | None -> false)
 
@@ -807,22 +808,27 @@ let method_not_allowed allow =
   Http.response 405 ~headers:[ ("allow", allow) ]
     (error_body ~error:"method not allowed" ("use " ^ allow))
 
+(* Every endpoint, spelled once: (path, method, handler). Routing, the 405
+   [allow] header and the circuit breakers (one per POST endpoint, see
+   {!start}) all derive from this list. *)
+let endpoints =
+  [
+    ("/synth", "POST", handle_synth);
+    ("/sweep", "POST", fun srv req -> handle_sweep srv req ~pareto:false);
+    ("/pareto", "POST", fun srv req -> handle_sweep srv req ~pareto:true);
+    ("/check", "POST", handle_check);
+    ("/preflight", "POST", handle_preflight);
+    ("/healthz", "GET", fun srv _ -> handle_healthz srv);
+    ("/metrics", "GET", fun _ req -> handle_metrics req);
+    ("/trace", "GET", fun srv _ -> handle_trace srv);
+    ("/debug/flight", "GET", fun srv _ -> handle_flight srv);
+  ]
+
 let route srv (req : Http.request) =
-  match (req.Http.meth, req.Http.path) with
-  | "POST", "/synth" -> handle_synth srv req
-  | "POST", "/sweep" -> handle_sweep srv req ~pareto:false
-  | "POST", "/pareto" -> handle_sweep srv req ~pareto:true
-  | "POST", "/check" -> handle_check srv req
-  | "POST", "/preflight" -> handle_preflight srv req
-  | "GET", "/healthz" -> handle_healthz srv
-  | "GET", "/metrics" -> handle_metrics req
-  | "GET", "/trace" -> handle_trace srv
-  | "GET", "/debug/flight" -> handle_flight srv
-  | _, ("/synth" | "/sweep" | "/pareto" | "/check" | "/preflight") ->
-    method_not_allowed "POST"
-  | _, ("/healthz" | "/metrics" | "/trace" | "/debug/flight") ->
-    method_not_allowed "GET"
-  | _, path -> Http.response 404 (error_body ~error:"not found" path)
+  match List.find_opt (fun (path, _, _) -> path = req.Http.path) endpoints with
+  | Some (_, meth, handle) when meth = req.Http.meth -> handle srv req
+  | Some (_, allow, _) -> method_not_allowed allow
+  | None -> Http.response 404 (error_body ~error:"not found" req.Http.path)
 
 (* --- request-scoped telemetry ------------------------------------------- *)
 
@@ -834,7 +840,7 @@ let request_id srv (req : Http.request) =
     | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true
     | _ -> false
   in
-  match Http.header req "x-request-id" with
+  match Http.header req.Http.headers "x-request-id" with
   | Some id when id <> "" && String.length id <= 64 && String.for_all is_id_char id
     -> id
   | Some _ | None ->
@@ -867,20 +873,6 @@ let access_log srv (req : Http.request) ~id ~status ~dur_ns ~queue_ms =
         | Some q -> [ ("queue_ms", Json.Number q) ])
       (if slow then "slow-request" else "access")
 
-(* Which breaker guards this request, if any: POSTs to the engine-backed
-   endpoints. GETs (health, metrics, debug) are never broken — an
-   operator must be able to look at a sick server. *)
-let endpoint_of (req : Http.request) =
-  if req.Http.meth <> "POST" then None
-  else
-    match req.Http.path with
-    | "/synth" -> Some "synth"
-    | "/sweep" -> Some "sweep"
-    | "/pareto" -> Some "pareto"
-    | "/check" -> Some "check"
-    | "/preflight" -> Some "preflight"
-    | _ -> None
-
 let retry_after_s ms = max 1 (int_of_float (Float.ceil (ms /. 1000.)))
 
 let routed srv req =
@@ -911,16 +903,14 @@ let routed srv req =
 (* The breaker guard around [routed]: an open breaker answers 503 without
    touching the pool; outcomes of admitted calls feed the window (any 5xx
    counts as a failure — handler crashes and watchdog kills included). *)
-let guarded srv req =
+let guarded srv (req : Http.request) =
   let breaker =
-    match endpoint_of req with
-    | None -> None
-    | Some ep ->
-      Option.map (fun b -> (ep, b)) (List.assoc_opt ep srv.breakers)
+    if req.Http.meth = "POST" then List.assoc_opt req.Http.path srv.breakers
+    else None
   in
   match breaker with
   | None -> routed srv req
-  | Some (ep, b) ->
+  | Some b ->
     if Breaker.acquire b then begin
       let resp = routed srv req in
       if resp.Http.status >= 500 then Breaker.failure b else Breaker.success b;
@@ -934,7 +924,8 @@ let guarded srv req =
               string_of_int (retry_after_s (Breaker.retry_after_ms b)) );
           ]
         (error_body ~error:"breaker open"
-           (Printf.sprintf "endpoint %s is failing; backing off" ep))
+           (Printf.sprintf "endpoint %s is failing; backing off"
+              (Breaker.name b)))
 
 let handle_request srv ~queue_ms req =
   let id = request_id srv req in
@@ -967,17 +958,6 @@ let handle_request srv ~queue_ms req =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then
-      match Unix.write_substring fd s off (len - off) with
-      | n -> go (off + n)
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-        go off
-  in
-  try go 0 with Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ()
-
 (* One connection, serially: read a request, answer it, repeat while the
    client keeps the connection alive and the server is not draining. The
    receive timeout makes idle keep-alive connections poll the stopping
@@ -1005,18 +985,18 @@ let serve_connection srv ~queue_ms conn =
     match Http.read_request rdr with
     | Error Http.Eof -> ()
     | Error (Http.Bad_request msg) ->
-      write_all conn
+      Http.write_all conn
         (Http.to_string ~keep_alive:false
            (Http.response 400 (error_body ~error:"bad request" msg)))
     | Error (Http.Payload_too_large msg) ->
-      write_all conn
+      Http.write_all conn
         (Http.to_string ~keep_alive:false
            (Http.response 413 (error_body ~error:"payload too large" msg)))
     | Ok req ->
       let keep_alive = Http.keep_alive req && not (Atomic.get srv.stopping) in
       let resp = handle_request srv ~queue_ms:!queue_ms req in
       queue_ms := None;
-      write_all conn (Http.to_string ~keep_alive resp);
+      Http.write_all conn (Http.to_string ~keep_alive resp);
       if keep_alive then exchange ()
   in
   Fun.protect ~finally:(fun () -> close_quietly conn) exchange
@@ -1057,7 +1037,7 @@ let shed_connection srv ~why conn =
   let t0 = Clock.now_ns () in
   note_shed srv ~why;
   let resp = Http.to_string ~keep_alive:false (shed_response srv shed_body_full) in
-  (try write_all conn resp with Unix.Unix_error _ -> ());
+  (try Http.write_all conn resp with Unix.Unix_error _ -> ());
   let ms = Clock.elapsed_ns ~since:t0 /. 1e6 in
   if ms > Metrics.gauge_value g_shed_max_ms then Metrics.set g_shed_max_ms ms;
   let finish () =
@@ -1089,7 +1069,7 @@ let shed_stale srv ~age_ms conn =
   in
   let rdr = Http.reader ~max_body_bytes:srv.config.max_body_bytes fill in
   ignore (Http.read_request rdr);
-  write_all conn
+  Http.write_all conn
     (Http.to_string ~keep_alive:false (shed_response srv shed_body_stale));
   close_quietly conn
 
@@ -1182,28 +1162,35 @@ let start config =
     else None
   in
   let access = Option.map (fun path -> Jsonlog.open_file path) config.access_log in
+  (* One breaker per POST endpoint, keyed by path and named after it. GETs
+     (health, metrics, debug) are never broken — an operator must be able
+     to look at a sick server. *)
   let breakers =
     if not config.breaker then []
     else
-      List.map
-        (fun name ->
-          let on_transition old_state new_state =
-            Log.warn (fun m ->
-                m "breaker %s: %s -> %s" name
-                  (Breaker.state_to_string old_state)
-                  (Breaker.state_to_string new_state));
-            Trace.instant ~cat:"serve"
-              ~args:
-                [
-                  ("breaker", name);
-                  ("state", Breaker.state_to_string new_state);
-                ]
-              "serve.breaker"
-          in
-          ( name,
-            Breaker.create ~cooldown_ms:config.breaker_cooldown_ms
-              ~on_transition ~name () ))
-        [ "synth"; "sweep"; "pareto"; "check"; "preflight" ]
+      List.filter_map
+        (fun (path, meth, _) ->
+          if meth <> "POST" then None
+          else
+            let name = String.sub path 1 (String.length path - 1) in
+            let on_transition old_state new_state =
+              Log.warn (fun m ->
+                  m "breaker %s: %s -> %s" name
+                    (Breaker.state_to_string old_state)
+                    (Breaker.state_to_string new_state));
+              Trace.instant ~cat:"serve"
+                ~args:
+                  [
+                    ("breaker", name);
+                    ("state", Breaker.state_to_string new_state);
+                  ]
+                "serve.breaker"
+            in
+            Some
+              ( path,
+                Breaker.create ~cooldown_ms:config.breaker_cooldown_ms
+                  ~on_transition ~name () ))
+        endpoints
   in
   let watchdog =
     Option.map

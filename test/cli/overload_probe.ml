@@ -6,71 +6,17 @@
    hang — printing byte-stable lines (volatile numbers redacted to <n>)
    for cram to pin. *)
 
+module Http = Pchls_serve.Http
 module Server = Pchls_serve.Server
 module Fault = Pchls_resil.Fault
 module Json = Pchls_obs.Json
 
-let connect port =
-  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  sock
-
-let send_all sock s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then go (off + Unix.write_substring sock s off (len - off))
-  in
-  go 0
-
-(* One request per connection; read to EOF (the probe always sends
-   Connection: close). Returns (status, header block, body). *)
-let request port ?(headers = []) ~meth ~path body =
-  let sock = connect port in
-  Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
-  send_all sock
-    (Printf.sprintf
-       "%s %s HTTP/1.1\r\nhost: probe\r\ncontent-length: %d\r\n%sconnection: \
-        close\r\n\r\n%s"
-       meth path (String.length body)
-       (String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers))
-       body);
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read sock chunk 0 4096 with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      drain ()
-  in
-  drain ();
-  let raw = Buffer.contents buf in
-  let hdr_end =
-    let rec search i =
-      if i + 4 > String.length raw then failwith "no header terminator"
-      else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-      else search (i + 1)
-    in
-    search 0
-  in
-  let status = int_of_string (String.trim (String.sub raw 9 3)) in
-  ( status,
-    String.sub raw 0 hdr_end,
-    String.sub raw hdr_end (String.length raw - hdr_end) )
-
-let header_value head name =
-  let lower = String.lowercase_ascii head in
-  let tag = String.lowercase_ascii name ^ ":" in
-  let tl = String.length tag in
-  let rec search i =
-    if i + tl > String.length lower then None
-    else if String.sub lower i tl = tag then
-      let rest = String.sub head (i + tl) (String.length head - i - tl) in
-      Some (String.trim (List.hd (String.split_on_char '\r' rest)))
-    else search (i + 1)
-  in
-  search 0
+(* A header's value, or <missing>; an integer value is redacted to <n>. *)
+let header ?(redact_int = false) r name =
+  match Http.header r.Http.headers name with
+  | Some s when redact_int && int_of_string_opt s <> None -> "<n>"
+  | Some s -> s
+  | None -> "<missing>"
 
 let rec redact = function
   | Json.Number _ -> Json.String "<n>"
@@ -84,8 +30,7 @@ let redacted body =
   | Error msg -> failwith ("unparseable JSON: " ^ msg)
 
 let breaker_state port name =
-  let _, _, body = request port ~meth:"GET" ~path:"/healthz" "" in
-  match Json.parse body with
+  match Json.parse (Http.call ~port ~meth:"GET" ~path:"/healthz" "").Http.body with
   | Ok json -> (
     match Json.member "breakers" json with
     | Some breakers -> (
@@ -114,72 +59,66 @@ let () =
   let port = Server.port srv in
 
   (* A forced admission refusal: the full shed contract on one line. *)
-  let status, head, body =
+  let r =
     with_chaos "serve.shed" (fun () ->
-        request port ~meth:"GET" ~path:"/healthz" "")
+        Http.call ~port ~meth:"GET" ~path:"/healthz" "")
   in
-  Printf.printf "shed: %d retry-after=%s %s\n" status
-    (match header_value head "retry-after" with
-    | Some s when int_of_string_opt s <> None -> "<n>"
-    | Some s -> s
-    | None -> "<missing>")
-    body;
+  Printf.printf "shed: %d retry-after=%s %s\n" r.Http.status
+    (header ~redact_int:true r "retry-after")
+    r.Http.body;
 
   (* Degraded answers, pinned by the request-body override. *)
-  let status, head, body =
-    request port ~meth:"POST" ~path:"/synth"
+  let r =
+    Http.call ~port ~meth:"POST" ~path:"/synth"
       "{\"benchmark\":\"hal\",\"time\":8,\"power\":60,\"degraded\":\"preflight\"}"
   in
-  Printf.printf "degraded-preflight: %d header=%s %s\n" status
-    (Option.value ~default:"<missing>" (header_value head "x-pchls-degraded"))
-    (redacted body);
-  let status, head, body =
-    request port ~meth:"POST" ~path:"/synth"
+  Printf.printf "degraded-preflight: %d header=%s %s\n" r.Http.status
+    (header r "x-pchls-degraded")
+    (redacted r.Http.body);
+  let r =
+    Http.call ~port ~meth:"POST" ~path:"/synth"
       "{\"benchmark\":\"hal\",\"time\":4,\"power\":10,\"degraded\":\"preflight\"}"
   in
-  Printf.printf "degraded-infeasible: %d header=%s infeasible=%b\n" status
-    (Option.value ~default:"<missing>" (header_value head "x-pchls-degraded"))
-    (match Json.parse body with
+  Printf.printf "degraded-infeasible: %d header=%s infeasible=%b\n" r.Http.status
+    (header r "x-pchls-degraded")
+    (match Json.parse r.Http.body with
     | Ok json -> Json.member "infeasible" json = Some (Json.Bool true)
     | Error _ -> false);
-  let status, head, body =
-    request port ~meth:"POST" ~path:"/synth"
+  let r =
+    Http.call ~port ~meth:"POST" ~path:"/synth"
       "{\"benchmark\":\"hal\",\"time\":8,\"power\":60,\"degraded\":\"clamped\"}"
   in
-  Printf.printf "degraded-clamped: %d header=%s feasible=%b\n" status
-    (Option.value ~default:"<missing>" (header_value head "x-pchls-degraded"))
-    (match Json.parse body with
+  Printf.printf "degraded-clamped: %d header=%s feasible=%b\n" r.Http.status
+    (header r "x-pchls-degraded")
+    (match Json.parse r.Http.body with
     | Ok json -> Json.member "feasible" json = Some (Json.Bool true)
     | Error _ -> false);
 
   (* Trip the synth breaker with five injected handler crashes, watch it
      fast-fail, then recover through a cooldown probe. *)
-  let body = "{\"benchmark\":\"hal\",\"time\":8,\"power\":60}" in
+  let synth () =
+    Http.call ~port ~meth:"POST" ~path:"/synth"
+      "{\"benchmark\":\"hal\",\"time\":8,\"power\":60}"
+  in
   with_chaos "serve.handler" (fun () ->
       for _ = 1 to 5 do
-        ignore (request port ~meth:"POST" ~path:"/synth" body)
+        ignore (synth ())
       done);
-  let status, head, text = request port ~meth:"POST" ~path:"/synth" body in
-  Printf.printf "breaker-open: %d retry-after=%s %s state=%s\n" status
-    (match header_value head "retry-after" with
-    | Some s when int_of_string_opt s <> None -> "<n>"
-    | Some s -> s
-    | None -> "<missing>")
-    text
+  let r = synth () in
+  Printf.printf "breaker-open: %d retry-after=%s %s state=%s\n" r.Http.status
+    (header ~redact_int:true r "retry-after")
+    r.Http.body
     (breaker_state port "synth");
   Thread.delay 0.15;
-  let status, _, _ = request port ~meth:"POST" ~path:"/synth" body in
-  Printf.printf "breaker-recovered: %d state=%s\n" status
+  let r = synth () in
+  Printf.printf "breaker-recovered: %d state=%s\n" r.Http.status
     (breaker_state port "synth");
 
   (* An injected hang: the watchdog reclaims the handler and the request
      is answered 500, not left dangling. *)
-  let status, _, text =
-    with_chaos "serve.hang" (fun () ->
-        request port ~meth:"POST" ~path:"/synth" body)
-  in
-  Printf.printf "watchdog-kill: %d %s\n" status text;
-  let _, _, health = request port ~meth:"GET" ~path:"/healthz" "" in
+  let r = with_chaos "serve.hang" synth in
+  Printf.printf "watchdog-kill: %d %s\n" r.Http.status r.Http.body;
+  let health = (Http.call ~port ~meth:"GET" ~path:"/healthz" "").Http.body in
   (match Json.parse health with
   | Ok json -> (
     match Json.member "watchdog" json with

@@ -5,73 +5,12 @@
    byte-stable lines (every number redacted to <n>) for cram to pin.
    With the argument `wire` it prints exact response bodies instead. *)
 
+module Http = Pchls_serve.Http
 module Server = Pchls_serve.Server
 module Json = Pchls_obs.Json
 module Metrics = Pchls_obs.Metrics
-module Trace = Pchls_obs.Trace
+module Event = Pchls_obs.Event
 module Flight = Pchls_obs.Flight
-
-let connect port =
-  let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  sock
-
-let send_all sock s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then go (off + Unix.write_substring sock s off (len - off))
-  in
-  go 0
-
-(* One request per connection; read to EOF (the probe always sends
-   Connection: close). Returns (status, header block, body). *)
-let request port ?(headers = []) ~meth ~path body =
-  let sock = connect port in
-  Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
-  send_all sock
-    (Printf.sprintf
-       "%s %s HTTP/1.1\r\nhost: probe\r\ncontent-length: %d\r\n%sconnection: \
-        close\r\n\r\n%s"
-       meth path (String.length body)
-       (String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers))
-       body);
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read sock chunk 0 4096 with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      drain ()
-  in
-  drain ();
-  let raw = Buffer.contents buf in
-  let hdr_end =
-    let rec search i =
-      if i + 4 > String.length raw then failwith "no header terminator"
-      else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-      else search (i + 1)
-    in
-    search 0
-  in
-  let status = int_of_string (String.trim (String.sub raw 9 3)) in
-  ( status,
-    String.sub raw 0 hdr_end,
-    String.sub raw hdr_end (String.length raw - hdr_end) )
-
-let header_value head name =
-  let lower = String.lowercase_ascii head in
-  let tag = String.lowercase_ascii name ^ ":" in
-  let tl = String.length tag in
-  let rec search i =
-    if i + tl > String.length lower then None
-    else if String.sub lower i tl = tag then
-      let rest = String.sub head (i + tl) (String.length head - i - tl) in
-      Some (String.trim (List.hd (String.split_on_char '\r' rest)))
-    else search (i + 1)
-  in
-  search 0
 
 (* Every number becomes "<n>": the shape of the document is pinned, the
    volatile values (uptime, counts, durations) are not. *)
@@ -103,8 +42,8 @@ let wire () =
   let port = Server.port srv in
   List.iter
     (fun (path, body) ->
-      let status, _, resp = request port ~meth:"POST" ~path body in
-      Printf.printf "%s %s\n-> %d %s\n" path body status resp)
+      let r = Http.call ~port ~meth:"POST" ~path body in
+      Printf.printf "%s %s\n-> %d %s\n" path body r.Http.status r.Http.body)
     [
       ("/synth", {|{"benchmark":"hal","time":8,"power":60}|});
       ("/synth", {|{"benchmark":"hal","time":4,"power":10}|});
@@ -135,38 +74,39 @@ let telemetry () =
   let srv = Server.start config in
   let port = Server.port srv in
 
-  let status, head, body =
-    request port
+  let header r name =
+    Option.value ~default:"<missing>" (Http.header r.Http.headers name)
+  in
+  let r =
+    Http.call ~port
       ~headers:[ ("X-Request-Id", "cram-rid-1") ]
       ~meth:"GET" ~path:"/healthz" ""
   in
-  Printf.printf "healthz: %d %s\n" status (redacted body);
-  Printf.printf "request-id echoed: %s\n"
-    (Option.value ~default:"<missing>" (header_value head "x-request-id"));
+  Printf.printf "healthz: %d %s\n" r.Http.status (redacted r.Http.body);
+  Printf.printf "request-id echoed: %s\n" (header r "x-request-id");
 
-  let status, head, body =
-    request port
+  let r =
+    Http.call ~port
       ~headers:[ ("Accept", "text/plain") ]
       ~meth:"GET" ~path:"/metrics" ""
   in
-  Printf.printf "metrics: %d %s %s\n" status
-    (Option.value ~default:"<missing>" (header_value head "content-type"))
-    (match Metrics.validate_prometheus body with
+  Printf.printf "metrics: %d %s %s\n" r.Http.status (header r "content-type")
+    (match Metrics.validate_prometheus r.Http.body with
     | Ok _ -> "valid-prometheus"
     | Error msg -> "INVALID: " ^ msg);
 
-  let status, _, body = request port ~meth:"GET" ~path:"/debug/flight" "" in
-  Printf.printf "debug/flight: %d %s\n" status
-    (match Trace.validate_chrome body with
+  let r = Http.call ~port ~meth:"GET" ~path:"/debug/flight" "" in
+  Printf.printf "debug/flight: %d %s\n" r.Http.status
+    (match Event.of_chrome r.Http.body with
     | Ok _ -> "valid-chrome-trace"
     | Error msg -> "INVALID: " ^ msg);
 
-  let status, _, body =
-    request port ~meth:"POST" ~path:"/synth"
+  let r =
+    Http.call ~port ~meth:"POST" ~path:"/synth"
       "{\"benchmark\":\"hal\",\"time\":8,\"power\":60}"
   in
-  Printf.printf "synth: %d feasible=%b\n" status
-    (match Json.parse body with
+  Printf.printf "synth: %d feasible=%b\n" r.Http.status
+    (match Json.parse r.Http.body with
     | Ok json -> Json.member "feasible" json = Some (Json.Bool true)
     | Error _ -> false);
 

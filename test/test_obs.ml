@@ -135,13 +135,14 @@ let test_chrome_roundtrip () =
       Alcotest.(check (list string))
         "names survive (escaped args round-trip)" [ "run"; "mark" ] names
     | _ -> Alcotest.fail "no traceEvents array"));
-  match Trace.validate_chrome text with
-  | Ok n -> Alcotest.(check int) "validator counts both events" 2 n
+  match Event.of_chrome text with
+  | Ok evs ->
+    Alcotest.(check int) "reader returns both events" 2 (List.length evs)
   | Error msg -> Alcotest.fail ("schema validation failed: " ^ msg)
 
 let test_validate_rejects_garbage () =
   let reject text =
-    match Trace.validate_chrome text with
+    match Event.of_chrome text with
     | Ok _ -> Alcotest.fail ("accepted: " ^ text)
     | Error _ -> ()
   in
@@ -153,7 +154,14 @@ let test_validate_rejects_garbage () =
   reject
     "{\"traceEvents\": [{\"name\": \"x\", \"cat\": \"c\", \"ph\": \"X\", \
      \"ts\": 0, \"pid\": 1, \"tid\": 0, \"args\": {}}]}";
-  reject "{\"traceEvents\": []} trailing"
+  reject "{\"traceEvents\": []} trailing";
+  (* Fields pchls always writes are required, not defaulted. *)
+  reject
+    "{\"traceEvents\": [{\"name\": \"x\", \"ph\": \"X\", \"ts\": 0, \
+     \"dur\": 1, \"pid\": 0, \"tid\": 0}]}";
+  reject
+    "{\"traceEvents\": [{\"name\": \"x\", \"cat\": \"c\", \"ph\": \"i\", \
+     \"ts\": 0, \"pid\": 0, \"tid\": 0}]}"
 
 let test_metrics_json_parses () =
   Metrics.reset ();
@@ -268,8 +276,10 @@ let test_flight_records_synthesis () =
       Alcotest.(check bool) (expected ^ " recorded in flight") true
         (List.mem expected names))
     [ "engine.run"; "engine.iterate"; "pasap.run"; "palap.run" ];
-  match Trace.validate_chrome (Flight.to_chrome f) with
-  | Ok n -> Alcotest.(check int) "flight dump validates" (Flight.retained f) n
+  match Event.of_chrome (Flight.to_chrome f) with
+  | Ok evs ->
+    Alcotest.(check int) "flight dump validates" (Flight.retained f)
+      (List.length evs)
   | Error msg -> Alcotest.fail ("flight dump invalid: " ^ msg)
 
 let test_flight_crash_dump () =
@@ -285,10 +295,12 @@ let test_flight_crash_dump () =
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove path;
-  (match Trace.validate_chrome text with
-  | Ok n -> Alcotest.(check bool) "crash dump has events" true (n >= 2)
-  | Error msg -> Alcotest.fail ("crash dump invalid: " ^ msg));
-  let events = Result.get_ok (Event.of_chrome text) in
+  let events =
+    match Event.of_chrome text with
+    | Ok evs -> evs
+    | Error msg -> Alcotest.fail ("crash dump invalid: " ^ msg)
+  in
+  Alcotest.(check bool) "crash dump has events" true (List.length events >= 2);
   let crash =
     List.find (fun e -> e.Event.name = "flight.crash") events
   in
@@ -491,8 +503,10 @@ let test_traced_synthesis_spans () =
       "explore.point"; "cache.find"; "cache.add"; "engine.run";
       "engine.iterate"; "pasap.run"; "palap.run";
     ];
-  match Trace.validate_chrome (Trace.to_chrome sink) with
-  | Ok n -> Alcotest.(check int) "full trace validates" (Trace.count sink) n
+  match Event.of_chrome (Trace.to_chrome sink) with
+  | Ok evs ->
+    Alcotest.(check int) "full trace validates" (Trace.count sink)
+      (List.length evs)
   | Error msg -> Alcotest.fail ("trace invalid: " ^ msg)
 
 let () =

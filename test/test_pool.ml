@@ -302,6 +302,24 @@ let test_sweep_under_worker_faults_fails_only_affected_points () =
           reference (point_signature pt))
     (List.combine baseline faulted)
 
+(* Every point goes through [Pool.try_map] whatever [jobs] is, so a
+   seeded worker fault fails the same points at -j 1 as at -j 2 (and
+   -j 0 counts as 1). *)
+let test_sweep_chaos_table_independent_of_jobs () =
+  let sweep jobs =
+    with_chaos "pool.worker:0.5:3" (fun () ->
+        List.map point_signature
+          (Explore.sweep ~jobs ~library:Library.default B.hal ~times:[ 17 ]
+             ~powers:(List.init 8 (fun i -> 5. *. float_of_int (i + 1)))))
+  in
+  let one = sweep 1 in
+  Alcotest.(check bool) "some point is faulted" true
+    (List.exists
+       (String.ends_with ~suffix:"failed: injected fault: pool.worker")
+       one);
+  Alcotest.(check (list string)) "-j 2 matches -j 1" one (sweep 2);
+  Alcotest.(check (list string)) "-j 0 matches -j 1" one (sweep 0)
+
 let graph_gen =
   QCheck.Gen.(
     map3
@@ -374,6 +392,8 @@ let () =
             test_try_map_rejects_negative_retries;
           Alcotest.test_case "sweep fails only faulted points" `Quick
             test_sweep_under_worker_faults_fails_only_affected_points;
+          Alcotest.test_case "sweep chaos table independent of jobs" `Quick
+            test_sweep_chaos_table_independent_of_jobs;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_parallel_sweep_identical ] );

@@ -1,10 +1,9 @@
 (* The resilience toolkit: budget tokens (wall clock, iteration caps,
    cancellation), the seeded fault-injection registry behind PCHLS_CHAOS,
-   the retry combinator's determinism, and crash-safe atomic writes. *)
+   crash-safe atomic writes, and the overload primitives. *)
 
 module Budget = Pchls_resil.Budget
 module Fault = Pchls_resil.Fault
-module Retry = Pchls_resil.Retry
 module Atomic_io = Pchls_resil.Atomic_io
 module Admission = Pchls_resil.Admission
 module Breaker = Pchls_resil.Breaker
@@ -174,125 +173,6 @@ let test_fault_inject_raises () =
   with_chaos "cache.read" (fun () ->
       Alcotest.check_raises "inject" (Fault.Injected "cache.read") (fun () ->
           Fault.inject ~key:3 "cache.read"))
-
-(* --- retry -------------------------------------------------------------- *)
-
-(* A fake sleep: records requested delays, never waits. *)
-let fake_sleep log ns = log := ns :: !log
-
-let test_retry_first_try_no_backoff () =
-  let log = ref [] in
-  let v, outcome =
-    Retry.run ~sleep:(fake_sleep log) (fun attempt -> 10 * (attempt + 1))
-  in
-  Alcotest.(check int) "value" 10 v;
-  Alcotest.(check int) "attempts" 1 outcome.Retry.attempts;
-  Alcotest.(check int64) "slept" 0L outcome.Retry.slept_ns;
-  Alcotest.(check (list int64)) "no sleeps" [] !log
-
-let test_retry_recovers_and_replays_deterministically () =
-  let run () =
-    let log = ref [] in
-    let v, outcome =
-      Retry.run ~attempts:5 ~seed:42 ~sleep:(fake_sleep log) (fun attempt ->
-          if attempt < 2 then raise (Fault.Injected "pool.worker")
-          else attempt)
-    in
-    (v, outcome.Retry.attempts, outcome.Retry.slept_ns, List.rev !log)
-  in
-  let v, attempts, slept, delays = run () in
-  Alcotest.(check int) "succeeded on third attempt" 2 v;
-  Alcotest.(check int) "attempts" 3 attempts;
-  Alcotest.(check int) "two backoffs" 2 (List.length delays);
-  Alcotest.(check int64) "slept is the sum" slept
-    (List.fold_left Int64.add 0L delays);
-  List.iter
-    (fun d ->
-      Alcotest.(check bool) "delay within [base, cap]" true
-        (d >= 1_000_000L && d <= 100_000_000L))
-    delays;
-  (* Same seed, same failures: the whole outcome replays bit-for-bit. *)
-  Alcotest.(check bool) "deterministic" true (run () = (v, attempts, slept, delays))
-
-let test_retry_nonretryable_fails_fast () =
-  let calls = ref 0 in
-  Alcotest.check_raises "not retried" Exit (fun () ->
-      ignore
-        (Retry.run ~attempts:5
-           ~sleep:(fun _ -> ())
-           (fun _ ->
-             incr calls;
-             raise Exit)));
-  Alcotest.(check int) "single attempt" 1 !calls
-
-let test_retry_exhaustion_reraises_last () =
-  let calls = ref 0 in
-  Alcotest.check_raises "exhausted" (Fault.Injected "pool.worker") (fun () ->
-      ignore
-        (Retry.run ~attempts:3
-           ~sleep:(fun _ -> ())
-           (fun _ ->
-             incr calls;
-             raise (Fault.Injected "pool.worker"))));
-  Alcotest.(check int) "all attempts used" 3 !calls
-
-let test_retry_exhausted_budget_stops_retrying () =
-  let b = Budget.make ~deadline_ms:0. () in
-  let calls = ref 0 in
-  let slept = ref false in
-  Alcotest.check_raises "gives up" (Fault.Injected "pool.worker") (fun () ->
-      ignore
-        (Retry.run ~attempts:10 ~budget:b
-           ~sleep:(fun _ -> slept := true)
-           (fun _ ->
-             incr calls;
-             raise (Fault.Injected "pool.worker"))));
-  Alcotest.(check int) "no second attempt" 1 !calls;
-  Alcotest.(check bool) "never slept" false !slept
-
-let test_retry_delay_clamped_to_remaining () =
-  (* A backoff must never overshoot the enclosing deadline: with a 10s
-     base delay but only 500ms of budget left, the requested sleep is
-     bounded by the remaining time. *)
-  let b = Budget.make ~deadline_ms:500. () in
-  let log = ref [] in
-  let v, _ =
-    Retry.run ~attempts:2 ~budget:b ~base_delay_ns:10_000_000_000L
-      ~max_delay_ns:10_000_000_000L ~sleep:(fake_sleep log) (fun attempt ->
-        if attempt = 0 then raise (Fault.Injected "pool.worker") else attempt)
-  in
-  Alcotest.(check int) "recovered" 1 v;
-  match !log with
-  | [ d ] ->
-    Alcotest.(check bool)
-      (Printf.sprintf "delay %Ld <= remaining deadline" d)
-      true
-      (d <= 500_000_000L)
-  | ds -> Alcotest.failf "expected one backoff, got %d" (List.length ds)
-
-let test_retry_post_sleep_exhaustion_gives_up () =
-  (* The clamp bounds the requested delay, not what a slow scheduler
-     delivers: when the sleep itself consumes the deadline, the combinator
-     re-raises instead of burning an attempt the caller has no time for.
-     The budget-cancelling sleep models exactly that. *)
-  let b = Budget.make ~deadline_ms:1e9 () in
-  let calls = ref 0 in
-  Alcotest.check_raises "gives up after the sleep" (Fault.Injected "pool.worker")
-    (fun () ->
-      ignore
-        (Retry.run ~attempts:5 ~budget:b
-           ~sleep:(fun _ -> Budget.cancel b)
-           (fun _ ->
-             incr calls;
-             raise (Fault.Injected "pool.worker"))));
-  Alcotest.(check int) "no attempt on an exhausted budget" 1 !calls
-
-let test_retry_rejects_zero_attempts () =
-  Alcotest.(check bool) "invalid" true
-    (try
-       ignore (Retry.run ~attempts:0 (fun _ -> ()));
-       false
-     with Invalid_argument _ -> true)
 
 (* --- admission queue ---------------------------------------------------- *)
 
@@ -601,25 +481,6 @@ let () =
           Alcotest.test_case "seeded draws" `Quick
             test_fault_seeded_draws_deterministic;
           Alcotest.test_case "inject raises" `Quick test_fault_inject_raises;
-        ] );
-      ( "retry",
-        [
-          Alcotest.test_case "first try" `Quick
-            test_retry_first_try_no_backoff;
-          Alcotest.test_case "recovers deterministically" `Quick
-            test_retry_recovers_and_replays_deterministically;
-          Alcotest.test_case "non-retryable" `Quick
-            test_retry_nonretryable_fails_fast;
-          Alcotest.test_case "exhaustion" `Quick
-            test_retry_exhaustion_reraises_last;
-          Alcotest.test_case "budget stops retry" `Quick
-            test_retry_exhausted_budget_stops_retrying;
-          Alcotest.test_case "delay clamped to budget" `Quick
-            test_retry_delay_clamped_to_remaining;
-          Alcotest.test_case "post-sleep exhaustion" `Quick
-            test_retry_post_sleep_exhaustion_gives_up;
-          Alcotest.test_case "rejects zero attempts" `Quick
-            test_retry_rejects_zero_attempts;
         ] );
       ( "admission",
         [
