@@ -1301,7 +1301,8 @@ let serve_cmd =
   in
   let watchdog_opt =
     Arg.(
-      value & opt float 0.
+      value
+      & opt (checked float Request.deadline_ms) 0.
       & info [ "watchdog-ms" ] ~docv:"MS"
           ~doc:"Reclaim engine tasks stuck past $(docv) milliseconds of \
                 wall time (cooperative budget cancellation; the request \
@@ -1334,7 +1335,7 @@ let serve_cmd =
         queue_age_ms;
         shed_threshold;
         breaker;
-        watchdog_ms = (if watchdog_ms > 0. then Some watchdog_ms else None);
+        watchdog_ms = (if watchdog_ms = 0. then None else Some watchdog_ms);
       }
     in
     match Server.run config with

@@ -52,7 +52,6 @@ let policy_to_string = function
 let reason_token = function
   | Budget.Wall_clock -> "wall-clock"
   | Budget.Iterations -> "iterations"
-  | Budget.Cancelled -> "cancelled"
 
 let pp_stats ppf s =
   Format.fprintf ppf
@@ -121,9 +120,9 @@ let locked_list st =
       st.locked_times committed
   else committed
 
-(* Wall-clock / cancellation interrupts only: the iteration cap is checked
-   at engine-iteration boundaries, not inside schedulers or default
-   selection, so a [max_iters] budget still lets each iteration finish. *)
+(* Wall-clock interrupts only: the iteration cap is checked at
+   engine-iteration boundaries, not inside schedulers or default selection,
+   so a [max_iters] budget still lets each iteration finish. *)
 let interrupted st =
   match st.budget with None -> None | Some b -> Budget.interrupted b
 

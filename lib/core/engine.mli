@@ -72,8 +72,8 @@ type outcome =
     way).
 
     [deadline] makes the run {e anytime}: the budget is polled at every
-    engine-iteration boundary, and its wall clock / cancellation also
-    interrupt the pasap/palap offset loops mid-iteration. On exhaustion the
+    engine-iteration boundary, and its wall clock also interrupts the
+    pasap/palap offset loops mid-iteration. On exhaustion the
     best design so far is completed and returned with
     [stats.completion = Deadline_exceeded _] — never an exception — or, if
     no feasible schedule existed yet, [Infeasible] with a

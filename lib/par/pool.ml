@@ -179,9 +179,6 @@ let run pool f =
     | None -> assert false (* joined *)
   end
 
-let map_reduce pool ~map:f ~reduce ~init xs =
-  List.fold_left reduce init (map pool f xs)
-
 type failure = {
   attempts : int;
   exn : exn;

@@ -5,8 +5,8 @@
     pool's worker domains while preserving the input order of the results,
     making a parallel sweep bit-identical to a sequential one.
 
-    A pool may be reused for any number of {!map}/{!map_reduce} calls and
-    must eventually be released with {!shutdown} (or use {!with_pool}).
+    A pool may be reused for any number of {!map} calls and must
+    eventually be released with {!shutdown} (or use {!with_pool}).
     Submitting work from inside a pool task is not supported — a task that
     calls {!map} on its own pool may deadlock. *)
 
@@ -70,14 +70,6 @@ val try_map :
 
     @raise Invalid_argument when the pool has been shut down. *)
 val run : t -> (unit -> 'a) -> 'a
-
-(** [map_reduce pool ~map ~reduce ~init xs] maps in parallel like {!map},
-    then folds the results sequentially in input order:
-    [reduce (... (reduce init y0) ...) yn]. The fold order is deterministic,
-    so non-commutative reductions are safe. *)
-val map_reduce :
-  t -> map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc ->
-  'a list -> 'acc
 
 (** [shutdown pool] drains the queue, stops and joins every worker domain.
     Idempotent: further calls return immediately. Subsequent {!map} calls

@@ -1,11 +1,15 @@
 (** Monotonic deadline / iteration-budget tokens for anytime computation.
 
     A budget is created once at the edge of a request (CLI flag, test
-    harness) and threaded down into the long-running loops — the engine's
-    clique-partition iterations, a sweep's grid points, a fuzz campaign's
-    cases. The loops poll it cooperatively at iteration boundaries and wind
-    down gracefully when it is exhausted, returning the best result found
-    so far instead of hanging or raising.
+    harness, a [pchls serve] engine task) and threaded down into the
+    long-running loops — the engine's clique-partition iterations, a
+    sweep's grid points, a fuzz campaign's cases. The loops poll it
+    cooperatively at iteration boundaries and wind down gracefully when it
+    is exhausted, returning the best result found so far instead of
+    hanging or raising. A budget is the only way to stop such a loop: the
+    server folds every wall limit it enforces (the request's deadline, its
+    own ceiling, the degraded-mode clamp and the watchdog) into one
+    deadline.
 
     Wall-clock expiry is measured on {!Pchls_obs.Clock}, which is
     monotonic: NTP steps can never un-expire a deadline. All operations
@@ -19,19 +23,16 @@ type t
 type reason =
   | Wall_clock  (** the [deadline_ms] wall-clock deadline passed *)
   | Iterations  (** {!tick} was called [max_iters] times *)
-  | Cancelled  (** {!cancel} was called *)
 
 (** [make ?deadline_ms ?max_iters ()] — a budget expiring [deadline_ms]
     milliseconds from now (measured on the monotonic clock) and/or after
-    [max_iters] {!tick}s. Omitted limits are unlimited; [make ()] never
-    expires on its own but can still be {!cancel}led.
+    [max_iters] {!tick}s. Omitted limits are unlimited, and so is a
+    deadline too far away for the clock to reach ([infinity] included);
+    [make ()] never expires.
 
-    @raise Invalid_argument when [deadline_ms < 0] or [max_iters < 0]. *)
+    @raise Invalid_argument when [deadline_ms] is negative or NaN, or
+    [max_iters < 0]. *)
 val make : ?deadline_ms:float -> ?max_iters:int -> unit -> t
-
-(** [cancel t] expires the budget immediately (cooperative cancellation:
-    pollers observe it at their next {!check}). Idempotent. *)
-val cancel : t -> unit
 
 (** [tick t] counts one unit of work against [max_iters]. *)
 val tick : t -> unit
@@ -47,10 +48,10 @@ val check : t -> reason option
 (** [exhausted t] is [check t <> None]. *)
 val exhausted : t -> bool
 
-(** [interrupted t] is {!check} ignoring the iteration cap: only
-    cancellation and the wall clock count. Loops whose work does not map
-    onto budget ticks (scheduler offset bumps, setup phases) poll this, so
-    an iteration-capped budget still lets them run to completion. *)
+(** [interrupted t] is {!check} ignoring the iteration cap: only the wall
+    clock counts. Loops whose work does not map onto budget ticks
+    (scheduler offset bumps, setup phases) poll this, so an
+    iteration-capped budget still lets them run to completion. *)
 val interrupted : t -> reason option
 
 (** [remaining_ns t] — nanoseconds until the wall-clock deadline (clamped

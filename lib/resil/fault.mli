@@ -40,8 +40,9 @@
       fail, exercising the load-shed path (503 + [Retry-After]) without
       actually saturating the queue;
     - ["serve.hang"]: a [pchls serve] engine task hangs (cooperatively —
-      it spins polling its budget) until the {!Watchdog} cancels it,
-      exercising the kill/reclaim path. *)
+      it spins polling its budget) until its deadline passes, exercising
+      the watchdog's kill/reclaim path when that deadline is the
+      watchdog limit. *)
 
 (** Raised by {!inject}; carries the fault-point name. Registered with
     [Printexc] so reports read ["injected fault: pool.worker"]. *)

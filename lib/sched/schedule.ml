@@ -86,11 +86,6 @@ let violations g s ~info ?time_limit ?power_limit () =
   | None -> ());
   List.rev !violations
 
-let validate_violations g s ~info ?time_limit ?power_limit () =
-  match violations g s ~info ?time_limit ?power_limit () with
-  | [] -> Ok ()
-  | vs -> Error vs
-
 let diag_of_violation v =
   let open Pchls_diag.Diag in
   match v with
@@ -144,17 +139,6 @@ let lint g s ~info ?time_limit ?power_limit () =
 let validate g s ~info ?time_limit ?power_limit () =
   let ds = lint g s ~info ?time_limit ?power_limit () in
   if Pchls_diag.Diag.has_errors ds then Error ds else Ok ()
-
-let pp_violation ppf = function
-  | Unscheduled id -> Format.fprintf ppf "node %d unscheduled" id
-  | Negative_start id -> Format.fprintf ppf "node %d starts before cycle 0" id
-  | Precedence { pred; succ } ->
-    Format.fprintf ppf "node %d starts before predecessor %d finishes" succ pred
-  | Latency_exceeded { makespan; limit } ->
-    Format.fprintf ppf "makespan %d exceeds time constraint %d" makespan limit
-  | Power_exceeded { cycle; power; limit } ->
-    Format.fprintf ppf "cycle %d draws %.3f > power constraint %.3f" cycle power
-      limit
 
 let pp ppf s =
   Format.fprintf ppf "@[<v>";

@@ -13,14 +13,6 @@ type op_info = {
 (** Total start-time map, immutable. *)
 type t
 
-type violation =
-  | Unscheduled of int  (** a graph node has no start time *)
-  | Negative_start of int
-  | Precedence of { pred : int; succ : int }
-      (** [succ] starts before [pred] finishes *)
-  | Latency_exceeded of { makespan : int; limit : int }
-  | Power_exceeded of { cycle : int; power : float; limit : float }
-
 val empty : t
 val of_alist : (int * int) list -> t
 val set : t -> int -> int -> t
@@ -76,19 +68,4 @@ val validate :
   unit ->
   (unit, Pchls_diag.Diag.t list) result
 
-(** Deprecated: the pre-diagnostics interface, kept as a thin wrapper during
-    the transition. Use {!validate} (or {!lint}) instead. *)
-val validate_violations :
-  Pchls_dfg.Graph.t ->
-  t ->
-  info:(int -> op_info) ->
-  ?time_limit:int ->
-  ?power_limit:float ->
-  unit ->
-  (unit, violation list) result
-
-(** [diag_of_violation v] maps a legacy {!violation} to its diagnostic. *)
-val diag_of_violation : violation -> Pchls_diag.Diag.t
-
-val pp_violation : Format.formatter -> violation -> unit
 val pp : Format.formatter -> t -> unit

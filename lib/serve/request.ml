@@ -65,7 +65,6 @@ let max_iters n = if n >= 0 then Ok n else Error "must be >= 0"
 
 type budget = { deadline_ms : float option; max_iters : int option }
 
-(* The tighter of two optional deadlines. *)
 let tighter a b =
   match (a, b) with
   | Some x, Some y -> Some (Float.min x y)

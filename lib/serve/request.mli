@@ -54,6 +54,10 @@ val max_iters : int -> (int, string) result
 (** A request's anytime budget, before its clock starts. *)
 type budget
 
+(** [tighter a b] is the smaller of two optional deadlines; [None] is no
+    limit. *)
+val tighter : float option -> float option -> float option
+
 (** [budget ?ceiling_ms ?deadline_ms ?max_iters ()] from checked values.
     [ceiling_ms] (the server's [--deadline-ms]) caps the deadline and is
     the default when the request sets none. *)

@@ -20,13 +20,14 @@ module Budget = Pchls_resil.Budget
 module Fault = Pchls_resil.Fault
 module Admission = Pchls_resil.Admission
 module Breaker = Pchls_resil.Breaker
-module Watchdog = Pchls_resil.Watchdog
 
 let m_requests = Metrics.counter "serve.requests"
 let m_partial = Metrics.counter "serve.partial"
 let m_accept_faults = Metrics.counter "serve.accept_faults"
 let m_shed = Metrics.counter "serve.shed"
 let m_degraded = Metrics.counter "serve.degraded"
+let m_kills = Metrics.counter "watchdog.kills"
+let g_live = Metrics.gauge "watchdog.live"
 
 (* Worst accept->503-written time over the process lifetime: the direct
    observable for the "shedding costs milliseconds" contract, free of
@@ -114,7 +115,10 @@ type t = {
   sweeps : Explore.point list flights;
   admission : Unix.file_descr Admission.t;
   breakers : (string * Breaker.t) list;  (* keyed by endpoint path *)
-  watchdog : Watchdog.t option;
+  (* Watchdog accounting for /healthz: tasks reclaimed since start, and
+     engine tasks running under the limit now. *)
+  kills : int Atomic.t;
+  live : int Atomic.t;
   stopping : bool Atomic.t;
   inflight_count : int Atomic.t;
   shed_count : int Atomic.t;
@@ -136,8 +140,8 @@ let inflight t = Atomic.get t.inflight_count
 
 (* --- overload state ------------------------------------------------------ *)
 
-(* Raised (by the handler that registered the watch) when the watchdog
-   reclaimed its engine task; carries the coalescing key for the log. *)
+(* Raised by an engine task that ran into the watchdog limit; carries the
+   coalescing key for the log. *)
 exception Killed of string
 
 let () =
@@ -420,12 +424,13 @@ let dispatch srv f = Pool.run srv.pool f
 
 (* The serve.hang chaos seam: an armed fault turns this engine task into
    a cooperative hang — it spins polling its budget exactly like a stuck
-   optimization loop would, until the watchdog cancels it, the server
-   drains, or a hard cap gives up (so an unwatched hang cannot pin a
-   domain forever). *)
+   optimization loop would, until the budget's deadline passes, the server
+   drains, or a hard cap gives up (so a hang without a deadline cannot pin
+   a domain forever). *)
 let maybe_hang srv budget =
   if Fault.fires "serve.hang" then begin
-    Log.warn (fun m -> m "injected fault: serve.hang — task spinning until cancelled");
+    Log.warn (fun m ->
+        m "injected fault: serve.hang — task spinning until its deadline");
     let give_up = Int64.add (Clock.now_ns ()) 5_000_000_000L in
     let interrupted () =
       match budget with
@@ -446,19 +451,24 @@ let clamp_ms srv = function
   | `Clamp -> Some srv.config.degrade_deadline_ms
   | `None -> None
 
+let set_live srv delta =
+  let live = Atomic.fetch_and_add srv.live delta + delta in
+  Metrics.set g_live (float_of_int live)
+
 (* One engine task of a request: [f] runs on the pool under the request's
-   budget, whose clock starts here (the wait for a pool domain counts) and
-   whose deadline is tightened to [clamp_ms] in degraded mode. Under a
-   watchdog the budget always exists — it is the cancellation seam the
-   watchdog kills through — and a task past the wall limit winds down at
-   its next poll and raises [Killed]: a reclaim, answered 500, never a 206
-   budget verdict. Otherwise the result comes back with the budget's
-   partial verdict. *)
+   budget, whose clock starts here (the wait for a pool domain counts).
+   Its deadline is the tightest of the request's own, the degraded-mode
+   [clamp_ms] and the watchdog limit, so the engine winds down at the
+   first of them through the polls it already makes. A task whose wall
+   time reached the watchdog limit is reclaimed: it raises [Killed],
+   answered 500, never a 206 budget verdict. Otherwise the result comes
+   back with the budget's partial verdict. *)
 let engine_task srv ~key ?clamp_ms budget f =
+  let started = Clock.now_ns () in
   let budget =
-    match (Request.start ?clamp_ms budget, srv.watchdog) with
-    | None, Some _ -> Some (Budget.make ())
-    | b, _ -> b
+    Request.start
+      ?clamp_ms:(Request.tighter clamp_ms srv.config.watchdog_ms)
+      budget
   in
   let run () =
     dispatch srv (fun () ->
@@ -466,13 +476,26 @@ let engine_task srv ~key ?clamp_ms budget f =
         f budget)
   in
   let v =
-    match (srv.watchdog, budget) with
-    | Some wd, Some b ->
-      let task = Watchdog.watch wd ~id:key ~budget:b in
-      let v = Fun.protect ~finally:(fun () -> Watchdog.complete wd task) run in
-      if Watchdog.killed task then raise (Killed key);
+    match srv.config.watchdog_ms with
+    | None -> run ()
+    | Some limit_ms ->
+      set_live srv 1;
+      let v = Fun.protect ~finally:(fun () -> set_live srv (-1)) run in
+      let age_ms =
+        Int64.to_float (Int64.sub (Clock.now_ns ()) started) /. 1e6
+      in
+      if age_ms >= limit_ms then begin
+        Atomic.incr srv.kills;
+        Metrics.incr m_kills;
+        Log.warn (fun m ->
+            m "watchdog: killed %s after %.0fms (limit %.0fms)" key age_ms
+              limit_ms);
+        Trace.instant ~cat:"serve"
+          ~args:[ ("id", key); ("age_ms", Printf.sprintf "%.0f" age_ms) ]
+          "serve.watchdog.kill";
+        raise (Killed key)
+      end;
       v
-    | _ -> run ()
   in
   (v, Option.map Budget.reason_to_string (Option.bind budget Budget.check))
 
@@ -750,14 +773,14 @@ let handle_healthz srv =
                    Json.String (Breaker.state_to_string (Breaker.state b)) ))
                bs) );
       ( "watchdog",
-        match srv.watchdog with
+        match srv.config.watchdog_ms with
         | None -> Json.Null
-        | Some wd ->
+        | Some limit_ms ->
           Json.Obj
             [
-              ("limit_ms", Json.Number (Watchdog.limit_ms wd));
-              ("kills", Json.Number (float_of_int (Watchdog.kills wd)));
-              ("live", Json.Number (float_of_int (Watchdog.live wd)));
+              ("limit_ms", Json.Number limit_ms);
+              ("kills", Json.Number (float_of_int (Atomic.get srv.kills)));
+              ("live", Json.Number (float_of_int (Atomic.get srv.live)));
             ] );
     ]
 
@@ -886,9 +909,7 @@ let routed srv req =
   | Killed key as e ->
     Flight.note_crash ~origin:"serve.watchdog" e;
     Log.warn (fun m -> m "watchdog reclaimed handler for %s" key);
-    let limit =
-      match srv.watchdog with Some wd -> Watchdog.limit_ms wd | None -> 0.
-    in
+    let limit = Option.value srv.config.watchdog_ms ~default:0. in
     Http.response 500
       (error_body ~error:"watchdog"
          (Printf.sprintf
@@ -1119,6 +1140,11 @@ let start config =
     invalid_arg
       (Printf.sprintf "Server.start: threads must be >= 1, got %d"
          config.threads);
+  (match config.watchdog_ms with
+  | Some ms when not (ms > 0.) ->
+    invalid_arg
+      (Printf.sprintf "Server.start: watchdog_ms must be > 0, got %g" ms)
+  | Some _ | None -> ());
   (* A dying client must surface as EPIPE on write, not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port) in
@@ -1192,20 +1218,6 @@ let start config =
                   ~on_transition ~name () ))
         endpoints
   in
-  let watchdog =
-    Option.map
-      (fun limit_ms ->
-        Watchdog.start ~limit_ms
-          ~on_kill:(fun ~id ~age_ms ->
-            Log.warn (fun m ->
-                m "watchdog: killed %s after %.0fms (limit %.0fms)" id age_ms
-                  limit_ms);
-            Trace.instant ~cat:"serve"
-              ~args:[ ("id", id); ("age_ms", Printf.sprintf "%.0f" age_ms) ]
-              "serve.watchdog.kill")
-          ())
-      config.watchdog_ms
-  in
   let srv =
     {
       config;
@@ -1219,7 +1231,8 @@ let start config =
         Admission.create ~max_depth:config.max_queue
           ~max_age_ms:config.queue_age_ms ();
       breakers;
-      watchdog;
+      kills = Atomic.make 0;
+      live = Atomic.make 0;
       stopping = Atomic.make false;
       inflight_count = Atomic.make 0;
       shed_count = Atomic.make 0;
@@ -1256,7 +1269,6 @@ let stop srv =
     List.iter Thread.join srv.handlers;
     srv.handlers <- [];
     Pool.shutdown srv.pool;
-    Option.iter Watchdog.stop srv.watchdog;
     if Option.is_some srv.sink then Trace.uninstall ();
     if Option.is_some srv.flight then Flight.disarm ();
     Option.iter Jsonlog.close srv.access;

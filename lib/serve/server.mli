@@ -68,11 +68,14 @@
     endpoint is guarded by a circuit breaker ({!Pchls_resil.Breaker},
     [breaker = true]): a burst of 5xx outcomes opens it and callers
     fast-fail 503 + [Retry-After] until a cooldown probe succeeds. With
-    [watchdog_ms] set, a {!Pchls_resil.Watchdog} reclaims engine tasks
-    stuck past that wall limit through cooperative budget cancellation;
-    the victim's request is answered 500 (["error": "watchdog"]) and the
-    crash is noted in the flight recorder, while coalesced followers of a
-    killed leader retry once as their own request. All of it is visible
+    [watchdog_ms] set, that limit is one more ceiling on every engine
+    task's budget deadline, next to the request's own deadline and the
+    degraded clamp, and the tightest one wins. A task whose wall time
+    reaches [watchdog_ms] (counted from before pool dispatch) stops at
+    its next budget poll and is reclaimed: its request is answered 500
+    (["error": "watchdog"]) and the crash is noted in the flight
+    recorder, while coalesced followers of a killed leader retry once as
+    their own request. All of it is visible
     in [/healthz] ([queue], [pressure], [degraded], [shed], [breakers],
     [watchdog]), [/metrics] ([serve.shed], [serve.degraded],
     [admission.*], [breaker.*], [watchdog.*]) and the access log
@@ -82,8 +85,8 @@
     daemon keeps accepting), ["serve.handler"] (a handler crash, answered
     with 500), ["serve.shed"] (a forced admission refusal — the 503 shed
     path without a full queue) and ["serve.hang"] (an engine task that
-    spins until cancelled, exercising the watchdog) wire the server into
-    the {!Pchls_resil.Fault} chaos machinery. *)
+    spins until its deadline passes, exercising the watchdog) wire the
+    server into the {!Pchls_resil.Fault} chaos machinery. *)
 
 (** The server's version string, surfaced in [/healthz]. *)
 val version : string
@@ -122,7 +125,8 @@ type config = {
   breaker_cooldown_ms : float;
       (** open-state dwell before a breaker admits a probe *)
   watchdog_ms : float option;
-      (** hard wall limit on engine tasks; [None] = no watchdog *)
+      (** hard wall limit on engine tasks, folded into their budget
+          deadlines; [None] = no watchdog *)
 }
 
 val default_config : config
@@ -131,7 +135,8 @@ type t
 
 (** [start config] binds, listens and spawns the acceptor and handler
     threads; returns once the server is accepting. @raise Unix.Unix_error
-    when the address cannot be bound. *)
+    when the address cannot be bound. @raise Invalid_argument when
+    [threads < 1] or [watchdog_ms] is not [> 0]. *)
 val start : config -> t
 
 (** [port t] — the bound port (useful with [config.port = 0]). *)

@@ -60,19 +60,6 @@ let test_pool_survives_task_failure () =
         "pool still works" [ 10; 20 ]
         (Pool.map pool (fun x -> 10 * x) [ 1; 2 ]))
 
-let test_map_reduce_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let xs = List.init 50 Fun.id in
-      (* A non-commutative reduction distinguishes fold orders. *)
-      let expected =
-        List.fold_left (fun acc x -> (31 * acc) + (x * x)) 7 xs
-      in
-      Alcotest.(check int) "deterministic fold" expected
-        (Pool.map_reduce pool
-           ~map:(fun x -> x * x)
-           ~reduce:(fun acc y -> (31 * acc) + y)
-           ~init:7 xs))
-
 let test_shutdown_idempotent () =
   let pool = Pool.create ~jobs:3 () in
   Alcotest.(check (list int)) "works" [ 1 ] (Pool.map pool Fun.id [ 1 ]);
@@ -369,8 +356,6 @@ let () =
           Alcotest.test_case "survives task failure" `Quick
             test_pool_survives_task_failure;
         ] );
-      ( "reduce",
-        [ Alcotest.test_case "fold order" `Quick test_map_reduce_order ] );
       ( "lifecycle",
         [
           Alcotest.test_case "shutdown idempotent" `Quick

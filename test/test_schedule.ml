@@ -120,24 +120,6 @@ let test_lint_stray_entry () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "warnings must not fail validate")
 
-(* The legacy interface stays as a thin wrapper over the same checks. *)
-let test_validate_violations_wrapper () =
-  let g = chain () in
-  let s = Schedule.of_alist [ (0, 0); (2, 2) ] in
-  (match Schedule.validate_violations g s ~info:info1 () with
-  | Error [ Schedule.Unscheduled 1 ] -> ()
-  | Error _ | Ok () -> Alcotest.fail "expected [Unscheduled 1]");
-  let d = Schedule.diag_of_violation (Schedule.Unscheduled 1) in
-  Alcotest.(check string) "maps to SCH001" "SCH001" d.Pchls_diag.Diag.code
-
-let test_pp_violation () =
-  let s =
-    Format.asprintf "%a" Schedule.pp_violation
-      (Schedule.Latency_exceeded { makespan = 9; limit = 5 })
-  in
-  Alcotest.(check bool) "mentions numbers" true
-    (String.contains s '9' && String.contains s '5')
-
 let () =
   Alcotest.run "schedule"
     [
@@ -166,8 +148,5 @@ let () =
           Alcotest.test_case "non-positive latency flagged" `Quick
             test_validate_bad_latency;
           Alcotest.test_case "stray entry warned" `Quick test_lint_stray_entry;
-          Alcotest.test_case "legacy violations wrapper" `Quick
-            test_validate_violations_wrapper;
-          Alcotest.test_case "violation printing" `Quick test_pp_violation;
         ] );
     ]

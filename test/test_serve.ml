@@ -1102,6 +1102,62 @@ let test_killed_leader_follower_retries () =
     results;
   Alcotest.(check int) "exactly one follower retry" 1 retried
 
+(* The watchdog limit is one more ceiling on the engine task's deadline:
+   a request whose own deadline or degraded clamp is tighter gets its 206
+   partial answer, and only a task that runs into the watchdog limit is
+   reclaimed. *)
+let test_tighter_limit_wins () =
+  with_server
+    ~config:
+      {
+        base_config with
+        Server.watchdog_ms = Some 100.;
+        degrade_deadline_ms = 30.;
+      }
+  @@ fun srv ->
+  let kills () =
+    let _, health = request srv ~meth:"GET" ~path:"/healthz" "" in
+    match Option.bind (json_field "watchdog" health) (Json.member "kills") with
+    | Some (Json.Number n) -> n
+    | _ -> Alcotest.fail ("healthz watchdog shape: " ^ health)
+  in
+  let hung_synth fields =
+    with_chaos "serve.hang" @@ fun () ->
+    request srv ~meth:"POST" ~path:"/synth"
+      ("{\"benchmark\":\"hal\",\"time\":8,\"power\":60," ^ fields ^ "}")
+  in
+  let before = kills () in
+  List.iter
+    (fun fields ->
+      let status, body = hung_synth fields in
+      Alcotest.(check int) (fields ^ ": tighter limit -> 206") 206 status;
+      (match json_field "partial" body with
+      | Some (Json.String _) -> ()
+      | _ -> Alcotest.fail ("206 body without partial: " ^ body));
+      Alcotest.(check (float 0.)) (fields ^ ": no kill") before (kills ()))
+    [
+      "\"deadline_ms\":30";
+      "\"deadline_ms\":5000,\"degraded\":\"clamped\"";
+    ];
+  let status, body = hung_synth "\"deadline_ms\":5000" in
+  Alcotest.(check int) "watchdog tighter -> 500" 500 status;
+  (match json_field "error" body with
+  | Some (Json.String "watchdog") -> ()
+  | _ -> Alcotest.fail ("watchdog body: " ^ body));
+  Alcotest.(check (float 0.)) "one kill" (before +. 1.) (kills ())
+
+(* A watchdog limit must be > 0; the CLI spells "off" as 0 and maps it to
+   [None] before the server sees it. *)
+let test_watchdog_limit_checked () =
+  List.iter
+    (fun ms ->
+      match Server.start { base_config with Server.watchdog_ms = Some ms } with
+      | srv ->
+        Server.stop srv;
+        Alcotest.failf "watchdog_ms %g accepted" ms
+      | exception Invalid_argument _ -> ())
+    [ 0.; -5.; Float.nan ]
+
 let test_healthz_overload_fields () =
   with_server ~config:{ base_config with Server.watchdog_ms = Some 250. }
   @@ fun srv ->
@@ -1215,6 +1271,10 @@ let () =
             test_watchdog_reclaims_hung_handler;
           Alcotest.test_case "killed leader: follower retries" `Quick
             test_killed_leader_follower_retries;
+          Alcotest.test_case "tighter limit wins" `Quick
+            test_tighter_limit_wins;
+          Alcotest.test_case "watchdog limit checked" `Quick
+            test_watchdog_limit_checked;
           Alcotest.test_case "healthz overload fields" `Quick
             test_healthz_overload_fields;
         ] );
