@@ -38,7 +38,6 @@ module Pool = Pchls_par.Pool
 module Store = Pchls_cache.Store
 module Trace = Pchls_obs.Trace
 module Metrics = Pchls_obs.Metrics
-module Flight = Pchls_obs.Flight
 module Json = Pchls_obs.Json
 module Http = Pchls_serve.Http
 
@@ -779,12 +778,12 @@ let preflight_bench () =
 
 (* --- Observability: tracing overhead and metrics dump ------------------- *)
 
-(* Measures what each observer costs: the same synthesis with nothing
-   watching (the zero-observer path), with a trace sink installed, and
-   with the flight recorder armed; writes the traced run's counters and a
-   compare.exe-gated "sections" array to BENCH_obs.json. The flight leg
-   is the always-on price `pchls serve` pays — it must stay within a few
-   percent of untraced. *)
+(* Measures what each recorder costs: the same synthesis with nothing
+   watching (the zero-observer path), with an unbounded trace recorder
+   installed, and with a bounded flight ring installed; writes the traced
+   run's counters and a compare.exe-gated "sections" array to
+   BENCH_obs.json. The flight leg is the always-on price `pchls serve`
+   pays — it must stay within a few percent of untraced. *)
 let obs_bench () =
   section_header "Observability: tracing overhead (elliptic, T=22, P<=15)";
   let g = Benchmarks.elliptic and t = 22 and p = 15. in
@@ -795,16 +794,14 @@ let obs_bench () =
     done
   in
   let recorded_before = Trace.total_recorded () in
-  let flight_before = Flight.total_recorded () in
   let (), plain_s = timed run in
   assert (Trace.total_recorded () = recorded_before);
-  assert (Flight.total_recorded () = flight_before);
   Metrics.reset ();
   let sink = Trace.make () in
   let (), traced_s = timed (fun () -> Trace.with_sink sink run) in
   let events = Trace.count sink in
-  let recorder = Flight.create () in
-  let (), flight_s = timed (fun () -> Flight.with_armed recorder run) in
+  let ring = Trace.make ~capacity:Trace.default_capacity () in
+  let (), flight_s = timed (fun () -> Trace.with_sink ring run) in
   let overhead_pct = 100. *. ((traced_s /. plain_s) -. 1.) in
   let flight_pct = 100. *. ((flight_s /. plain_s) -. 1.) in
   Format.printf "untraced (%d runs)  %8.3f s@." reps plain_s;
@@ -812,8 +809,8 @@ let obs_bench () =
     traced_s overhead_pct events;
   Format.printf "flight   (%d runs)  %8.3f s  (%+.1f%%, %d recorded, %d \
                  retained, %d dropped)@."
-    reps flight_s flight_pct (Flight.recorded recorder)
-    (Flight.retained recorder) (Flight.dropped recorder);
+    reps flight_s flight_pct (Trace.count ring) (Trace.retained ring)
+    (Trace.dropped ring);
   let counter name =
     Metrics.counter_value (Metrics.counter name)
   in
@@ -831,9 +828,9 @@ let obs_bench () =
       ("overhead_pct", num overhead_pct);
       ("flight_overhead_pct", num flight_pct);
       ("trace_events", int events);
-      ("flight_recorded", int (Flight.recorded recorder));
-      ("flight_retained", int (Flight.retained recorder));
-      ("flight_dropped", int (Flight.dropped recorder));
+      ("flight_recorded", int (Trace.count ring));
+      ("flight_retained", int (Trace.retained ring));
+      ("flight_dropped", int (Trace.dropped ring));
       ( "sections",
         Json.List
           [

@@ -23,7 +23,6 @@ module Trace = Pchls_obs.Trace
 module Metrics = Pchls_obs.Metrics
 module Style = Pchls_obs.Style
 module Event = Pchls_obs.Event
-module Flight = Pchls_obs.Flight
 module Budget = Pchls_resil.Budget
 module Request = Pchls_serve.Request
 module Server = Pchls_serve.Server
@@ -227,10 +226,10 @@ let write_trace sink path =
       output_string oc (Trace.to_chrome sink));
   Format.printf "# trace: %d events -> %s@." (Trace.count sink) path
 
-(* Wraps a command body: installs a trace sink when --trace was given and
-   writes the Chrome JSON afterwards; arms the flight recorder (plus its
-   SIGUSR1 dump handler) when --flight was given; dumps the metrics
-   registry when --metrics was given. The body's exit code passes
+(* Wraps a command body: installs an unbounded recorder when --trace was
+   given and writes its Chrome JSON afterwards; installs a bounded flight
+   ring (plus its SIGUSR1 dump handler) when --flight was given; dumps the
+   metrics registry when --metrics was given. The body's exit code passes
    through. *)
 let with_obs ?(flight = false) ~trace ~metrics f =
   let traced () =
@@ -245,12 +244,12 @@ let with_obs ?(flight = false) ~trace ~metrics f =
   let code =
     if not flight then traced ()
     else begin
-      let recorder = Flight.create () in
-      let path = Flight.install_sigusr1 () in
+      let ring = Trace.make ~capacity:Trace.default_capacity () in
+      let path = Trace.install_sigusr1 () in
       Format.eprintf
         "# flight: armed (%d events/shard); kill -USR1 %d dumps to %s@."
-        (Flight.capacity recorder) (Unix.getpid ()) path;
-      Flight.with_armed recorder traced
+        Trace.default_capacity (Unix.getpid ()) path;
+      Trace.with_sink ring traced
     end
   in
   if metrics then print_string (Metrics.dump ());
@@ -1246,7 +1245,7 @@ let serve_cmd =
   let flight_capacity_opt =
     Arg.(
       value
-      & opt int Flight.default_capacity
+      & opt int Trace.default_capacity
       & info [ "flight-capacity" ] ~docv:"N"
           ~doc:"Per-shard ring size of the always-on flight recorder \
                 (dumped on crashes, on SIGUSR1 and at GET /debug/flight). \

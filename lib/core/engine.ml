@@ -1112,5 +1112,5 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
   (try synthesize ()
    with e ->
      let bt = Printexc.get_raw_backtrace () in
-     Pchls_obs.Flight.note_crash ~origin:"engine.run" e;
+     Trace.note_crash ~origin:"engine.run" e;
      Printexc.raise_with_backtrace e bt)

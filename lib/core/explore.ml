@@ -166,10 +166,15 @@ let solve ?cost_model ?policy ?deadline ?(preflight = false) ~library ?cache
       | Ok design -> feasible design
       | Error _ -> miss ()))
 
-let sweep ?cost_model ?policy ?(jobs = 1) ?cache ?deadline
+let sweep ?cost_model ?policy ?(jobs = 1) ?cache ?fp ?deadline
     ?(preflight = false) ~library g ~times ~powers =
   let fp =
-    Option.map (fun _ -> fingerprint ?cost_model ?policy ~library g) cache
+    Option.map
+      (fun _ ->
+        match fp with
+        | Some fp -> fp
+        | None -> fingerprint ?cost_model ?policy ~library g)
+      cache
   in
   let grid =
     List.concat_map (fun t -> List.map (fun p -> (t, p)) powers) times

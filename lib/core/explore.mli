@@ -88,7 +88,8 @@ val solve :
     [cache] memoizes each point under {!fingerprint}: hits skip the engine
     entirely (feasible entries are rebuilt into full designs via
     [Design.assemble]); misses are solved and stored. The store is
-    thread-safe, so the same cache may serve a parallel sweep.
+    thread-safe, so the same cache may serve a parallel sweep. As in
+    {!solve}, [fp] skips re-deriving the fingerprint.
 
     Points are evaluated in isolation: an evaluation that crashes — or an
     armed ["explore.point"] / ["pool.worker"] fault ({!Pchls_resil.Fault},
@@ -111,6 +112,7 @@ val sweep :
   ?policy:Engine.policy ->
   ?jobs:int ->
   ?cache:Pchls_cache.Store.t ->
+  ?fp:Pchls_cache.Fingerprint.t ->
   ?deadline:Pchls_resil.Budget.t ->
   ?preflight:bool ->
   library:Pchls_fulib.Library.t ->

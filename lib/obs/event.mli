@@ -1,14 +1,11 @@
-(** The span/instant event datatype shared by the {!Trace} sink and the
-    {!Flight} recorder, together with its Chrome [trace_event] JSON
-    renderings.
+(** The span/instant event datatype every {!Trace} recorder keeps,
+    together with its Chrome [trace_event] JSON renderings.
 
-    Both observers record the same events; they differ only in retention
-    policy (a sink keeps everything, the flight recorder keeps a bounded
-    ring). Factoring the datatype and the export formats here lets either
-    side produce byte-identical Chrome documents and the same
-    human-readable tree, and lets saved documents round-trip back into
-    event lists ({!of_chrome}) for offline rendering
-    ([pchls trace tree]). *)
+    Recorders differ only in retention (an unbounded one keeps
+    everything, a bounded one keeps the newest events in a ring), so any
+    recorder produces the same Chrome documents and the same
+    human-readable tree, and saved documents round-trip back into event
+    lists ({!of_chrome}) for offline rendering ([pchls trace tree]). *)
 
 type phase =
   | Complete of { dur_ns : int64 }  (** a span: [ts_ns .. ts_ns + dur_ns] *)
@@ -18,7 +15,7 @@ type t = {
   name : string;
   cat : string;  (** coarse subsystem: ["engine"], ["sched"], ["cache"]… *)
   phase : phase;
-  ts_ns : int64;  (** relative to the observer's epoch *)
+  ts_ns : int64;  (** relative to the recorder's creation *)
   tid : int;  (** recording domain id *)
   args : (string * string) list;
 }

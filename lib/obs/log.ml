@@ -1,43 +1,21 @@
-type level = Debug | Info | Warn | Error
-
-let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
+type level = Info | Warn | Error
 
 let level_to_string = function
-  | Debug -> "debug"
   | Info -> "info"
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string s =
-  match String.lowercase_ascii s with
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" | "warning" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
+type t = { mutex : Mutex.t; oc : out_channel; owns_channel : bool }
 
-type t = {
-  mutex : Mutex.t;
-  oc : out_channel;
-  owns_channel : bool;
-  mutable lvl : level;
-}
+let create oc = { mutex = Mutex.create (); oc; owns_channel = false }
 
-let create ?(level = Info) oc =
-  { mutex = Mutex.create (); oc; owns_channel = false; lvl = level }
-
-let open_file ?(level = Info) path =
-  if path = "-" then
-    { mutex = Mutex.create (); oc = stdout; owns_channel = false; lvl = level }
+let open_file path =
+  if path = "-" then create stdout
   else
     let oc =
       open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
     in
-    { mutex = Mutex.create (); oc; owns_channel = true; lvl = level }
-
-let set_level t lvl = t.lvl <- lvl
-let min_level t = t.lvl
-let enabled t lvl = severity lvl >= severity t.lvl
+    { mutex = Mutex.create (); oc; owns_channel = true }
 
 let timestamp () =
   let now = Unix.gettimeofday () in
@@ -49,25 +27,23 @@ let timestamp () =
     (max 0 (min 999 ms))
 
 let log t lvl ?(fields = []) msg =
-  if enabled t lvl then begin
-    let line =
-      Json.to_string
-        (Json.Obj
-           ([
-              ("ts", Json.String (timestamp ()));
-              ("level", Json.String (level_to_string lvl));
-              ("msg", Json.String msg);
-            ]
-           @ fields))
-    in
-    Mutex.lock t.mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mutex)
-      (fun () ->
-        output_string t.oc line;
-        output_char t.oc '\n';
-        flush t.oc)
-  end
+  let line =
+    Json.to_string
+      (Json.Obj
+         ([
+            ("ts", Json.String (timestamp ()));
+            ("level", Json.String (level_to_string lvl));
+            ("msg", Json.String msg);
+          ]
+         @ fields))
+  in
+  Mutex.lock t.mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.mutex)
+    (fun () ->
+      output_string t.oc line;
+      output_char t.oc '\n';
+      flush t.oc)
 
 let close t =
   Mutex.lock t.mutex;

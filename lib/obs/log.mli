@@ -12,34 +12,22 @@
     domains) and flush per line, so a crash loses at most the line being
     written. *)
 
-type level = Debug | Info | Warn | Error
+type level = Info | Warn | Error
 
 val level_to_string : level -> string
 
-(** [level_of_string s] — case-insensitive; [None] on unknown names. *)
-val level_of_string : string -> level option
-
 type t
 
-(** [create ?level oc] logs to [oc] (not closed by {!close}; default
-    level [Info]). *)
-val create : ?level:level -> out_channel -> t
+(** [create oc] logs to [oc] (not closed by {!close}). *)
+val create : out_channel -> t
 
-(** [open_file ?level path] appends to [path]; ["-"] means stdout.
-    {!close} closes the channel (unless it is stdout). *)
-val open_file : ?level:level -> string -> t
-
-val set_level : t -> level -> unit
-val min_level : t -> level
-
-(** [enabled t lvl] — would a message at [lvl] be written? Guard eager
-    field construction with this. *)
-val enabled : t -> level -> bool
+(** [open_file path] appends to [path]; ["-"] means stdout. {!close}
+    closes the channel (unless it is stdout). *)
+val open_file : string -> t
 
 (** [log t lvl ?fields msg] writes one JSON line
-    [{"ts":…,"level":…,"msg":…, <fields>}] and flushes. Messages below
-    the logger's level are dropped. Field names [ts]/[level]/[msg] are
-    reserved; caller fields follow them. *)
+    [{"ts":…,"level":…,"msg":…, <fields>}] and flushes. Field names
+    [ts]/[level]/[msg] are reserved; caller fields follow them. *)
 val log : t -> level -> ?fields:(string * Json.t) list -> string -> unit
 
 (** [close t] flushes and closes an {!open_file} logger's channel. *)

@@ -9,54 +9,76 @@ type event = Event.t = {
   args : (string * string) list;
 }
 
-type sink = {
+(* Each shard is independently mutex-protected: recording takes one short
+   critical section on the recording domain's shard, so workers never
+   contend with each other on the hot path. An unbounded recorder keeps a
+   list; a bounded one overwrites slot [n mod capacity] of its ring. *)
+type shard = {
   mutex : Mutex.t;
-  epoch_ns : int64;
-  mutable rev_events : event list;
-  mutable n : int;
+  mutable n : int;  (* events ever recorded into this shard *)
+  mutable rev : event list;  (* unbounded: every event, newest first *)
+  ring : event option array;  (* bounded: the newest [capacity] events *)
 }
 
-let installed : sink option Atomic.t = Atomic.make None
-let total : int Atomic.t = Atomic.make 0
+type t = { epoch_ns : int64; capacity : int option; shards : shard array }
 
-let make () =
+let n_shards = 8
+let default_capacity = 4096
+
+let make ?capacity () =
+  let capacity = Option.map (max 1) capacity in
+  let slots = Option.value capacity ~default:0 in
   {
-    mutex = Mutex.create ();
     epoch_ns = Clock.now_ns ();
-    rev_events = [];
-    n = 0;
+    capacity;
+    shards =
+      Array.init n_shards (fun _ ->
+          {
+            mutex = Mutex.create ();
+            n = 0;
+            rev = [];
+            ring = Array.make slots None;
+          });
   }
 
-let install sink = Atomic.set installed (Some sink)
-let uninstall () = Atomic.set installed None
+(* Installation order: the crash and signal dumps pick the first bounded
+   recorder. *)
+let installed : t list Atomic.t = Atomic.make []
+let total : int Atomic.t = Atomic.make 0
 
-let with_sink sink f =
-  install sink;
-  Fun.protect ~finally:uninstall f
+let rec update f =
+  let old = Atomic.get installed in
+  if not (Atomic.compare_and_set installed old (f old)) then update f
 
-let enabled () = Option.is_some (Atomic.get installed)
-let observed () = Option.is_some (Atomic.get installed) || Flight.armed ()
-let tid () = (Domain.self () :> int)
+let install r = update (fun rs -> rs @ [ r ])
+let uninstall r = update (List.filter (fun r' -> r' != r))
 
-let record sink ev =
-  Mutex.lock sink.mutex;
-  sink.rev_events <- ev :: sink.rev_events;
-  sink.n <- sink.n + 1;
-  Mutex.unlock sink.mutex;
+let with_sink r f =
+  install r;
+  Fun.protect ~finally:(fun () -> uninstall r) f
+
+let observed () = match Atomic.get installed with [] -> false | _ :: _ -> true
+
+let record r ev =
+  let shard = r.shards.((ev.tid land max_int) mod n_shards) in
+  Mutex.lock shard.mutex;
+  (match r.capacity with
+  | None -> shard.rev <- ev :: shard.rev
+  | Some cap -> shard.ring.(shard.n mod cap) <- Some ev);
+  shard.n <- shard.n + 1;
+  Mutex.unlock shard.mutex;
   Atomic.incr total
 
-(* The observer tee: the sink keeps everything (timestamps relative to
-   its epoch), the flight recorder keeps a bounded ring (absolute
-   timestamps, relativized at dump time). [t0_ns] is absolute. *)
+(* One event per span, shared by every installed recorder: timestamps
+   stay absolute until read. [t0_ns] is absolute. *)
 let emit ~name ~cat ~args ~t0_ns ~phase =
-  let tid = tid () in
-  (match Atomic.get installed with
-  | None -> ()
-  | Some sink ->
-    record sink
-      { name; cat; phase; ts_ns = Int64.sub t0_ns sink.epoch_ns; tid; args });
-  if Flight.armed () then
-    Flight.record { name; cat; phase; ts_ns = t0_ns; tid; args }
+  match Atomic.get installed with
+  | [] -> ()
+  | rs ->
+    let ev =
+      { name; cat; phase; ts_ns = t0_ns; tid = (Domain.self () :> int); args }
+    in
+    List.iter (fun r -> record r ev) rs
 
 let span ?(cat = "pchls") ?(args = []) name f =
   if not (observed ()) then f ()
@@ -73,24 +95,89 @@ let instant ?(cat = "pchls") ?(args = []) name =
   if observed () then
     emit ~name ~cat ~args ~t0_ns:(Clock.now_ns ()) ~phase:Instant
 
-let events sink =
-  Mutex.lock sink.mutex;
-  let evs = List.rev sink.rev_events in
-  Mutex.unlock sink.mutex;
-  Event.sort evs
+let locked shard f =
+  Mutex.lock shard.mutex;
+  let v = f shard in
+  Mutex.unlock shard.mutex;
+  v
 
-let count sink =
-  Mutex.lock sink.mutex;
-  let n = sink.n in
-  Mutex.unlock sink.mutex;
-  n
+(* A span that began before the recorder was made or installed can start
+   a hair before its epoch: clamp rather than emit a negative ts the
+   Chrome schema rejects. *)
+let events r =
+  let relativize ev =
+    let ts = Int64.sub ev.ts_ns r.epoch_ns in
+    { ev with ts_ns = (if Int64.compare ts 0L < 0 then 0L else ts) }
+  in
+  Array.to_list r.shards
+  |> List.concat_map (fun shard ->
+         locked shard (fun s ->
+             match r.capacity with
+             | None -> s.rev
+             | Some _ -> List.filter_map Fun.id (Array.to_list s.ring)))
+  |> List.map relativize
+  |> Event.sort
 
+let sum r f = Array.fold_left (fun acc shard -> acc + locked shard f) 0 r.shards
+let count r = sum r (fun s -> s.n)
+
+let retained r =
+  match r.capacity with
+  | None -> count r
+  | Some cap -> sum r (fun s -> min s.n cap)
+
+let dropped r =
+  match r.capacity with
+  | None -> 0
+  | Some cap -> sum r (fun s -> max 0 (s.n - cap))
 let total_recorded () = Atomic.get total
+let to_chrome r = Event.chrome_document (events r)
+let render_tree r = Event.render_tree (events r)
 
-(* --- Chrome trace_event JSON ------------------------------------------- *)
+let dump_to_file r path =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  output_string oc (to_chrome r);
+  close_out oc;
+  Sys.rename tmp path
 
-let to_chrome sink = Event.chrome_document (events sink)
+(* --- crash and signal dumps --------------------------------------------- *)
 
-(* --- human-readable tree ------------------------------------------------ *)
+let first_bounded () =
+  List.find_opt (fun r -> Option.is_some r.capacity) (Atomic.get installed)
 
-let render_tree sink = Event.render_tree (events sink)
+let crash_path =
+  Atomic.make
+    (Option.value
+       (Sys.getenv_opt "PCHLS_FLIGHT_CRASH")
+       ~default:"pchls-flight-crash.json")
+
+let set_crash_path path = Atomic.set crash_path path
+
+let note_crash ~origin exn =
+  try
+    instant ~cat:"flight"
+      ~args:[ ("origin", origin); ("exn", Printexc.to_string exn) ]
+      "flight.crash";
+    Option.iter
+      (fun r -> dump_to_file r (Atomic.get crash_path))
+      (first_bounded ())
+  with _ -> ()
+
+let install_sigusr1 ?path () =
+  let path =
+    match path with
+    | Some p -> p
+    | None -> Printf.sprintf "pchls-flight-%d.json" (Unix.getpid ())
+  in
+  (* OCaml signal handlers run at safe points on the main execution, so
+     dumping (which allocates) is fine here. *)
+  (try
+     Sys.set_signal Sys.sigusr1
+       (Sys.Signal_handle
+          (fun _ ->
+            Option.iter
+              (fun r -> try dump_to_file r path with _ -> ())
+              (first_bounded ())))
+   with Invalid_argument _ -> ());
+  path

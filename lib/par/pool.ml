@@ -1,6 +1,6 @@
 module Metrics = Pchls_obs.Metrics
 module Clock = Pchls_obs.Clock
-module Flight = Pchls_obs.Flight
+module Trace = Pchls_obs.Trace
 module Fault = Pchls_resil.Fault
 
 let m_tasks = Metrics.counter "pool.tasks"
@@ -134,7 +134,7 @@ let map pool f xs =
     | Some (_, e, bt) ->
       (* Crash-path hook: the worker's exception escapes at the join —
          dump the flight ring before the caller loses the context. *)
-      Flight.note_crash ~origin:"pool.map" e;
+      Trace.note_crash ~origin:"pool.map" e;
       Printexc.raise_with_backtrace e bt
     | None ->
       Array.to_list
@@ -174,7 +174,7 @@ let run pool f =
     match !result with
     | Some (Ok y) -> y
     | Some (Error (e, bt)) ->
-      Flight.note_crash ~origin:"pool.run" e;
+      Trace.note_crash ~origin:"pool.run" e;
       Printexc.raise_with_backtrace e bt
     | None -> assert false (* joined *)
   end
@@ -207,7 +207,7 @@ let attempt_item ~retries f i x =
       end
       else begin
         Metrics.incr m_task_failures;
-        Flight.note_crash ~origin:"pool.task" exn;
+        Trace.note_crash ~origin:"pool.task" exn;
         Error { attempts = attempt + 1; exn; backtrace }
       end
   in

@@ -34,25 +34,6 @@ type t = {
   mutable trips : int;
 }
 
-(* The same stable 64-bit FNV-1a draw as {!Fault}: cooldown jitter is a
-   pure function of (name, seed, trip count), so chaos campaigns replay
-   the exact same open-state dwell times. *)
-let jitter_fraction ~name ~seed ~trip =
-  let h = ref 0xcbf29ce484222325L in
-  let mix byte =
-    h :=
-      Int64.mul (Int64.logxor !h (Int64.of_int (byte land 0xff))) 0x100000001b3L
-  in
-  String.iter (fun c -> mix (Char.code c)) name;
-  let mix_int v =
-    for shift = 0 to 7 do
-      mix (v lsr (8 * shift))
-    done
-  in
-  mix_int seed;
-  mix_int trip;
-  Int64.to_float (Int64.shift_right_logical !h 11) /. 9007199254740992.
-
 let create ?(now = Clock.now_ns) ?(window = 20) ?(threshold = 0.5)
     ?(min_samples = 5) ?(cooldown_ms = 1000.) ?(seed = 0)
     ?(on_transition = fun _ _ -> ()) ~name () =
@@ -142,9 +123,9 @@ let record t ok =
 let trip t =
   t.trips <- t.trips + 1;
   Metrics.incr m_trips;
-  let jitter =
-    jitter_fraction ~name:t.name ~seed:t.seed ~trip:t.trips *. 0.25
-  in
+  (* Cooldown jitter is a pure function of (name, seed, trip count), so
+     chaos campaigns replay the exact same open-state dwell times. *)
+  let jitter = Fault.draw ~seed:t.seed ~key:t.trips t.name *. 0.25 in
   let dwell_ms = t.cooldown_ms *. (1. +. jitter) in
   t.reopen_at_ns <- Int64.add (t.now ()) (Int64.of_float (dwell_ms *. 1e6));
   let old_state = t.state in

@@ -9,10 +9,10 @@
     admits exactly one probe; a successful probe closes the breaker, a
     failed one re-opens it for another cooldown.
 
-    Cooldowns carry deterministic seeded jitter (an FNV-1a draw over
-    [(name, seed, trip count)], the same scheme as {!Fault}), so a fleet
-    of breakers tripped by one incident does not re-probe in lockstep —
-    and a test campaign replays the exact same cooldowns run after run.
+    Cooldowns carry deterministic seeded jitter ({!Fault.draw} over
+    [(name, seed, trip count)]), so a fleet of breakers tripped by one
+    incident does not re-probe in lockstep — and a test campaign replays
+    the exact same cooldowns run after run.
 
     The caller contract around each protected call:
     {[

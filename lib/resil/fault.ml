@@ -124,6 +124,11 @@ let hash64 ~seed ~key ~salt name =
   mix_int salt;
   !h
 
+(* Top 53 bits as a uniform draw in [0, 1). *)
+let draw ~seed ~key ?(salt = 0) name =
+  Int64.to_float (Int64.shift_right_logical (hash64 ~seed ~key ~salt name) 11)
+  /. 9007199254740992.
+
 let fires ?key ?(salt = 0) name =
   match List.assoc_opt (canonical name) (config ()) with
   | None -> false
@@ -137,13 +142,7 @@ let fires ?key ?(salt = 0) name =
           | Some k -> k
           | None -> Atomic.fetch_and_add draws 1
         in
-        (* Top 53 bits as a uniform draw in [0, 1). *)
-        let u =
-          Int64.to_float
-            (Int64.shift_right_logical (hash64 ~seed ~key ~salt name) 11)
-          /. 9007199254740992.
-        in
-        u < prob
+        draw ~seed ~key ~salt name < prob
     in
     if hit then Metrics.incr m_injected;
     hit

@@ -59,6 +59,12 @@ val canonical : string -> string
     spec, whatever its probability? *)
 val armed : string -> bool
 
+(** [draw ~seed ~key ?salt name] — the deterministic uniform draw in
+    [[0, 1)] behind {!fires}: the top 53 bits of the 64-bit FNV-1a hash
+    of [(name, seed, key, salt)] ([salt] defaults to 0). Pure, so any
+    seeded jitter can replay exactly. *)
+val draw : seed:int -> key:int -> ?salt:int -> string -> float
+
 (** [fires ?key ?salt name] — should this occurrence of the fault point
     trigger? [false] when unarmed; at probability 1 always [true];
     otherwise a deterministic draw on [(seed, name, key, salt)]. [salt]

@@ -13,7 +13,6 @@ module Pool = Pchls_par.Pool
 module Json = Pchls_obs.Json
 module Metrics = Pchls_obs.Metrics
 module Trace = Pchls_obs.Trace
-module Flight = Pchls_obs.Flight
 module Jsonlog = Pchls_obs.Log
 module Clock = Pchls_obs.Clock
 module Budget = Pchls_resil.Budget
@@ -88,7 +87,7 @@ let default_config =
     max_deadline_ms = None;
     max_body_bytes = 1024 * 1024;
     trace = false;
-    flight_capacity = Flight.default_capacity;
+    flight_capacity = Trace.default_capacity;
     access_log = None;
     slow_ms = 1000.;
     max_queue = 64;
@@ -122,8 +121,8 @@ type t = {
   stopping : bool Atomic.t;
   inflight_count : int Atomic.t;
   shed_count : int Atomic.t;
-  sink : Trace.sink option;
-  flight : Flight.t option;
+  sink : Trace.t option;
+  flight : Trace.t option;
   access : Jsonlog.t option;
   (* Request-id generation: a per-boot prefix plus an atomic sequence, so
      ids are unique within a boot and distinguishable across restarts. *)
@@ -636,7 +635,8 @@ let handle_sweep srv req ~pareto =
           engine_task srv ~key ?clamp_ms:(clamp_ms srv mode) budget
             (fun deadline ->
               Explore.sweep ?policy ?deadline ~preflight
-                ~library:srv.config.library ?cache:srv.cache g ~times ~powers))
+                ~library:srv.config.library ?cache:srv.cache ~fp g ~times
+                ~powers))
     in
     let fields =
       [
@@ -745,9 +745,9 @@ let handle_healthz srv =
         | Some fr ->
           Json.Obj
             [
-              ("retained", Json.Number (float_of_int (Flight.retained fr)));
-              ("recorded", Json.Number (float_of_int (Flight.recorded fr)));
-              ("dropped", Json.Number (float_of_int (Flight.dropped fr)));
+              ("retained", Json.Number (float_of_int (Trace.retained fr)));
+              ("recorded", Json.Number (float_of_int (Trace.count fr)));
+              ("dropped", Json.Number (float_of_int (Trace.dropped fr)));
             ] );
       ("cache", cache);
       ( "queue",
@@ -784,22 +784,20 @@ let handle_healthz srv =
             ] );
     ]
 
-let handle_trace srv =
-  match srv.sink with
-  | Some sink -> Http.response 200 (Trace.to_chrome sink)
-  | None ->
-    Http.response 404
-      (error_body ~error:"not found"
-         "tracing is off; start the server with --trace")
-
-let handle_flight srv =
-  match srv.flight with
-  | Some fr -> Http.response 200 (Flight.to_chrome fr)
-  | None ->
-    Http.response 404
-      (error_body ~error:"not found"
-         "flight recorder is off; start the server with a non-zero \
-          --flight-capacity")
+(* GET /trace and GET /debug/flight: the server's unbounded or bounded
+   recorder as a Chrome trace, or a 404 saying how to turn it on. *)
+let handle_recorder srv (req : Http.request) =
+  let recorder, off =
+    if req.Http.path = "/trace" then
+      (srv.sink, "tracing is off; start the server with --trace")
+    else
+      ( srv.flight,
+        "flight recorder is off; start the server with a non-zero \
+         --flight-capacity" )
+  in
+  match recorder with
+  | Some r -> Http.response 200 (Trace.to_chrome r)
+  | None -> Http.response 404 (error_body ~error:"not found" off)
 
 (* Content negotiation on GET /metrics: Prometheus scrapers send
    Accept: text/plain (and ?format=prometheus forces it from a browser);
@@ -843,8 +841,8 @@ let endpoints =
     ("/preflight", "POST", handle_preflight);
     ("/healthz", "GET", fun srv _ -> handle_healthz srv);
     ("/metrics", "GET", fun _ req -> handle_metrics req);
-    ("/trace", "GET", fun srv _ -> handle_trace srv);
-    ("/debug/flight", "GET", fun srv _ -> handle_flight srv);
+    ("/trace", "GET", handle_recorder);
+    ("/debug/flight", "GET", handle_recorder);
   ]
 
 let route srv (req : Http.request) =
@@ -907,7 +905,7 @@ let routed srv req =
   with
   | Bad msg -> Http.response 400 (error_body ~error:"bad request" msg)
   | Killed key as e ->
-    Flight.note_crash ~origin:"serve.watchdog" e;
+    Trace.note_crash ~origin:"serve.watchdog" e;
     Log.warn (fun m -> m "watchdog reclaimed handler for %s" key);
     let limit = Option.value srv.config.watchdog_ms ~default:0. in
     Http.response 500
@@ -915,7 +913,7 @@ let routed srv req =
          (Printf.sprintf
             "handler exceeded the %gms wall limit and was reclaimed" limit))
   | e ->
-    Flight.note_crash ~origin:"serve.handler" e;
+    Trace.note_crash ~origin:"serve.handler" e;
     Log.warn (fun m ->
         m "handler for %s %s crashed: %s" req.Http.meth req.Http.path
           (Printexc.to_string e));
@@ -1168,24 +1166,20 @@ let start config =
            ?mem_entries:config.cache_mem_entries ())
     else None
   in
-  let sink =
-    if config.trace then begin
-      let sink = Trace.make () in
-      Trace.install sink;
-      Some sink
+  let recorder ?capacity on =
+    if not on then None
+    else begin
+      let r = Trace.make ?capacity () in
+      Trace.install r;
+      Some r
     end
-    else None
   in
+  let sink = recorder config.trace in
   (* The flight recorder is on by default ("always-on"): a crashed or
      slow request leaves evidence without anyone having opted in.
      flight_capacity = 0 turns it off. *)
   let flight =
-    if config.flight_capacity > 0 then begin
-      let fr = Flight.create ~capacity:config.flight_capacity () in
-      Flight.arm fr;
-      Some fr
-    end
-    else None
+    recorder ~capacity:config.flight_capacity (config.flight_capacity > 0)
   in
   let access = Option.map (fun path -> Jsonlog.open_file path) config.access_log in
   (* One breaker per POST endpoint, keyed by path and named after it. GETs
@@ -1269,8 +1263,8 @@ let stop srv =
     List.iter Thread.join srv.handlers;
     srv.handlers <- [];
     Pool.shutdown srv.pool;
-    if Option.is_some srv.sink then Trace.uninstall ();
-    if Option.is_some srv.flight then Flight.disarm ();
+    Option.iter Trace.uninstall srv.sink;
+    Option.iter Trace.uninstall srv.flight;
     Option.iter Jsonlog.close srv.access;
     close_quietly srv.lsock;
     Option.iter
@@ -1298,7 +1292,7 @@ let run config =
        | Some dir -> "memory+disk:" ^ dir
        | None -> "memory");
   if Option.is_some srv.flight then begin
-    let path = Flight.install_sigusr1 () in
+    let path = Trace.install_sigusr1 () in
     Printf.printf
       "# flight recorder armed (%d events/shard); SIGUSR1 dumps to %s, \
        live at GET /debug/flight\n%!"

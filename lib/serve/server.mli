@@ -18,9 +18,9 @@
       [?format=prometheus]).
     - [GET /trace] — Chrome trace_event JSON of the run so far (404
       unless the server was started with [trace = true]).
-    - [GET /debug/flight] — the always-on {!Pchls_obs.Flight} recorder's
-      retained ring as Chrome trace_event JSON (404 when started with
-      [flight_capacity = 0]).
+    - [GET /debug/flight] — the always-on flight recorder (a bounded
+      {!Pchls_obs.Trace} recorder)'s retained ring as Chrome trace_event
+      JSON (404 when started with [flight_capacity = 0]).
     - [GET /healthz] — liveness: status, version, uptime, in-flight
       count, pool size, flight-recorder and cache stats.
 
@@ -103,10 +103,13 @@ type config = {
   max_deadline_ms : float option;
       (** server-side ceiling on (and default for) per-request budgets *)
   max_body_bytes : int;  (** request body cap, → 413 *)
-  trace : bool;  (** install a process-wide sink serving [GET /trace] *)
+  trace : bool;
+      (** install an unbounded {!Pchls_obs.Trace} recorder serving
+          [GET /trace] *)
   flight_capacity : int;
-      (** per-shard ring size of the always-on {!Pchls_obs.Flight}
-          recorder; [0] disarms it (and 404s [GET /debug/flight]) *)
+      (** per-shard ring size of the always-on flight recorder, a bounded
+          {!Pchls_obs.Trace} recorder; [0] turns it off (and 404s
+          [GET /debug/flight]) *)
   access_log : string option;
       (** JSON-lines access log path; ["-"] = stdout; [None] = off *)
   slow_ms : float;
@@ -134,9 +137,11 @@ val default_config : config
 type t
 
 (** [start config] binds, listens and spawns the acceptor and handler
-    threads; returns once the server is accepting. @raise Unix.Unix_error
-    when the address cannot be bound. @raise Invalid_argument when
-    [threads < 1] or [watchdog_ms] is not [> 0]. *)
+    threads; returns once the server is accepting. Its trace and flight
+    recorders are installed next to any the caller installed.
+    @raise Unix.Unix_error when the address cannot be bound.
+    @raise Invalid_argument when [threads < 1] or [watchdog_ms] is not
+    [> 0]. *)
 val start : config -> t
 
 (** [port t] — the bound port (useful with [config.port = 0]). *)
@@ -149,9 +154,10 @@ val store : t -> Pchls_cache.Store.t option
 val inflight : t -> int
 
 (** [stop t] — graceful shutdown: stop accepting, serve every accepted
-    connection to completion, then release the worker pool. Idempotent.
-    The cache's disk tier needs no flushing (entries are written
-    atomically as they are produced); its final stats are logged. *)
+    connection to completion, then release the worker pool and uninstall
+    the server's own recorders (no one else's). Idempotent. The cache's
+    disk tier needs no flushing (entries are written atomically as they
+    are produced); its final stats are logged. *)
 val stop : t -> unit
 
 (** [run config] is the CLI entry point: {!start}, then block until

@@ -10,7 +10,7 @@ module Server = Pchls_serve.Server
 module Json = Pchls_obs.Json
 module Metrics = Pchls_obs.Metrics
 module Event = Pchls_obs.Event
-module Flight = Pchls_obs.Flight
+module Trace = Pchls_obs.Trace
 
 (* Every number becomes "<n>": the shape of the document is pinned, the
    volatile values (uptime, counts, durations) are not. *)
@@ -113,7 +113,7 @@ let telemetry () =
   (* The SIGUSR1 dump path `pchls serve` wires up in run(): install the
      same handler here, signal ourselves and wait for the handler to run
      at a safe point. *)
-  let dump = Flight.install_sigusr1 ~path:"flight-sig.json" () in
+  let dump = Trace.install_sigusr1 ~path:"flight-sig.json" () in
   Unix.kill (Unix.getpid ()) Sys.sigusr1;
   let deadline = Unix.gettimeofday () +. 5. in
   while (not (Sys.file_exists dump)) && Unix.gettimeofday () < deadline do

@@ -1,6 +1,7 @@
 module Explore = Pchls_core.Explore
 module Design = Pchls_core.Design
 module Library = Pchls_fulib.Library
+module Store = Pchls_cache.Store
 module B = Pchls_dfg.Benchmarks
 
 let hal_points () =
@@ -39,6 +40,43 @@ let test_sweep_outcomes () =
       (Float.equal (Design.area design).Design.total area)
   | Explore.Infeasible r | Explore.Pruned r | Explore.Failed r ->
     Alcotest.fail r
+
+(* [~fp] means what it means in [solve]: the sweep stores every grid point
+   under the given fingerprint instead of deriving one, and its answers
+   stay the same. *)
+let test_sweep_given_fingerprint () =
+  let times = [ 10; 17 ] and powers = [ 5.; 20.; 100. ] in
+  let cache = Store.in_memory () in
+  let given =
+    Explore.sweep ~library:Library.default ~cache ~fp:"given" B.hal ~times
+      ~powers
+  in
+  List.iter
+    (fun time_limit ->
+      List.iter
+        (fun power_limit ->
+          Alcotest.(check bool)
+            (Printf.sprintf "T=%d P<=%g stored under the given fingerprint"
+               time_limit power_limit)
+            true
+            (Option.is_some
+               (Store.find cache
+                  { Store.fingerprint = "given"; time_limit; power_limit })))
+        powers)
+    times;
+  let summary (pt : Explore.point) =
+    Printf.sprintf "T=%d P<=%g %s" pt.Explore.time_limit pt.Explore.power_limit
+      (match pt.Explore.result with
+      | Explore.Feasible { area; peak; _ } ->
+        Printf.sprintf "feasible area=%g peak=%g" area peak
+      | Explore.Infeasible r -> "infeasible " ^ r
+      | Explore.Pruned r -> "pruned " ^ r
+      | Explore.Failed r -> "failed " ^ r)
+  in
+  Alcotest.(check (list string))
+    "same points as the sweep without ~fp"
+    (List.map summary (hal_points ()))
+    (List.map summary given)
 
 let test_min_feasible_power () =
   let points = hal_points () in
@@ -206,6 +244,8 @@ let () =
         [
           Alcotest.test_case "sweep grid shape" `Quick test_sweep_grid_shape;
           Alcotest.test_case "sweep outcomes" `Quick test_sweep_outcomes;
+          Alcotest.test_case "sweep under a given fingerprint" `Quick
+            test_sweep_given_fingerprint;
           Alcotest.test_case "min feasible power" `Quick test_min_feasible_power;
           Alcotest.test_case "pareto front" `Quick test_pareto_drops_dominated;
           Alcotest.test_case "render table" `Quick test_render_table;

@@ -8,7 +8,6 @@ module Metrics = Pchls_obs.Metrics
 module Json = Pchls_obs.Json
 module Clock = Pchls_obs.Clock
 module Event = Pchls_obs.Event
-module Flight = Pchls_obs.Flight
 module Log = Pchls_obs.Log
 module Pool = Pchls_par.Pool
 module Engine = Pchls_core.Engine
@@ -107,7 +106,7 @@ let test_span_records_on_raise () =
    with Failure _ -> ());
   Alcotest.(check (list string)) "aborted span recorded" [ "doomed" ]
     (event_names sink);
-  Alcotest.(check bool) "sink uninstalled on raise" false (Trace.enabled ())
+  Alcotest.(check bool) "sink uninstalled on raise" false (Trace.observed ())
 
 (* --- Chrome trace_event round-trip --------------------------------------- *)
 
@@ -221,32 +220,22 @@ let prop_counter_domain_safe =
       Metrics.counter_value c - before
       = List.fold_left ( + ) 0 increments)
 
-(* --- flight recorder ----------------------------------------------------- *)
-
-let instant_ev ?(tid = 0) name =
-  {
-    Event.name;
-    cat = "test";
-    phase = Event.Instant;
-    ts_ns = Clock.now_ns ();
-    tid;
-    args = [];
-  }
+(* --- bounded recorders (the flight ring) ---------------------------------- *)
 
 let test_flight_ring_bounds () =
-  let f = Flight.create ~capacity:8 () in
-  Alcotest.(check bool) "not armed before with_armed" false (Flight.armed ());
-  Flight.with_armed f (fun () ->
-      Alcotest.(check bool) "armed inside" true (Flight.armed ());
+  let f = Trace.make ~capacity:8 () in
+  Alcotest.(check bool) "not armed before with_sink" false (Trace.observed ());
+  Trace.with_sink f (fun () ->
+      Alcotest.(check bool) "armed inside" true (Trace.observed ());
       for i = 1 to 20 do
-        Flight.record (instant_ev (Printf.sprintf "ev%d" i))
+        Trace.instant (Printf.sprintf "ev%d" i)
       done);
-  Alcotest.(check bool) "disarmed after" false (Flight.armed ());
-  Alcotest.(check int) "every record counted" 20 (Flight.recorded f);
-  Alcotest.(check int) "ring keeps only the newest" 8 (Flight.retained f);
+  Alcotest.(check bool) "disarmed after" false (Trace.observed ());
+  Alcotest.(check int) "every record counted" 20 (Trace.count f);
+  Alcotest.(check int) "ring keeps only the newest" 8 (Trace.retained f);
   Alcotest.(check int) "the rest are accounted as dropped" 12
-    (Flight.dropped f);
-  let names = List.map (fun e -> e.Event.name) (Flight.events f) in
+    (Trace.dropped f);
+  let names = event_names f in
   Alcotest.(check (list string))
     "retained events are the most recent, in order"
     [ "ev13"; "ev14"; "ev15"; "ev16"; "ev17"; "ev18"; "ev19"; "ev20" ]
@@ -255,50 +244,59 @@ let test_flight_ring_bounds () =
     (fun e ->
       Alcotest.(check bool) "timestamps relative to the recorder epoch" true
         (Int64.compare e.Event.ts_ns 0L >= 0))
-    (Flight.events f)
+    (Trace.events f)
 
 let test_flight_records_synthesis () =
-  let f = Flight.create () in
+  let f = Trace.make ~capacity:Trace.default_capacity () in
   (match
-     Flight.with_armed f (fun () ->
+     Trace.with_sink f (fun () ->
          Alcotest.(check bool) "flight alone => observed" true
            (Trace.observed ());
-         Alcotest.(check bool) "but no sink is installed" false
-           (Trace.enabled ());
          Engine.run ~library:Library.default ~time_limit:17 ~power_limit:10.
            hal)
    with
   | Engine.Synthesized _ -> ()
   | Engine.Infeasible { reason } -> Alcotest.fail reason);
-  let names = List.map (fun e -> e.Event.name) (Flight.events f) in
+  let names = event_names f in
   List.iter
     (fun expected ->
       Alcotest.(check bool) (expected ^ " recorded in flight") true
         (List.mem expected names))
     [ "engine.run"; "engine.iterate"; "pasap.run"; "palap.run" ];
-  match Event.of_chrome (Flight.to_chrome f) with
+  match Event.of_chrome (Trace.to_chrome f) with
   | Ok evs ->
-    Alcotest.(check int) "flight dump validates" (Flight.retained f)
+    Alcotest.(check int) "flight dump validates" (Trace.retained f)
       (List.length evs)
   | Error msg -> Alcotest.fail ("flight dump invalid: " ^ msg)
 
-let test_flight_crash_dump () =
+(* Runs [f] with the crash dump pointed at a temp file; returns [f]'s
+   result and the dump's events. *)
+let with_crash_file f =
   let path = Filename.temp_file "pchls_crash" ".json" in
-  Flight.set_crash_path path;
-  let f = Flight.create ~capacity:64 () in
-  Flight.with_armed f (fun () ->
-      Flight.record (instant_ev "before-crash");
-      Flight.note_crash ~origin:"test.crash" (Failure "boom"));
-  (* Restore the default so later tests (and crashes) don't write here. *)
-  Flight.set_crash_path "pchls-flight-crash.json";
+  Trace.set_crash_path path;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        (* Restore the default so later tests (and crashes) don't write
+           here. *)
+        Trace.set_crash_path "pchls-flight-crash.json")
+      f
+  in
   let ic = open_in_bin path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove path;
-  let events =
-    match Event.of_chrome text with
-    | Ok evs -> evs
-    | Error msg -> Alcotest.fail ("crash dump invalid: " ^ msg)
+  match Event.of_chrome text with
+  | Ok evs -> (result, evs)
+  | Error msg -> Alcotest.fail ("crash dump invalid: " ^ msg)
+
+let test_flight_crash_dump () =
+  let f = Trace.make ~capacity:64 () in
+  let (), events =
+    with_crash_file (fun () ->
+        Trace.with_sink f (fun () ->
+            Trace.instant "before-crash";
+            Trace.note_crash ~origin:"test.crash" (Failure "boom")))
   in
   Alcotest.(check bool) "crash dump has events" true (List.length events >= 2);
   let crash =
@@ -311,6 +309,28 @@ let test_flight_crash_dump () =
     (match List.assoc_opt "exn" crash.Event.args with
     | Some s -> String.length s > 0
     | None -> false)
+
+(* With an unbounded and a bounded recorder installed, the crash note
+   lands in both, and the dump is the bounded one's events exactly. *)
+let test_crash_with_two_recorders () =
+  let sink = Trace.make () and ring = Trace.make ~capacity:64 () in
+  let ring_events, dumped =
+    with_crash_file (fun () ->
+        Trace.with_sink sink (fun () ->
+            Trace.instant "sink-only";
+            Trace.with_sink ring (fun () ->
+                Trace.instant "both";
+                Trace.note_crash ~origin:"test.crash" (Failure "boom");
+                Trace.events ring)))
+  in
+  Alcotest.(check (list string))
+    "the sink saw everything" [ "sink-only"; "both"; "flight.crash" ]
+    (event_names sink);
+  Alcotest.(check (list string))
+    "the ring saw what happened while it was installed"
+    [ "both"; "flight.crash" ] (event_names ring);
+  Alcotest.(check bool) "the crash file holds exactly the ring's events" true
+    (dumped = ring_events)
 
 (* pchls trace tree FILE.json renders a saved trace identically to the
    live renderer: to_chrome >> of_chrome >> Event.render_tree is the
@@ -332,11 +352,8 @@ let test_offline_tree_roundtrip () =
 (* --- zero-observer path -------------------------------------------------- *)
 
 let test_no_sink_records_nothing () =
-  Alcotest.(check bool) "tracing off" false (Trace.enabled ());
-  Alcotest.(check bool) "flight disarmed" false (Flight.armed ());
   Alcotest.(check bool) "nothing observes" false (Trace.observed ());
   let before = Trace.total_recorded () in
-  let flight_before = Flight.total_recorded () in
   (match
      Engine.run ~library:Library.default ~time_limit:17 ~power_limit:10. hal
    with
@@ -344,10 +361,7 @@ let test_no_sink_records_nothing () =
   | Engine.Infeasible { reason } -> Alcotest.fail reason);
   Alcotest.(check int)
     "an untraced synthesis allocates no trace events" before
-    (Trace.total_recorded ());
-  Alcotest.(check int)
-    "and records nothing into any flight ring" flight_before
-    (Flight.total_recorded ())
+    (Trace.total_recorded ())
 
 (* --- Prometheus text exposition ------------------------------------------ *)
 
@@ -422,11 +436,10 @@ let test_reset_zeroes_gauges () =
 
 let test_log_json_lines () =
   let path = Filename.temp_file "pchls_log" ".jsonl" in
-  let log = Log.open_file ~level:Log.Info path in
+  let log = Log.open_file path in
   Log.log log Log.Info
     ~fields:[ ("request_id", Json.String "r-1"); ("status", Json.Number 200.) ]
     "access";
-  Log.log log Log.Debug "filtered out";
   Log.log log Log.Error "boom";
   Log.close log;
   let ic = open_in path in
@@ -438,7 +451,7 @@ let test_log_json_lines () =
    with End_of_file -> close_in ic);
   Sys.remove path;
   let lines = List.rev !lines in
-  Alcotest.(check int) "debug line filtered below Info" 2 (List.length lines);
+  Alcotest.(check int) "one line per call" 2 (List.length lines);
   let parsed =
     List.map
       (fun line ->
@@ -466,19 +479,6 @@ let test_log_json_lines () =
     (match List.assoc_opt "level" second with
     | Some (Json.String s) -> Some s
     | _ -> None)
-
-let test_log_level_parsing () =
-  Alcotest.(check bool) "warning is an alias for warn" true
-    (Log.level_of_string "WARNING" = Some Log.Warn);
-  Alcotest.(check bool) "unknown level rejected" true
-    (Log.level_of_string "loud" = None);
-  List.iter
-    (fun lvl ->
-      Alcotest.(check bool)
-        ("round-trips " ^ Log.level_to_string lvl)
-        true
-        (Log.level_of_string (Log.level_to_string lvl) = Some lvl))
-    [ Log.Debug; Log.Info; Log.Warn; Log.Error ]
 
 (* --- integration: a traced cache-backed synthesis ------------------------ *)
 
@@ -549,13 +549,14 @@ let () =
           Alcotest.test_case "records a synthesis" `Quick
             test_flight_records_synthesis;
           Alcotest.test_case "crash dump" `Quick test_flight_crash_dump;
+          Alcotest.test_case "crash with two recorders" `Quick
+            test_crash_with_two_recorders;
           Alcotest.test_case "offline tree round-trip" `Quick
             test_offline_tree_roundtrip;
         ] );
       ( "log",
         [
           Alcotest.test_case "json lines" `Quick test_log_json_lines;
-          Alcotest.test_case "level parsing" `Quick test_log_level_parsing;
         ] );
       ( "pipeline",
         [

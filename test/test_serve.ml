@@ -12,7 +12,7 @@ module Store = Pchls_cache.Store
 module Json = Pchls_obs.Json
 module Metrics = Pchls_obs.Metrics
 module Event = Pchls_obs.Event
-module Flight = Pchls_obs.Flight
+module Trace = Pchls_obs.Trace
 module Fault = Pchls_resil.Fault
 
 (* --- HTTP codec --------------------------------------------------------- *)
@@ -385,6 +385,14 @@ let json_field name body =
   | Ok json -> Json.member name json
   | Error msg -> Alcotest.fail ("response is not JSON: " ^ msg)
 
+(* The server's live flight ring, read the way an operator would. *)
+let flight_events srv =
+  let status, body = request srv ~meth:"GET" ~path:"/debug/flight" "" in
+  Alcotest.(check int) "flight 200 by default" 200 status;
+  match Event.of_chrome body with
+  | Ok evs -> evs
+  | Error msg -> Alcotest.fail ("live flight dump invalid: " ^ msg)
+
 let test_healthz () =
   with_server @@ fun srv ->
   let status, body = request srv ~meth:"GET" ~path:"/healthz" "" in
@@ -650,14 +658,8 @@ let test_request_id_in_flight_trace () =
   Alcotest.(check (option string))
     "id echoed" (Some "rid-traced-7")
     (Http.header head "x-request-id");
-  let recorder =
-    match Flight.current () with
-    | Some f -> f
-    | None -> Alcotest.fail "server must arm the flight recorder by default"
-  in
   let spans =
-    List.filter (fun e -> e.Event.name = "serve.request")
-      (Flight.events recorder)
+    List.filter (fun e -> e.Event.name = "serve.request") (flight_events srv)
   in
   Alcotest.(check bool) "serve.request span recorded in flight" true
     (spans <> []);
@@ -693,13 +695,8 @@ let test_metrics_prometheus_negotiation () =
 let test_debug_flight_endpoint () =
   with_server @@ fun srv ->
   ignore (request srv ~meth:"GET" ~path:"/healthz" "");
-  let status, body = request srv ~meth:"GET" ~path:"/debug/flight" "" in
-  Alcotest.(check int) "flight 200 by default" 200 status;
-  match Event.of_chrome body with
-  | Ok evs ->
-    Alcotest.(check bool) "requests appear in the live dump" true
-      (List.exists (fun e -> e.Event.name = "serve.request") evs)
-  | Error msg -> Alcotest.fail ("live flight dump invalid: " ^ msg)
+  Alcotest.(check bool) "requests appear in the live dump" true
+    (List.exists (fun e -> e.Event.name = "serve.request") (flight_events srv))
 
 let test_debug_flight_disabled () =
   with_server ~config:{ base_config with Server.flight_capacity = 0 }
@@ -713,6 +710,21 @@ let test_debug_flight_disabled () =
   match json_field "flight" health with
   | Some Json.Null -> ()
   | _ -> Alcotest.fail ("healthz must report flight off: " ^ health)
+
+(* A server installs and removes only its own recorders: a bounded
+   recorder its caller installed keeps recording across the server's
+   start and stop. *)
+let test_caller_recorder_survives_server () =
+  let mine = Trace.make ~capacity:256 () in
+  Trace.with_sink mine (fun () ->
+      with_server (fun srv ->
+          ignore (request srv ~meth:"GET" ~path:"/healthz" ""));
+      Trace.instant "after-stop");
+  let names = List.map (fun e -> e.Event.name) (Trace.events mine) in
+  Alcotest.(check bool) "still installed after the server stopped" true
+    (List.mem "after-stop" names);
+  Alcotest.(check bool) "holds the server's serve.request spans" true
+    (List.mem "serve.request" names)
 
 let test_inflight_gauge_drains_to_zero () =
   with_server @@ fun srv ->
@@ -1050,17 +1062,12 @@ let test_watchdog_reclaims_hung_handler () =
       Alcotest.(check bool) "healthz counts the kill" true (n >= 1.)
     | _ -> Alcotest.fail ("healthz watchdog shape: " ^ health))
   | None -> Alcotest.fail ("healthz without watchdog: " ^ health));
-  let recorder =
-    match Flight.current () with
-    | Some f -> f
-    | None -> Alcotest.fail "flight recorder must be armed"
-  in
   Alcotest.(check bool) "kill noted as a flight crash" true
     (List.exists
        (fun e ->
          e.Event.name = "flight.crash"
          && List.assoc_opt "origin" e.Event.args = Some "serve.watchdog")
-       (Flight.events recorder))
+       (flight_events srv))
 
 (* The leader of a coalesced flight is watchdog-killed; its follower must
    not be answered with the leader's 500 — it retries once as its own
@@ -1252,6 +1259,8 @@ let () =
             test_debug_flight_endpoint;
           Alcotest.test_case "debug flight disabled" `Quick
             test_debug_flight_disabled;
+          Alcotest.test_case "caller recorder survives a server" `Quick
+            test_caller_recorder_survives_server;
           Alcotest.test_case "inflight gauge drains" `Quick
             test_inflight_gauge_drains_to_zero;
           Alcotest.test_case "access log lines" `Quick test_access_log_lines;
