@@ -194,24 +194,6 @@ let flight_flag =
               as Chrome trace_event JSON on crash paths and on SIGUSR1 \
               ($(b,pchls flight dump PID)).")
 
-let log_opt =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "log" ] ~docv:"LEVEL"
-        ~doc:"Enable diagnostic logging at $(docv) (debug, info, warning, \
-              error); same effect as setting PCHLS_LOG=$(docv).")
-
-(* Shared by --log and the PCHLS_LOG environment hook below: golden-output
-   tests stay byte-stable because neither is on by default. *)
-let apply_log_level level =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  match Logs.level_of_string level with
-  | Ok l -> Logs.set_level l
-  | Error _ -> Logs.set_level (Some Logs.Debug)
-
-let apply_log = Option.iter apply_log_level
-
 let no_color_flag =
   Arg.(
     value & flag
@@ -425,8 +407,7 @@ let self_check_flag =
 
 let synth_cmd =
   let run r library gantt tighten rebind self_check preflight cache_dir
-      no_cache budget trace metrics flight log_level =
-    apply_log log_level;
+      no_cache budget trace metrics flight =
     with_obs ~flight ~trace ~metrics @@ fun () ->
     let library = the_library library in
     let cache = synth_store no_cache cache_dir in
@@ -496,8 +477,7 @@ let synth_cmd =
     Term.(
       const run $ request $ library_opt $ gantt_flag $ tighten_flag
       $ rebind_flag $ self_check_flag $ preflight_flag $ cache_dir_opt
-      $ no_cache_flag $ budget $ trace_opt $ metrics_flag $ flight_flag
-      $ log_opt)
+      $ no_cache_flag $ budget $ trace_opt $ metrics_flag $ flight_flag)
 
 (* --- check ------------------------------------------------------------- *)
 
@@ -643,6 +623,7 @@ let power_range =
   in
   let make from upto step =
     Request.power_range ~names:("--p-from", "--p-step") ~from ~upto ~step
+    |> Result.map List.of_seq
   in
   Term.(term_result' (const make $ p_from $ p_to $ p_step))
 
@@ -661,8 +642,7 @@ let print_pareto points =
    Pareto front is always printed. *)
 let grid_cmd name ~doc ~times ~pareto =
   let run (gname, g) times powers policy cost_model pareto preflight jobs
-      cache_dir no_cache budget trace metrics flight log_level =
-    apply_log log_level;
+      cache_dir no_cache budget trace metrics flight =
     with_obs ~flight ~trace ~metrics @@ fun () ->
     let cache = sweep_store no_cache cache_dir in
     let budget = Request.start budget in
@@ -680,7 +660,7 @@ let grid_cmd name ~doc ~times ~pareto =
     Term.(
       const run $ graph_source $ times $ power_range $ policy $ cost_model
       $ pareto $ preflight_flag $ jobs_opt $ cache_dir_opt $ no_cache_flag
-      $ budget $ trace_opt $ metrics_flag $ flight_flag $ log_opt)
+      $ budget $ trace_opt $ metrics_flag $ flight_flag)
 
 let sweep_cmd =
   grid_cmd "sweep"
@@ -958,9 +938,8 @@ let fuzz_run_term =
                 on top).")
   in
   let run runs seed jobs max_nodes exact_max_vertices library corpus budget
-      trace metrics flight log_level no_color =
+      trace metrics flight no_color =
     apply_color no_color;
-    apply_log log_level;
     with_obs ~flight ~trace ~metrics @@ fun () ->
     let budget = Request.start budget in
     let config =
@@ -990,7 +969,7 @@ let fuzz_run_term =
   Term.(
     const run $ runs_opt $ seed_opt $ jobs_opt $ max_nodes_opt
     $ exact_max_vertices_opt $ library_opt $ corpus_opt $ budget $ trace_opt
-    $ metrics_flag $ flight_flag $ log_opt $ no_color_flag)
+    $ metrics_flag $ flight_flag $ no_color_flag)
 
 let fuzz_cmd =
   let replay_cmd =
@@ -1309,9 +1288,8 @@ let serve_cmd =
   in
   let run host port threads jobs library cache_dir no_cache mem_entries
       deadline_ms max_body trace flight_capacity access_log slow_ms max_queue
-      queue_age_ms shed_threshold breaker watchdog_ms log_level no_color =
+      queue_age_ms shed_threshold breaker watchdog_ms no_color =
     apply_color no_color;
-    apply_log log_level;
     let config =
       {
         Server.default_config with
@@ -1382,17 +1360,11 @@ let serve_cmd =
       $ cache_dir_opt $ no_cache_flag $ mem_entries_opt $ serve_deadline_opt
       $ max_body_opt $ serve_trace_flag $ flight_capacity_opt $ access_log_opt
       $ slow_ms_opt $ max_queue_opt $ queue_age_opt $ shed_threshold_opt
-      $ breaker_opt $ watchdog_opt $ log_opt $ no_color_flag)
+      $ breaker_opt $ watchdog_opt $ no_color_flag)
 
 (* --- main -------------------------------------------------------------- *)
 
-(* Debug logging (cache hits/misses, engine decisions) is opt-in via the
-   environment so golden-output tests stay byte-stable:
-   PCHLS_LOG=debug pchls sweep ... *)
-let setup_logs () = apply_log (Sys.getenv_opt "PCHLS_LOG")
-
 let () =
-  setup_logs ();
   let doc = "power-constrained high-level synthesis (Nielsen & Madsen, DATE'03)" in
   let info = Cmd.info "pchls" ~version:Server.version ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -1,6 +1,3 @@
-let src = Logs.Src.create "pchls.cache" ~doc:"synthesis result cache"
-
-module Log = (val Logs.src_log src : Logs.LOG)
 module Op = Pchls_dfg.Op
 module Module_spec = Pchls_fulib.Module_spec
 module Trace = Pchls_obs.Trace
@@ -229,7 +226,6 @@ let degrade t msg =
   if not t.disk_failed then begin
     t.disk_failed <- true;
     Metrics.incr m_degraded;
-    Log.warn (fun m -> m "disk tier disabled: %s" msg);
     Printf.eprintf
       "pchls: warning: cache disk tier disabled, continuing without it: %s\n%!"
       msg
@@ -242,9 +238,8 @@ let quarantine t path =
   t.corrupt <- t.corrupt + 1;
   Metrics.incr m_corrupt;
   let bad = path ^ ".bad" in
-  (try Sys.rename path bad
-   with Sys_error msg -> degrade t ("quarantine failed: " ^ msg));
-  Log.warn (fun m -> m "quarantined corrupt/stale entry to %s" bad)
+  try Sys.rename path bad
+  with Sys_error msg -> degrade t ("quarantine failed: " ^ msg)
 
 let disk_find t disk id =
   let path = entry_path disk id in
@@ -304,8 +299,7 @@ let rec evict_over_capacity t =
              used, out it goes. Stale pairs just get skipped. *)
           Hashtbl.remove t.table id;
           t.evictions <- t.evictions + 1;
-          Metrics.incr m_evictions;
-          Log.debug (fun m -> m "evicted %s (memory cap %d)" id cap)
+          Metrics.incr m_evictions
         | Some _ | None -> ());
         evict_over_capacity t
     end
@@ -345,11 +339,11 @@ let find t k =
           (Some s, Some Disk)
         | None -> (None, None)))
   in
-  (match tier with
-  | Some tier ->
-    t.hits <- t.hits + 1;
-    Metrics.incr m_hit;
-    let tier_name =
+  let answer =
+    match tier with
+    | Some tier -> (
+      t.hits <- t.hits + 1;
+      Metrics.incr m_hit;
       match tier with
       | Memory ->
         t.memory_hits <- t.memory_hits + 1;
@@ -358,16 +352,16 @@ let find t k =
       | Disk ->
         t.disk_hits <- t.disk_hits + 1;
         Metrics.incr m_hit_disk;
-        "disk"
-    in
-    Log.debug (fun m ->
-        m "%s hit %s (T=%d, P<=%g)" tier_name k.fingerprint k.time_limit
-          k.power_limit)
-  | None ->
-    t.misses <- t.misses + 1;
-    Metrics.incr m_miss;
-    Log.debug (fun m ->
-        m "miss %s (T=%d, P<=%g)" k.fingerprint k.time_limit k.power_limit));
+        "disk")
+    | None ->
+      t.misses <- t.misses + 1;
+      Metrics.incr m_miss;
+      "miss"
+  in
+  if Trace.observed () then
+    Trace.instant ~cat:"cache"
+      ~args:[ ("outcome", answer); ("key", id) ]
+      "cache.outcome";
   outcome
 
 let add t k summary =
@@ -377,8 +371,6 @@ let add t k summary =
   mem_insert t id summary;
   t.stores <- t.stores + 1;
   Metrics.incr m_store;
-  Log.debug (fun m ->
-      m "store %s (T=%d, P<=%g)" k.fingerprint k.time_limit k.power_limit);
   if not t.disk_failed then
     Option.iter (fun disk -> disk_add t disk id summary) t.disk
 

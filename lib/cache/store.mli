@@ -18,8 +18,9 @@
 
     All operations are thread-safe: a store may be shared by the worker
     domains of a {!Pchls_par.Pool} sweep. Hits, misses and stores are
-    counted ({!stats}) and additionally logged through {!Logs} at debug
-    level under the ["pchls.cache"] source. *)
+    counted ({!stats}); under an installed trace recorder each {!find}
+    also records a ["cache.outcome"] instant naming the tier that
+    answered (["memory"], ["disk"]) or ["miss"], and the entry key. *)
 
 type key = {
   fingerprint : Fingerprint.t;

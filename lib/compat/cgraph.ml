@@ -1,8 +1,8 @@
 (* Adjacency is a bitset row per vertex; weights live in a hash table
    keyed on the packed pair (min*n + max). Versus the previous dense
    [float option array array], a 10k-vertex graph costs ~12 MB of rows
-   instead of ~800 MB of option cells, and [remove_vertex] — the engine's
-   per-commit invalidation — touches only the vertex's own neighbourhood. *)
+   instead of ~800 MB of option cells, and [remove_vertex] touches only the
+   vertex's own neighbourhood. *)
 
 type t = {
   n : int;

@@ -7,9 +7,11 @@
     is incompatible.
 
     This is the abstract structure behind the paper's time-extended
-    compatibility graph [V1] (inherited from Jou et al. [3]); the synthesis
-    engine instantiates it over (operation, module-type) candidates, and
-    register allocation instantiates it over value lifetimes. *)
+    compatibility graph [V1] (inherited from Jou et al. [3]). The synthesis
+    engine keeps its own gain-ordered candidate store instead; this graph
+    serves the exact clique-partition references: preflight's exact area
+    bound, the fuzz oracle's exact floor and the greedy-vs-exact
+    ablation. *)
 
 type t
 
@@ -28,8 +30,7 @@ val add_edge : t -> int -> int -> float -> unit
 val remove_edge : t -> int -> int -> unit
 
 (** [remove_vertex g u] removes every edge incident to [u] in
-    O(degree u) — the incremental invalidation the synthesis engine runs
-    after committing a clique, instead of rebuilding the graph.
+    O(degree u), instead of rebuilding the graph.
     @raise Invalid_argument if [u] is out of range. *)
 val remove_vertex : t -> int -> unit
 

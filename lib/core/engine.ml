@@ -10,10 +10,6 @@ module Trace = Pchls_obs.Trace
 module Metrics = Pchls_obs.Metrics
 module Budget = Pchls_resil.Budget
 
-let src = Logs.Src.create "pchls.engine" ~doc:"synthesis engine decisions"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 let m_runs = Metrics.counter "engine.runs"
 let m_iterations = Metrics.counter "engine.iterations"
 let m_gain_evaluated = Metrics.counter "clique.gain_evaluated"
@@ -802,6 +798,22 @@ let commit st decision =
           | None -> ());
     }
 
+(* The op a decision places, its start cycle and the module it runs on, as
+   trace args: on [engine.commit], and on [engine.backtrack] for the
+   decision it undid. *)
+let decision_args decision =
+  let op, start, (m : Module_spec.t) =
+    match decision with
+    | Merge { op; inst; start; retype } ->
+      (op, start, Option.value retype ~default:inst.spec)
+    | Fresh { op; spec; start } -> (op, start, spec)
+  in
+  [
+    ("op", string_of_int op);
+    ("start", string_of_int start);
+    ("module", m.name);
+  ]
+
 let note_commit st decision =
   (match decision with
   | Fresh _ ->
@@ -816,17 +828,13 @@ let note_commit st decision =
   if Trace.observed () then
     Trace.instant ~cat:"engine"
       ~args:
-        [
-          ( "decision",
-            match decision with
-            | Merge { retype = None; _ } -> "merge"
-            | Merge { retype = Some _; _ } -> "retype-merge"
-            | Fresh _ -> "fresh" );
-          ( "op",
-            string_of_int
-              (match decision with Merge { op; _ } | Fresh { op; _ } -> op) );
-          ("gain", Printf.sprintf "%.1f" (gain_of st decision));
-        ]
+        (( "decision",
+           match decision with
+           | Merge { retype = None; _ } -> "merge"
+           | Merge { retype = Some _; _ } -> "retype-merge"
+           | Fresh _ -> "fresh" )
+        :: ("gain", Printf.sprintf "%.1f" (gain_of st decision))
+        :: decision_args decision)
       "engine.commit"
 
 (* --- main loop -------------------------------------------------------- *)
@@ -981,19 +989,6 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
              op
              (Graph.node_name st.g op))
       | Ok (Some best) -> (
-        Log.debug (fun m ->
-            m "commit %s (gain %.1f)"
-              (match best with
-              | Merge { op; inst; start; retype } ->
-                Printf.sprintf "merge op %d -> inst %d @%d%s" op inst.inst_id
-                  start
-                  (match retype with
-                  | Some r -> " retype " ^ r.Module_spec.name
-                  | None -> "")
-              | Fresh { op; spec; start } ->
-                Printf.sprintf "fresh op %d : %s @%d" op
-                  spec.Module_spec.name start)
-              (gain_of st best));
         let undo = commit st best in
         match run_pasap st with
         | Pasap.Feasible next_pasap ->
@@ -1007,13 +1002,15 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
           undo.revert ();
           `Deadline (Option.get (interrupted st))
         | Pasap.Infeasible { node; reason } ->
-          Log.debug (fun m -> m "backtrack: node %d, %s" node reason);
           undo.revert ();
           st.n_backtracks <- st.n_backtracks + 1;
           Metrics.incr m_backtracks;
           if Trace.observed () then
             Trace.instant ~cat:"engine"
-              ~args:[ ("node", string_of_int node); ("reason", reason) ]
+              ~args:
+                (("node", string_of_int node)
+                :: ("reason", reason)
+                :: decision_args best)
               "engine.backtrack";
           lock_unassigned st valid_pasap;
           (match
@@ -1053,11 +1050,14 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
       let forced = List.length remaining in
       Metrics.incr ~by:forced m_forced;
       Metrics.incr m_partials;
-      Log.info (fun m ->
-          m "deadline (%s): forced %d remaining operation(s) to fresh \
-             instances"
-            (Budget.reason_to_string reason)
-            forced);
+      if Trace.observed () then
+        Trace.instant ~cat:"engine"
+          ~args:
+            [
+              ("reason", Budget.reason_to_string reason);
+              ("forced", string_of_int forced);
+            ]
+          "engine.deadline";
       Deadline_exceeded { reason; forced }
     in
     let rec iterate valid_pasap =

@@ -78,6 +78,14 @@ let of_design design =
     activations;
   }
 
+let sanitize name =
+  String.map
+    (fun c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
+      | _ -> '_')
+    name
+
 let mux_count n =
   let fu_muxes =
     List.fold_left

@@ -23,6 +23,11 @@ type t = {
 
 val of_design : Pchls_core.Design.t -> t
 
+(** [sanitize name] maps every character outside [[A-Za-z0-9_]] to ['_']:
+    the identifier rule every RTL emitter (Verilog, VHDL, testbench, VCD)
+    applies to design, module and signal names. *)
+val sanitize : string -> string
+
 (** [mux_count n] is the number of multiplexers the netlist implies: one per
     FU fed by more registers than it has ports, one per multiply-written
     register. *)

@@ -1,13 +1,5 @@
-let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-      | _ -> '_')
-    name
-
 let verilog (n : Netlist.t) =
-  let m = sanitize n.Netlist.design_name in
+  let m = Netlist.sanitize n.Netlist.design_name in
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "// Self-checking testbench for %s (expects done within %d cycles)\n" m
@@ -33,7 +25,7 @@ let verilog (n : Netlist.t) =
   Buffer.contents buf
 
 let vhdl (n : Netlist.t) =
-  let e = sanitize n.Netlist.design_name in
+  let e = Netlist.sanitize n.Netlist.design_name in
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   pr "-- Self-checking testbench for %s (expects done within %d cycles)\n" e

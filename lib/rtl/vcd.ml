@@ -6,28 +6,20 @@ module Profile = Pchls_power.Profile
    and unique. *)
 let ident i = Printf.sprintf "!%d" i
 
-let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-      | _ -> '_')
-    name
-
 let of_design d =
   let instances = Design.instances d in
   let steps = Design.time_limit d in
   let profile = Profile.to_array (Design.profile d) in
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let scope = sanitize (Pchls_dfg.Graph.name (Design.graph d)) in
+  let scope = Netlist.sanitize (Pchls_dfg.Graph.name (Design.graph d)) in
   pr "$version pchls power-constrained HLS $end\n";
   pr "$timescale 1ns $end\n";
   pr "$scope module %s $end\n" scope;
   List.iteri
     (fun i (inst : Design.instance) ->
       pr "$var wire 1 %s %s_busy $end\n" (ident i)
-        (sanitize
+        (Netlist.sanitize
            (Printf.sprintf "fu%d_%s" inst.Design.id
               inst.Design.spec.Module_spec.name)))
     instances;

@@ -1,15 +1,7 @@
-let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-      | _ -> '_')
-    name
-
 let emit ?(width = 16) (n : Netlist.t) =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let modname = sanitize n.Netlist.design_name in
+  let modname = Netlist.sanitize n.Netlist.design_name in
   let step_bits =
     let rec bits v acc = if v <= 1 then max acc 1 else bits (v / 2) (acc + 1) in
     bits (max 1 (n.Netlist.steps - 1)) 1

@@ -4,14 +4,6 @@ module Design = Pchls_core.Design
 module Regalloc = Pchls_core.Regalloc
 module Module_spec = Pchls_fulib.Module_spec
 
-let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-      | _ -> '_')
-    name
-
 let operand_list ~operands g node =
   match operands node with
   | Some order -> order
@@ -36,7 +28,7 @@ let make_plan ?(coefficients = fun _ -> 3) ?(operands = fun _ -> None) d =
   let allocation = Design.register_allocation d in
   let ports kind prefix =
     List.map
-      (fun id -> (id, prefix ^ sanitize (Graph.node_name g id)))
+      (fun id -> (id, prefix ^ Netlist.sanitize (Graph.node_name g id)))
       (Graph.nodes_of_kind g kind)
   in
   let labels = Hashtbl.create 16 in
@@ -44,11 +36,11 @@ let make_plan ?(coefficients = fun _ -> 3) ?(operands = fun _ -> None) d =
     (fun (i : Design.instance) ->
       Hashtbl.replace labels i.Design.id
         (Printf.sprintf "fu%d_%s" i.Design.id
-           (sanitize i.Design.spec.Module_spec.name)))
+           (Netlist.sanitize i.Design.spec.Module_spec.name)))
     (Design.instances d);
   {
     g;
-    module_name = sanitize (Graph.name g);
+    module_name = Netlist.sanitize (Graph.name g);
     steps = Design.time_limit d;
     reg_of = Regalloc.register_of allocation;
     register_count = Array.length allocation;

@@ -1,15 +1,7 @@
-let sanitize name =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
-      | _ -> '_')
-    name
-
 let emit ?(width = 16) (n : Netlist.t) =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let entity = sanitize n.Netlist.design_name in
+  let entity = Netlist.sanitize n.Netlist.design_name in
   pr "-- Generated by pchls: power-constrained high-level synthesis\n";
   pr "-- design %s: %d control steps, %d functional units, %d registers\n\n"
     entity n.Netlist.steps

@@ -41,11 +41,13 @@ let power_range ~names:(from_name, step_name) ~from ~upto ~step =
     Error (Printf.sprintf "%s and %s must be > 0" from_name step_name)
   else if not (Float.is_finite upto) then
     Error (Printf.sprintf "power range end must be finite, got %g" upto)
+  else if from > upto +. 1e-9 then
+    Error (Printf.sprintf "empty power range [%g, %g]" from upto)
   else
-    let rec range p = if p > upto +. 1e-9 then [] else p :: range (p +. step) in
-    match range from with
-    | [] -> Error (Printf.sprintf "empty power range [%g, %g]" from upto)
-    | ps -> Ok ps
+    Ok
+      (Seq.unfold
+         (fun p -> if p > upto +. 1e-9 then None else Some (p, p +. step))
+         from)
 
 let policies =
   List.map

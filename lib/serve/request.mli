@@ -36,13 +36,15 @@ val power_limit : float -> (float, string) result
 
 (** [power_range ~names ~from ~upto ~step] is [from], [from + step], ...
     up to [upto] (with a 1e-9 tolerance): [from] and [step] positive,
-    [upto] finite, the range non-empty. [names] spells [from] and [step]. *)
+    [upto] finite, the range non-empty. [names] spells [from] and [step].
+    The points are produced on demand, so a caller that caps the range
+    reads no more of it than it needs to refuse it. *)
 val power_range :
   names:string * string ->
   from:float ->
   upto:float ->
   step:float ->
-  (float list, string) result
+  (float Seq.t, string) result
 
 (** Policy names, in the order help texts list them. *)
 val policies : (string * Pchls_core.Engine.policy) list

@@ -1,6 +1,3 @@
-let src = Logs.Src.create "pchls.serve" ~doc:"synthesis service daemon"
-
-module Log = (val Logs.src_log src : Logs.LOG)
 module Library = Pchls_fulib.Library
 module Module_spec = Pchls_fulib.Module_spec
 module Design = Pchls_core.Design
@@ -266,6 +263,8 @@ let times_field json =
       ts
   | None -> [ time_field json ]
 
+let max_grid_points = 10_000
+
 let powers_field json =
   match number_list "powers" json with
   | Some [] -> bad "\"powers\" must not be empty"
@@ -282,12 +281,13 @@ let powers_field json =
     with
     | None, None, None -> [ power_field json ]
     | Some from, Some upto, step ->
+      (* One point past the cap is enough for [grid_fields] to refuse it. *)
       or_bad
         (Request.power_range ~names:("\"p_from\"", "\"p_step\"") ~from ~upto
            ~step:(Option.value step ~default:2.5))
+      |> Seq.take (max_grid_points + 1)
+      |> List.of_seq
     | _ -> bad "a power range needs both \"p_from\" and \"p_to\"")
-
-let max_grid_points = 10_000
 
 let grid_fields json =
   let times = times_field json in
@@ -428,8 +428,6 @@ let dispatch srv f = Pool.run srv.pool f
    a domain forever). *)
 let maybe_hang srv budget =
   if Fault.fires "serve.hang" then begin
-    Log.warn (fun m ->
-        m "injected fault: serve.hang — task spinning until its deadline");
     let give_up = Int64.add (Clock.now_ns ()) 5_000_000_000L in
     let interrupted () =
       match budget with
@@ -486,9 +484,6 @@ let engine_task srv ~key ?clamp_ms budget f =
       if age_ms >= limit_ms then begin
         Atomic.incr srv.kills;
         Metrics.incr m_kills;
-        Log.warn (fun m ->
-            m "watchdog: killed %s after %.0fms (limit %.0fms)" key age_ms
-              limit_ms);
         Trace.instant ~cat:"serve"
           ~args:[ ("id", key); ("age_ms", Printf.sprintf "%.0f" age_ms) ]
           "serve.watchdog.kill";
@@ -904,9 +899,8 @@ let routed srv req =
     route srv req
   with
   | Bad msg -> Http.response 400 (error_body ~error:"bad request" msg)
-  | Killed key as e ->
+  | Killed _ as e ->
     Trace.note_crash ~origin:"serve.watchdog" e;
-    Log.warn (fun m -> m "watchdog reclaimed handler for %s" key);
     let limit = Option.value srv.config.watchdog_ms ~default:0. in
     Http.response 500
       (error_body ~error:"watchdog"
@@ -914,9 +908,6 @@ let routed srv req =
             "handler exceeded the %gms wall limit and was reclaimed" limit))
   | e ->
     Trace.note_crash ~origin:"serve.handler" e;
-    Log.warn (fun m ->
-        m "handler for %s %s crashed: %s" req.Http.meth req.Http.path
-          (Printexc.to_string e));
     Http.response 500 (error_body ~error:"internal" (Printexc.to_string e))
 
 (* The breaker guard around [routed]: an open breaker answers 503 without
@@ -1122,7 +1113,6 @@ let accept_loop srv =
       | conn, _ ->
         if Fault.fires "serve.accept" then begin
           Metrics.incr m_accept_faults;
-          Log.warn (fun m -> m "injected fault: serve.accept — dropping connection");
           close_quietly conn
         end
         else if Fault.fires "serve.shed" then
@@ -1194,17 +1184,15 @@ let start config =
           else
             let name = String.sub path 1 (String.length path - 1) in
             let on_transition old_state new_state =
-              Log.warn (fun m ->
-                  m "breaker %s: %s -> %s" name
-                    (Breaker.state_to_string old_state)
-                    (Breaker.state_to_string new_state));
-              Trace.instant ~cat:"serve"
-                ~args:
-                  [
-                    ("breaker", name);
-                    ("state", Breaker.state_to_string new_state);
-                  ]
-                "serve.breaker"
+              if Trace.observed () then
+                Trace.instant ~cat:"serve"
+                  ~args:
+                    [
+                      ("breaker", name);
+                      ("from", Breaker.state_to_string old_state);
+                      ("state", Breaker.state_to_string new_state);
+                    ]
+                  "serve.breaker"
             in
             Some
               ( path,
@@ -1245,9 +1233,6 @@ let start config =
   srv.acceptor <- Some (Thread.create accept_loop srv);
   srv.handlers <-
     List.init config.threads (fun _ -> Thread.create handler_loop srv);
-  Log.info (fun m ->
-      m "listening on %s:%d (threads=%d jobs=%d)" config.host bound_port
-        config.threads config.jobs);
   srv
 
 let stop srv =
@@ -1266,13 +1251,7 @@ let stop srv =
     Option.iter Trace.uninstall srv.sink;
     Option.iter Trace.uninstall srv.flight;
     Option.iter Jsonlog.close srv.access;
-    close_quietly srv.lsock;
-    Option.iter
-      (fun store ->
-        Log.info (fun m ->
-            m "final cache stats: %s"
-              (Format.asprintf "%a" Store.pp_stats (Store.stats store))))
-      srv.cache
+    close_quietly srv.lsock
   end
 
 let run config =

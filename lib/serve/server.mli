@@ -157,10 +157,11 @@ val inflight : t -> int
     connection to completion, then release the worker pool and uninstall
     the server's own recorders (no one else's). Idempotent. The cache's
     disk tier needs no flushing (entries are written atomically as they
-    are produced); its final stats are logged. *)
+    are produced). *)
 val stop : t -> unit
 
 (** [run config] is the CLI entry point: {!start}, then block until
-    SIGINT/SIGTERM, then {!stop} and return exit code 0. A second signal
-    during the drain force-exits the process with code 1. *)
+    SIGINT/SIGTERM, then {!stop}, print the cache's final stats and
+    return exit code 0. A second signal during the drain force-exits the
+    process with code 1. *)
 val run : config -> int

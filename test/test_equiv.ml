@@ -146,7 +146,7 @@ let prop_profile_first_fit =
 (* --- Cgraph: incremental invalidation == full rebuild ------------------ *)
 
 (* Random edit scripts over a small vertex set: adds, edge removals and
-   the engine's post-commit [remove_vertex] invalidation, interleaved.
+   [remove_vertex] invalidations, interleaved.
    The model replays the same script into a plain association table and
    the final graphs must agree edge-for-edge. *)
 type cedit =

@@ -15,6 +15,7 @@ module Explore = Pchls_core.Explore
 module Store = Pchls_cache.Store
 module Benchmarks = Pchls_dfg.Benchmarks
 module Library = Pchls_fulib.Library
+module Budget = Pchls_resil.Budget
 
 let hal = Option.get (Benchmarks.find "hal")
 
@@ -509,6 +510,88 @@ let test_traced_synthesis_spans () =
       (List.length evs)
   | Error msg -> Alcotest.fail ("trace invalid: " ^ msg)
 
+(* What an engine or cache decision leaves on the trace: the commit's
+   placement, the decision a backtrack undid, the anytime wind-down, and
+   which tier answered each cache lookup. *)
+let test_decisions_on_the_trace () =
+  let traced f =
+    let sink = Trace.make () in
+    let v = Trace.with_sink sink f in
+    (v, Trace.events sink)
+  in
+  let instants name evs =
+    List.filter_map
+      (fun e -> if e.Trace.name = name then Some e.Trace.args else None)
+      evs
+  in
+  let has keys args = List.for_all (fun k -> List.mem_assoc k args) keys in
+  let outcome, evs =
+    traced (fun () ->
+        Engine.run ~library:Library.default ~time_limit:17 ~power_limit:10. hal)
+  in
+  let backtracks =
+    match outcome with
+    | Engine.Synthesized (_, st) -> st.Engine.backtracks
+    | Engine.Infeasible { reason } -> Alcotest.fail reason
+  in
+  Alcotest.(check bool) "hal at T=17, P<=10 backtracks" true (backtracks > 0);
+  let commits = instants "engine.commit" evs in
+  Alcotest.(check bool) "commits recorded" true (commits <> []);
+  List.iter
+    (fun args ->
+      Alcotest.(check bool) "commit names decision, op, start, module, gain"
+        true
+        (has [ "decision"; "op"; "start"; "module"; "gain" ] args))
+    commits;
+  let undone = instants "engine.backtrack" evs in
+  Alcotest.(check int) "one instant per backtrack" backtracks
+    (List.length undone);
+  List.iter
+    (fun args ->
+      Alcotest.(check bool) "backtrack names the decision it undid" true
+        (has [ "node"; "reason"; "op"; "start"; "module" ] args))
+    undone;
+  let store = Store.in_memory () in
+  let (), evs =
+    traced (fun () ->
+        for _ = 1 to 2 do
+          ignore
+            (Explore.solve ~library:Library.default ~cache:store hal
+               ~time_limit:17 ~power_limit:10.)
+        done)
+  in
+  let lookups = instants "cache.outcome" evs in
+  Alcotest.(check (list string))
+    "first lookup misses, second hits memory" [ "miss"; "memory" ]
+    (List.map (List.assoc "outcome") lookups);
+  (match List.map (List.assoc "key") lookups with
+  | [ a; b ] -> Alcotest.(check string) "both lookups name one key" a b
+  | _ -> Alcotest.fail "two cache lookups expected");
+  let outcome, evs =
+    traced (fun () ->
+        Engine.run ~deadline:(Budget.make ~max_iters:0 ())
+          ~library:Library.default ~time_limit:17 ~power_limit:10. hal)
+  in
+  let forced =
+    match outcome with
+    | Engine.Synthesized
+        (_, { Engine.completion = Engine.Deadline_exceeded { forced; _ }; _ })
+      ->
+      forced
+    | Engine.Synthesized _ -> Alcotest.fail "max_iters:0 ran to completion"
+    | Engine.Infeasible { reason } -> Alcotest.fail reason
+  in
+  match instants "engine.deadline" evs with
+  | [ args ] ->
+    Alcotest.(check (option string))
+      "reason" (Some "iteration budget exhausted")
+      (List.assoc_opt "reason" args);
+    Alcotest.(check (option string))
+      "forced" (Some (string_of_int forced))
+      (List.assoc_opt "forced" args)
+  | l ->
+    Alcotest.failf "%d engine.deadline instants, expected 1" (List.length l)
+
 let () =
   Alcotest.run "obs"
     [
@@ -564,5 +647,7 @@ let () =
             test_no_sink_records_nothing;
           Alcotest.test_case "traced cache-backed synthesis" `Quick
             test_traced_synthesis_spans;
+          Alcotest.test_case "decisions on the trace" `Quick
+            test_decisions_on_the_trace;
         ] );
     ]

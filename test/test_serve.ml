@@ -509,6 +509,27 @@ let test_sweep_and_pareto () =
     Alcotest.(check int) "2x3 grid" 6 (List.length points)
   | _ -> Alcotest.fail ("pareto body: " ^ text)
 
+(* The grid cap is checked before the power range is built: 1e7 points
+   are refused as fast as any other bad body. *)
+let test_oversized_power_range () =
+  with_server @@ fun srv ->
+  let t0 = Unix.gettimeofday () in
+  let status, body =
+    request srv ~meth:"POST" ~path:"/sweep"
+      "{\"benchmark\":\"hal\",\"time\":8,\"p_from\":1,\"p_to\":1e6,\
+       \"p_step\":0.1}"
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "400" 400 status;
+  (match json_field "reason" body with
+  | Some (Json.String reason) ->
+    Alcotest.(check string)
+      "reason" "constraint grid exceeds 10000 points" reason
+  | _ -> Alcotest.fail ("oversized sweep body: " ^ body));
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.2f s, under 1 s" elapsed)
+    true (elapsed < 1.)
+
 let test_keep_alive_connection () =
   with_server @@ fun srv ->
   with_connection srv @@ fun sock rdr ->
@@ -1012,12 +1033,26 @@ let test_breaker_opens_and_recovers () =
   let status, _ = request srv ~meth:"POST" ~path:"/synth" body in
   Alcotest.(check int) "probe succeeds after cooldown" 200 status;
   let _, health = request srv ~meth:"GET" ~path:"/healthz" "" in
-  match json_field "breakers" health with
+  (match json_field "breakers" health with
   | Some breakers -> (
     match Json.member "synth" breakers with
     | Some (Json.String "closed") -> ()
     | _ -> Alcotest.fail ("healthz breakers after recovery: " ^ health))
-  | None -> Alcotest.fail ("healthz without breakers: " ^ health)
+  | None -> Alcotest.fail ("healthz without breakers: " ^ health));
+  (* Each transition is a serve.breaker instant naming both states. *)
+  let transitions =
+    List.filter_map
+      (fun e ->
+        let arg k = Option.value (List.assoc_opt k e.Event.args) ~default:"" in
+        if e.Event.name = "serve.breaker" && arg "breaker" = "synth" then
+          Some (arg "from", arg "state")
+        else None)
+      (flight_events srv)
+  in
+  Alcotest.(check (list (pair string string)))
+    "synth breaker transitions"
+    [ ("closed", "open"); ("open", "half-open"); ("half-open", "closed") ]
+    transitions
 
 let test_watchdog_reclaims_hung_handler () =
   let limit_ms = 100. and poll_ms = 25. in
@@ -1237,6 +1272,8 @@ let () =
           Alcotest.test_case "payload too large" `Quick test_payload_too_large;
           Alcotest.test_case "metrics and trace" `Quick test_metrics_and_trace;
           Alcotest.test_case "sweep and pareto" `Quick test_sweep_and_pareto;
+          Alcotest.test_case "oversized power range refused early" `Quick
+            test_oversized_power_range;
           Alcotest.test_case "keep-alive connection" `Quick
             test_keep_alive_connection;
           Alcotest.test_case "malformed bytes answered 400" `Quick
