@@ -61,6 +61,11 @@ let int n = Json.Number (float_of_int n)
 let section name wall_s fields =
   Json.Obj (("section", Json.String name) :: ("wall_s", num wall_s) :: fields)
 
+(* A POST /synth body for a bundled benchmark. *)
+let synth_body name t p =
+  Json.to_string
+    (Json.Obj [ ("benchmark", Json.String name); ("time", int t); ("power", num p) ])
+
 let write_json path fields =
   Out_channel.with_open_text path (fun oc ->
       output_string oc (Json.to_string (Json.Obj fields));
@@ -893,12 +898,7 @@ let serve_bench () =
     List.concat_map
       (fun (name, t_lo, t_hi) ->
         List.concat_map
-          (fun t ->
-            List.map
-              (fun p ->
-                Printf.sprintf
-                  "{\"benchmark\":\"%s\",\"time\":%d,\"power\":%g}" name t p)
-              [ 10.; 25.; 60. ])
+          (fun t -> List.map (synth_body name t) [ 10.; 25.; 60. ])
           [ t_lo; t_hi ])
       [
         ("hal", 8, 17); ("cosine", 19, 26); ("ar_filter", 12, 18);
@@ -1007,7 +1007,7 @@ let serve_bench () =
 let overload_bench () =
   section_header "Overload: open-loop load at 2x capacity";
   let module Server = Pchls_serve.Server in
-  let body = "{\"benchmark\":\"cosine\",\"time\":19,\"power\":25}" in
+  let body = synth_body "cosine" 19 25. in
   let stale = Json.String "request waited too long in the admission queue" in
   (* Returns the status (0 on any transport failure — a daemon crash
      would show up here) and whether the answer was served degraded or

@@ -23,6 +23,7 @@ module Trace = Pchls_obs.Trace
 module Metrics = Pchls_obs.Metrics
 module Style = Pchls_obs.Style
 module Event = Pchls_obs.Event
+module Json = Pchls_obs.Json
 module Budget = Pchls_resil.Budget
 module Request = Pchls_serve.Request
 module Server = Pchls_serve.Server
@@ -528,14 +529,17 @@ let check_cmd =
       else ds
     in
     if json then
-      if timings then
-        Format.printf "{\"diagnostics\": %s, \"timings_ns\": {%s}}@."
-          (String.trim (Diag.list_to_json ds))
-          (String.concat ", "
-             (List.map
-                (fun (pass, ns) -> Printf.sprintf "\"%s\": %.0f" pass ns)
-                times))
-      else print_endline (Diag.list_to_json ds)
+      print_endline
+        (Json.to_string
+           (if timings then
+              Json.Obj
+                [
+                  ("diagnostics", Diag.list_to_json ds);
+                  ( "timings_ns",
+                    Json.Obj
+                      (List.map (fun (pass, ns) -> (pass, Json.Number ns)) times) );
+                ]
+            else Diag.list_to_json ds))
     else begin
       List.iter print_diag ds;
       if timings then
@@ -586,7 +590,7 @@ let preflight_cmd =
       Format.eprintf "%s: %s@." name msg;
       2
     | r ->
-      if json then print_endline (Preflight.to_json r)
+      if json then print_endline (Json.to_string (Preflight.to_json r))
       else print_string (Preflight.render r);
       if Preflight.infeasible r then 1 else 0
   in

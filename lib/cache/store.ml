@@ -53,7 +53,8 @@ type t = {
   mem_entries : int option;  (** memory-tier capacity; [None] = unbounded *)
   lru : (string * int) Queue.t;
       (** (key, access sequence) in access order; stale pairs — the key was
-          touched again later or already evicted — are skipped on pop *)
+          touched again later or already evicted — are skipped on pop and
+          dropped when the queue is compacted *)
   mutable access_seq : int;
   mutable hits : int;
   mutable misses : int;
@@ -270,20 +271,38 @@ let disk_add t disk id summary =
 
 (* --- memory tier LRU cap ------------------------------------------------ *)
 
-(* All three helpers run with the store mutex held.
+(* All four helpers run with the store mutex held.
 
    [touch] records an access: the entry remembers its latest sequence
    number and the queue gains an (id, seq) pair, so every earlier pair for
    the same id becomes stale — the classic lazy-deletion LRU, O(1) per
-   access with queue length bounded by the access count between evictions.
-   Unbounded stores skip all of it (the queue would only grow). *)
+   access. Unbounded stores skip all of it (the queue would only grow). *)
+let fresh t (id, seq) =
+  match Hashtbl.find_opt t.table id with
+  | Some e -> e.last_access = seq
+  | None -> false
+
+(* Eviction pops stale pairs only while the table is over its cap, so a
+   store whose working set fits would keep one pair per hit forever. Once
+   stale pairs outnumber resident entries, keep only each entry's freshest
+   pair, in queue order: eviction order is unchanged and the rebuild costs
+   O(1) amortised per access. *)
+let compact t =
+  if Queue.length t.lru > (2 * Hashtbl.length t.table) + 16 then begin
+    let kept = Queue.create () in
+    Queue.iter (fun pair -> if fresh t pair then Queue.push pair kept) t.lru;
+    Queue.clear t.lru;
+    Queue.transfer kept t.lru
+  end
+
 let touch t entry id =
   match t.mem_entries with
   | None -> ()
   | Some _ ->
     t.access_seq <- t.access_seq + 1;
     entry.last_access <- t.access_seq;
-    Queue.push (id, t.access_seq) t.lru
+    Queue.push (id, t.access_seq) t.lru;
+    compact t
 
 let rec evict_over_capacity t =
   match t.mem_entries with
@@ -292,15 +311,14 @@ let rec evict_over_capacity t =
     if Hashtbl.length t.table > cap then begin
       match Queue.pop t.lru with
       | exception Queue.Empty -> () (* cap >= 1 keeps this unreachable *)
-      | id, seq ->
-        (match Hashtbl.find_opt t.table id with
-        | Some e when e.last_access = seq ->
+      | (id, _) as pair ->
+        if fresh t pair then begin
           (* Freshest pair for a resident entry: genuinely least recently
              used, out it goes. Stale pairs just get skipped. *)
           Hashtbl.remove t.table id;
           t.evictions <- t.evictions + 1;
           Metrics.incr m_evictions
-        | Some _ | None -> ());
+        end;
         evict_over_capacity t
     end
 

@@ -59,9 +59,11 @@ type t
     distinct keys are resident, the least recently used entry is evicted
     (counted in [stats.evictions] and the [cache.evictions] metric) so a
     long-running process — the [pchls serve] daemon in particular — holds
-    a bounded working set. Evicted entries are only forgotten by the
-    memory tier; with a disk tier they remain on disk and re-promote on
-    the next lookup. Omitted means unbounded, as before.
+    a bounded working set; its recency bookkeeping stays within a small
+    multiple of the resident entries however many hits it serves. Evicted
+    entries are only forgotten by the memory tier; with a disk tier they
+    remain on disk and re-promote on the next lookup. Omitted means
+    unbounded, as before.
 
     @raise Invalid_argument when [mem_entries < 1]. *)
 val create : ?dir:string -> ?mem_entries:int -> unit -> t

@@ -24,11 +24,6 @@ let add s i =
   let w = i / bits in
   s.words.(w) <- s.words.(w) lor (1 lsl (i mod bits))
 
-let remove s i =
-  check s i "remove";
-  let w = i / bits in
-  s.words.(w) <- s.words.(w) land lnot (1 lsl (i mod bits))
-
 (* Kernighan popcount: one iteration per set bit, and candidate rows are
    sparse after a few clique commits, so this beats a table in practice. *)
 let popcount w =
@@ -42,8 +37,6 @@ let popcount w =
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
 
 let is_empty s = Array.for_all (fun w -> w = 0) s.words
-
-let clear s = Array.fill s.words 0 (Array.length s.words) 0
 
 let copy s = { s with words = Array.copy s.words }
 

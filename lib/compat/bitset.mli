@@ -18,20 +18,14 @@ val capacity : t -> int
     @raise Invalid_argument if [i] is outside the universe. *)
 val mem : t -> int -> bool
 
-(** [add s i] inserts [i]; [remove s i] deletes it. Both O(1) and
-    idempotent. *)
+(** [add s i] inserts [i]. O(1) and idempotent. *)
 val add : t -> int -> unit
-
-val remove : t -> int -> unit
 
 (** Number of members, counted by popcount over the words. *)
 val cardinal : t -> int
 
 (** [is_empty s] is [cardinal s = 0], without the full count. *)
 val is_empty : t -> bool
-
-(** [clear s] removes every member. *)
-val clear : t -> unit
 
 (** [copy s] is an independent snapshot. *)
 val copy : t -> t

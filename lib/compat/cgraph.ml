@@ -1,8 +1,7 @@
 (* Adjacency is a bitset row per vertex; weights live in a hash table
-   keyed on the packed pair (min*n + max). Versus the previous dense
-   [float option array array], a 10k-vertex graph costs ~12 MB of rows
-   instead of ~800 MB of option cells, and [remove_vertex] touches only the
-   vertex's own neighbourhood. *)
+   keyed on the packed pair (min*n + max). A 10k-vertex graph costs ~12 MB
+   of rows, where a dense [float option array array] would take ~800 MB
+   of option cells, and neighbour scans walk one packed row. *)
 
 type t = {
   n : int;
@@ -39,16 +38,6 @@ let add_edge g u v w =
   end;
   Hashtbl.replace g.weights k w
 
-let remove_edge g u v =
-  check g u v "remove_edge";
-  let k = key g u v in
-  if Hashtbl.mem g.weights k then begin
-    Hashtbl.remove g.weights k;
-    Bitset.remove g.rows.(u) v;
-    Bitset.remove g.rows.(v) u;
-    g.edge_count <- g.edge_count - 1
-  end
-
 let weight g u v =
   check g u v "weight";
   Hashtbl.find_opt g.weights (key g u v)
@@ -56,16 +45,6 @@ let weight g u v =
 let compatible g u v =
   check g u v "compatible";
   Bitset.mem g.rows.(u) v
-
-let remove_vertex g u =
-  if u < 0 || u >= g.n then invalid_arg "Cgraph.remove_vertex: vertex out of range";
-  Bitset.iter
-    (fun v ->
-      Hashtbl.remove g.weights (key g u v);
-      Bitset.remove g.rows.(v) u;
-      g.edge_count <- g.edge_count - 1)
-    g.rows.(u);
-  Bitset.clear g.rows.(u)
 
 let edges g =
   (* Rows are visited in increasing u and each row in increasing v, every

@@ -26,14 +26,6 @@ val vertex_count : t -> int
     @raise Invalid_argument on out-of-range or equal endpoints. *)
 val add_edge : t -> int -> int -> float -> unit
 
-(** [remove_edge g u v] makes the pair incompatible again. *)
-val remove_edge : t -> int -> int -> unit
-
-(** [remove_vertex g u] removes every edge incident to [u] in
-    O(degree u), instead of rebuilding the graph.
-    @raise Invalid_argument if [u] is out of range. *)
-val remove_vertex : t -> int -> unit
-
 val compatible : t -> int -> int -> bool
 val weight : t -> int -> int -> float option
 

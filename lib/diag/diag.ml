@@ -89,19 +89,16 @@ let to_string d =
 let pp ppf d = Format.pp_print_string ppf (to_string d)
 
 let to_json d =
-  Printf.sprintf
-    {|{"code":"%s","severity":"%s","layer":"%s","entity":"%s","message":"%s"}|}
-    (Json.escape d.code)
-    (severity_to_string d.severity)
-    (layer_to_string d.layer)
-    (Json.escape (entity_to_string d.entity))
-    (Json.escape d.message)
+  Json.Obj
+    [
+      ("code", Json.String d.code);
+      ("severity", Json.String (severity_to_string d.severity));
+      ("layer", Json.String (layer_to_string d.layer));
+      ("entity", Json.String (entity_to_string d.entity));
+      ("message", Json.String d.message);
+    ]
 
-let list_to_json = function
-  | [] -> "[]"
-  | ds ->
-    let items = List.map (fun d -> "  " ^ to_json d) ds in
-    "[\n" ^ String.concat ",\n" items ^ "\n]"
+let list_to_json ds = Json.List (List.map to_json ds)
 
 let registry =
   [

@@ -66,10 +66,10 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 (** One JSON object with fields [code], [severity], [layer], [entity],
-    [message]; {!list_to_json} renders a JSON array, one object per line. *)
-val to_json : t -> string
+    [message]; {!list_to_json} is the array of them. *)
+val to_json : t -> Pchls_obs.Json.t
 
-val list_to_json : t list -> string
+val list_to_json : t list -> Pchls_obs.Json.t
 
 (** The published code table: (code, severity, one-line description).
     Codes are unique; the table is what [docs/DIAGNOSTICS.md] documents. *)

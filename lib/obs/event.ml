@@ -26,47 +26,42 @@ let sort evs =
 
 (* --- Chrome trace_event JSON ------------------------------------------- *)
 
-let us ns = Printf.sprintf "%.3f" (Int64.to_float ns /. 1e3)
-
-let args_json args =
-  if args = [] then ""
-  else
-    Printf.sprintf ",\"args\":{%s}"
-      (String.concat ","
-         (List.map
-            (fun (k, v) ->
-              Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
-            args))
+let us ns = Json.Number (Int64.to_float ns /. 1e3)
 
 let to_json ev =
-  let common =
-    Printf.sprintf "\"name\":\"%s\",\"cat\":\"%s\",\"pid\":0,\"tid\":%d,\"ts\":%s"
-      (Json.escape ev.name) (Json.escape ev.cat) ev.tid (us ev.ts_ns)
+  let phase =
+    match ev.phase with
+    | Complete { dur_ns } -> [ ("ph", Json.String "X"); ("dur", us dur_ns) ]
+    | Instant -> [ ("ph", Json.String "i"); ("s", Json.String "t") ]
   in
-  match ev.phase with
-  | Complete { dur_ns } ->
-    Printf.sprintf "{%s,\"ph\":\"X\",\"dur\":%s%s}" common (us dur_ns)
-      (args_json ev.args)
-  | Instant ->
-    Printf.sprintf "{%s,\"ph\":\"i\",\"s\":\"t\"%s}" common (args_json ev.args)
+  let args =
+    if ev.args = [] then []
+    else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) ev.args)) ]
+  in
+  Json.Obj
+    ([
+       ("name", Json.String ev.name);
+       ("cat", Json.String ev.cat);
+       ("pid", Json.Number 0.);
+       ("tid", Json.Number (float_of_int ev.tid));
+       ("ts", us ev.ts_ns);
+     ]
+    @ phase @ args)
 
 let chrome_document evs =
-  let evs = sort evs in
-  let buf = Buffer.create (256 * (1 + List.length evs)) in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n  ";
-      Buffer.add_string buf (to_json ev))
-    evs;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.List (List.map to_json (sort evs)));
+         ("displayTimeUnit", Json.String "ms");
+       ])
+  ^ "\n"
 
 (* The inverse, and the one strict reader of saved dumps: every field
    {!to_json} writes is required and checked, so [pchls trace validate]
-   and [pchls trace tree] accept exactly the same documents. Microsecond
-   floats carry 3 decimals, so rounding back to nanoseconds is exact. *)
+   and [pchls trace tree] accept exactly the same documents. The writer
+   prints each microsecond double exactly, so rounding back to
+   nanoseconds gives the recorded value. *)
 let of_chrome text =
   let ( let* ) = Result.bind in
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in

@@ -30,10 +30,11 @@ val sort : t list -> t list
 
 (** [to_json ev] — one Chrome [trace_event] object ([ph:"X"] for spans,
     [ph:"i"] for instants; [ts]/[dur] in microseconds). *)
-val to_json : t -> string
+val to_json : t -> Json.t
 
 (** [chrome_document evs] — the full [{"traceEvents": [...]}] document
-    over [sort evs]. *)
+    over [sort evs], printed by {!Json.to_string} on one line plus a
+    final newline. *)
 val chrome_document : t list -> string
 
 (** [of_chrome text] parses a Chrome [trace_event] document (strict
@@ -44,8 +45,8 @@ val chrome_document : t list -> string
     and [tid], string-valued [args] if any, and a [ph] of ["X"] (with a
     non-negative [dur]) or ["i"] (with a scope [s] of ["t"], ["p"] or
     ["g"]). The first violation is the [Error], naming the event's index.
-    Microsecond timestamps convert back to nanoseconds exactly at the
-    3-decimal precision {!to_json} writes. *)
+    Microsecond timestamps convert back to the nanoseconds they were
+    recorded as. *)
 val of_chrome : string -> (t list, string) result
 
 (** [pp_dur ns] — a human-scaled duration (["1.24 ms"], ["312 ns"]…). *)

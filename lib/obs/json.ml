@@ -206,21 +206,44 @@ let member key = function
   | Null | Bool _ | Number _ | String _ | List _ -> None
 
 (* Compact writer, the inverse of [parse] for everything the parser can
-   produce. Floats that carry an integral value print as integers (the
-   common case: counters, cycle counts, status codes); anything non-finite
-   has no JSON spelling and becomes [null]. *)
+   produce. Integral values print in full: plain digits below 1e15
+   (counters, cycle counts, status codes), %.17g above. Other finite
+   values print as the first of %.15g/%.16g/%.17g that reads back as the
+   same double, which is also the shortest, so 27.2 is "27.2", not
+   "27.199999999999999". Anything non-finite has no JSON spelling and
+   becomes [null]. *)
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else if not (Float.is_finite f) then "null"
+  else if Float.is_integer f then Printf.sprintf "%.17g" f
+  else
+    let s = Printf.sprintf "%.15g" f in
+    if float_of_string s = f then s
+    else
+      let s = Printf.sprintf "%.16g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let write_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Number f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string buf (Printf.sprintf "%.0f" f)
-    else if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.17g" f)
-    else Buffer.add_string buf "null"
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | Number f -> Buffer.add_string buf (number f)
+  | String s -> write_string buf s
   | List items ->
     Buffer.add_char buf '[';
     List.iteri
@@ -234,28 +257,11 @@ let rec write buf = function
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\":";
+        write_string buf k;
+        Buffer.add_char buf ':';
         write buf v)
       fields;
     Buffer.add_char buf '}'
-
-and escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let to_string json =
   let buf = Buffer.create 256 in

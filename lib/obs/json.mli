@@ -1,10 +1,10 @@
-(** A strict, dependency-free JSON reader and string escaper.
+(** pchls's one JSON reader and writer, dependency-free.
 
-    Used to validate the Chrome-trace files {!Trace.to_chrome} emits (the
-    test suite and [pchls trace validate] both round-trip through it) and
-    by the metrics JSON dumps. Strict means: exactly the RFC 8259 grammar,
-    no trailing commas, no comments, no garbage after the top-level
-    value. *)
+    Every JSON document pchls writes is a [t] printed by {!to_string}:
+    server responses, the access log, [check --json], [preflight --json],
+    the metrics dump, Chrome trace dumps and the bench records. The reader
+    is strict: exactly the RFC 8259 grammar, no trailing commas, no
+    comments, no garbage after the top-level value. *)
 
 type t =
   | Null
@@ -21,12 +21,11 @@ val parse : string -> (t, string) result
     object that has one. *)
 val member : string -> t -> t option
 
-(** [escape s] backslash-escapes [s] for embedding inside a JSON string
-    literal (without the surrounding quotes). *)
-val escape : string -> string
-
-(** [to_string json] renders [json] compactly. Integral numbers print
-    without a decimal point, so [parse (to_string j)] round-trips values
-    the parser can produce; non-finite numbers (which RFC 8259 cannot
-    express) render as [null]. *)
+(** [to_string json] renders [json] compactly, on one line. Integral
+    numbers print as plain digits below 1e15 and as [%.17g] above; any
+    other finite number prints as the shortest of [%.15g]/[%.16g]/[%.17g]
+    that reads back as the same double ([27.2], not
+    [27.199999999999999]). So [parse (to_string j)] gives [j] back bit for
+    bit for every value the parser can produce. Non-finite numbers, which
+    RFC 8259 cannot express, render as [null]. *)
 val to_string : t -> string

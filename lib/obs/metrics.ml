@@ -432,20 +432,22 @@ let validate_prometheus text =
   check_bases bases
 
 let to_json () =
-  let field (name, v) =
-    let rendered =
-      match v with
-      | Counter n -> string_of_int n
-      | Gauge f -> Printf.sprintf "%.6g" f
-      | Histogram s ->
-        Printf.sprintf
-          "{\"count\":%d,\"sum\":%.6g,\"overflow\":%d,\"buckets\":[%s]}"
-          s.count s.sum s.overflow
-          (String.concat ","
-             (List.map2
-                (fun b n -> Printf.sprintf "{\"le\":%.6g,\"n\":%d}" b n)
-                s.bounds s.counts))
-    in
-    Printf.sprintf "\"%s\":%s" (Json.escape name) rendered
+  let int n = Json.Number (float_of_int n) in
+  let value = function
+    | Counter n -> int n
+    | Gauge f -> Json.Number f
+    | Histogram s ->
+      Json.Obj
+        [
+          ("count", int s.count);
+          ("sum", Json.Number s.sum);
+          ("overflow", int s.overflow);
+          ( "buckets",
+            Json.List
+              (List.map2
+                 (fun b n -> Json.Obj [ ("le", Json.Number b); ("n", int n) ])
+                 s.bounds s.counts) );
+        ]
   in
-  "{" ^ String.concat "," (List.map field (snapshot ())) ^ "}"
+  Json.to_string
+    (Json.Obj (List.map (fun (name, v) -> (name, value v)) (snapshot ())))

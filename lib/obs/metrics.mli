@@ -64,7 +64,8 @@ val dump : unit -> string
 
 (** [to_json ()] — the snapshot as one JSON object keyed by metric name;
     counters are integers, gauges numbers, histograms
-    [{"count","sum","overflow","buckets":[{"le","n"}…]}]. *)
+    [{"count","sum","overflow","buckets":[{"le","n"}…]}]. Printed by
+    {!Json.to_string}, so every number reads back as the exact double. *)
 val to_json : unit -> string
 
 (** [to_prometheus ()] — the snapshot in Prometheus text exposition

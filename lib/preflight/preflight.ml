@@ -642,63 +642,78 @@ let render r =
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                               *)
 
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+(* Bounds keep the text report's 6 significant digits: [num] rounds each
+   float before it enters the tree. *)
+let num f = Json.Number (float_of_string (Printf.sprintf "%.6g" f))
+let int n = Json.Number (float_of_int n)
+let ints l = Json.List (List.map int l)
 
 let json_certificate c =
-  let b = Buffer.create 64 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"code\":\"%s\"" (certificate_code c);
-  (match c with
-  | No_admissible_module { kind; power_limit; min_power } ->
-    add ",\"kind\":\"%s\",\"power_limit\":%s,\"min_power\":%s"
-      (Json.escape (Op.to_string kind)) (json_float power_limit)
-      (match min_power with None -> "null" | Some p -> json_float p)
-  | Latency_exceeded { limit; lower_bound; path } ->
-    add ",\"limit\":%d,\"lower_bound\":%d,\"path\":[%s]" limit lower_bound
-      (String.concat "," (List.map string_of_int path))
-  | Cycle_overload { cycle; demand; limit; pinned } ->
-    add ",\"cycle\":%d,\"demand\":%s,\"limit\":%s,\"pinned\":[%s]" cycle
-      (json_float demand) (json_float limit)
-      (String.concat ","
-         (List.map
-            (fun (id, pw) ->
-              Printf.sprintf "{\"op\":%d,\"power\":%s}" id (json_float pw))
-            pinned))
-  | Energy_deficit { energy_lb; capacity } ->
-    add ",\"energy_lb\":%s,\"capacity\":%s" (json_float energy_lb)
-      (json_float capacity));
-  add ",\"message\":\"%s\"}" (Json.escape (certificate_to_string c));
-  Buffer.contents b
+  let fields =
+    match c with
+    | No_admissible_module { kind; power_limit; min_power } ->
+      [
+        ("kind", Json.String (Op.to_string kind));
+        ("power_limit", num power_limit);
+        ("min_power", Option.fold ~none:Json.Null ~some:num min_power);
+      ]
+    | Latency_exceeded { limit; lower_bound; path } ->
+      [ ("limit", int limit); ("lower_bound", int lower_bound); ("path", ints path) ]
+    | Cycle_overload { cycle; demand; limit; pinned } ->
+      [
+        ("cycle", int cycle);
+        ("demand", num demand);
+        ("limit", num limit);
+        ( "pinned",
+          Json.List
+            (List.map
+               (fun (id, pw) -> Json.Obj [ ("op", int id); ("power", num pw) ])
+               pinned) );
+      ]
+    | Energy_deficit { energy_lb; capacity } ->
+      [ ("energy_lb", num energy_lb); ("capacity", num capacity) ]
+  in
+  Json.Obj
+    ((("code", Json.String (certificate_code c)) :: fields)
+    @ [ ("message", Json.String (certificate_to_string c)) ])
 
 let to_json r =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"graph\":\"%s\",\"time_limit\":%d,\"power_limit\":%s,\"infeasible\":%b"
-    (Json.escape r.graph_name) r.time_limit (json_float r.power_limit) (infeasible r);
-  (match r.bounds with
-  | None -> add ",\"bounds\":null"
-  | Some bo ->
-    add
-      ",\"bounds\":{\"horizon\":%d,\"latency_lb\":%d,\"critical_path\":[%s],\
-       \"demand_peak\":%s,\"demand_peak_cycle\":%s,\"energy_lb\":%s,\
-       \"energy_capacity\":%s,\"fu_area_lb\":%s,\"fu_area_ub\":%s,\
-       \"fu_area_exact\":%b,\"windows\":[%s]}"
-      bo.horizon bo.latency_lb
-      (String.concat "," (List.map string_of_int bo.critical_path))
-      (json_float bo.demand_peak)
-      (match bo.demand_peak_cycle with
-      | None -> "null"
-      | Some c -> string_of_int c)
-      (json_float bo.energy_lb)
-      (json_float bo.energy_capacity)
-      (json_float bo.fu_area_lb) (json_float bo.fu_area_ub) bo.fu_area_exact
-      (String.concat ","
-         (List.map
-            (fun (id, w) ->
-              Printf.sprintf "{\"op\":%d,\"earliest\":%d,\"latest\":%d}" id
-                w.earliest w.latest)
-            bo.windows)));
-  add ",\"certificates\":[%s]}"
-    (String.concat "," (List.map json_certificate r.certificates));
-  Buffer.contents b
+  let bounds =
+    match r.bounds with
+    | None -> Json.Null
+    | Some bo ->
+      Json.Obj
+        [
+          ("horizon", int bo.horizon);
+          ("latency_lb", int bo.latency_lb);
+          ("critical_path", ints bo.critical_path);
+          ("demand_peak", num bo.demand_peak);
+          ( "demand_peak_cycle",
+            Option.fold ~none:Json.Null ~some:int bo.demand_peak_cycle );
+          ("energy_lb", num bo.energy_lb);
+          ("energy_capacity", num bo.energy_capacity);
+          ("fu_area_lb", num bo.fu_area_lb);
+          ("fu_area_ub", num bo.fu_area_ub);
+          ("fu_area_exact", Json.Bool bo.fu_area_exact);
+          ( "windows",
+            Json.List
+              (List.map
+                 (fun (id, w) ->
+                   Json.Obj
+                     [
+                       ("op", int id);
+                       ("earliest", int w.earliest);
+                       ("latest", int w.latest);
+                     ])
+                 bo.windows) );
+        ]
+  in
+  Json.Obj
+    [
+      ("graph", Json.String r.graph_name);
+      ("time_limit", int r.time_limit);
+      ("power_limit", num r.power_limit);
+      ("infeasible", Json.Bool (infeasible r));
+      ("bounds", bounds);
+      ("certificates", Json.List (List.map json_certificate r.certificates));
+    ]

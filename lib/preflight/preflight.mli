@@ -165,5 +165,5 @@ val summary_diag : t -> Pchls_diag.Diag.t
 val render : t -> string
 
 (** One JSON object: instance, bounds (or [null]), certificates with
-    witnesses. *)
-val to_json : t -> string
+    witnesses. Floats are rounded to 6 significant digits. *)
+val to_json : t -> Pchls_obs.Json.t

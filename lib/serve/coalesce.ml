@@ -37,7 +37,7 @@ let rec run ?(retry_on = fun _ -> false) t ~key f =
     (match outcome with
     | Error e when retry_on e ->
       (* The leader died for a reason that is the leader's own fault (it
-         was shed or watchdog-killed), not the computation's: rerun as our
+         was watchdog-killed), not the computation's: rerun as our
          own request, exactly once. The recursive call passes no
          [retry_on], so a second dead leader is shared as-is. *)
       Metrics.incr m_retried;

@@ -32,9 +32,9 @@ type role =
     [retry_on e], the follower re-enters [run] once as its own request
     (it may lead a fresh flight, or join one led by another retrying
     follower) instead of propagating the leader's death. The retry itself
-    never retries again. [pchls serve] uses this for shed and
-    watchdog-killed leaders, whose failure says nothing about the
-    computation. Retries bump the [serve.coalesce_retries] counter. *)
+    never retries again. [pchls serve] uses this for watchdog-killed
+    leaders, whose failure says nothing about the computation. Retries
+    bump the [serve.coalesce_retries] counter. *)
 val run :
   ?retry_on:(exn -> bool) ->
   'a t ->

@@ -327,8 +327,6 @@ let budget_field config json =
 
 (* --- response encoding -------------------------------------------------- *)
 
-let number_or_null f = if Float.is_finite f then Json.Number f else Json.Null
-
 let error_body ~error reason =
   Json.to_string
     (Json.Obj [ ("error", Json.String error); ("reason", Json.String reason) ])
@@ -339,7 +337,7 @@ let design_fields name (d : Design.t) ~area ~peak =
     ("name", Json.String name);
     ("feasible", Json.Bool true);
     ("time_limit", Json.Number (float_of_int (Design.time_limit d)));
-    ("power_limit", number_or_null (Design.power_limit d));
+    ("power_limit", Json.Number (Design.power_limit d));
     ("area", Json.Number area);
     ("peak", Json.Number peak);
     ( "area_breakdown",
@@ -385,7 +383,7 @@ let json_of_point (pt : Explore.point) =
   let base =
     [
       ("time", Json.Number (float_of_int pt.Explore.time_limit));
-      ("power", number_or_null pt.Explore.power_limit);
+      ("power", Json.Number pt.Explore.power_limit);
     ]
   in
   Json.Obj
@@ -517,18 +515,19 @@ let with_degraded (mode : degrade) resp =
 
 (* A preflight report answer: infeasibility proved by the bounds is exact
    (422); anything else is 200, or 206 partial when [degraded]. The
-   Preflight layer's own JSON is spliced under "report", so the HTTP
+   Preflight layer's own JSON value goes under "report", so the HTTP
    payload and `pchls preflight --json` never drift. *)
 let report_response ?(degraded = false) ~name r =
   let infeasible = Preflight.infeasible r in
-  Http.response
+  let degraded_fields =
+    if degraded then
+      [ ("degraded", Json.String "preflight"); ("partial", Json.String "degraded") ]
+    else []
+  in
+  respond
     (if infeasible then 422 else if degraded then 206 else 200)
-    (Printf.sprintf "{\"name\":\"%s\",%s\"infeasible\":%b,\"report\":%s}"
-       (Json.escape name)
-       (if degraded then "\"degraded\":\"preflight\",\"partial\":\"degraded\","
-        else "")
-       infeasible
-       (String.trim (Preflight.to_json r)))
+    ((("name", Json.String name) :: degraded_fields)
+    @ [ ("infeasible", Json.Bool infeasible); ("report", Preflight.to_json r) ])
 
 let handle_synth srv req =
   let json = parse_body req in
@@ -587,7 +586,7 @@ let degraded_sweep srv ~name g ~times ~powers =
             Json.Obj
               [
                 ("time", Json.Number (float_of_int time_limit));
-                ("power", number_or_null power_limit);
+                ("power", Json.Number power_limit);
                 ( "status",
                   Json.String
                     (if Preflight.infeasible r then "infeasible" else "unknown")
@@ -678,16 +677,9 @@ let handle_check srv req =
         ]
         partial
     in
-    (* The diagnostics array is spliced verbatim from the Diag layer (the
-       same payload `pchls check --json` prints), so both surfaces stay
-       in lockstep. *)
-    let body =
-      Printf.sprintf "%s,\"diagnostics\":%s}"
-        (let s = Json.to_string (Json.Obj fields) in
-         String.sub s 0 (String.length s - 1))
-        (String.trim (Diag.list_to_json ds))
-    in
-    Http.response status body
+    (* The diagnostics are the Diag layer's own JSON value (the one
+       `pchls check --json` prints), so both surfaces stay in lockstep. *)
+    respond status (fields @ [ ("diagnostics", Diag.list_to_json ds) ])
   | Explore.Infeasible reason | Explore.Pruned reason ->
     let status, fields =
       apply_partial 422 (infeasible_fields name reason) partial

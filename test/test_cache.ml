@@ -421,6 +421,52 @@ let test_lru_unbounded_by_default () =
   Alcotest.(check int) "no cap, no evictions" 100 (Store.size store);
   Alcotest.(check int) "zero evictions" 0 (Store.stats store).Store.evictions
 
+(* A working set under the cap never evicts, so no eviction pops the
+   stale recency pair each hit leaves behind: hits alone must not grow
+   the store. *)
+let test_lru_hits_under_cap_bounded () =
+  let store = Store.create ~mem_entries:4096 () in
+  let keys = Array.init 90 (fun i -> key (Printf.sprintf "%04x" i) 1 1.) in
+  Array.iter (fun k -> Store.add store k (Store.Infeasible "x")) keys;
+  let words () = Obj.reachable_words (Obj.repr store) in
+  let before = words () in
+  for i = 0 to 99_999 do
+    ignore (Store.find store keys.(i mod 90))
+  done;
+  let after = words () in
+  Alcotest.(check int) "every find hit" 100_000 (Store.stats store).Store.hits;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words after 100 000 hits, %d before" after before)
+    true (after < 2 * before)
+
+(* Random add/find scripts against a most-recent-first list model: every
+   find must hit exactly when the model still holds the key. Small caps
+   and long scripts make the queue compact many times. *)
+let prop_lru_matches_model =
+  QCheck.Test.make ~name:"eviction order == list model" ~count:200
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size (Gen.int_range 0 300) (pair bool (int_bound 9))))
+    (fun (cap, script) ->
+      let store = Store.create ~mem_entries:cap () in
+      let k i = key (Printf.sprintf "%04x" i) 1 1. in
+      let model = ref [] in
+      let use i = model := i :: List.filter (( <> ) i) !model in
+      List.for_all
+        (fun (is_add, i) ->
+          if is_add then begin
+            Store.add store (k i) (Store.Infeasible "x");
+            use i;
+            model := List.filteri (fun j _ -> j < cap) !model;
+            true
+          end
+          else
+            let expected = List.mem i !model in
+            if expected then use i;
+            (Store.find store (k i) <> None) = expected)
+        script
+      && Store.size store = List.length !model)
+
 let test_lru_invalid_cap_rejected () =
   Alcotest.check_raises "mem_entries = 0"
     (Invalid_argument "Store.create: mem_entries must be >= 1, got 0")
@@ -569,6 +615,9 @@ let () =
             test_lru_unbounded_by_default;
           Alcotest.test_case "invalid cap rejected" `Quick
             test_lru_invalid_cap_rejected;
+          Alcotest.test_case "hits under the cap stay bounded" `Quick
+            test_lru_hits_under_cap_bounded;
+          QCheck_alcotest.to_alcotest prop_lru_matches_model;
         ] );
       ( "exploration",
         [

@@ -27,12 +27,6 @@ let test_add_edge_replaces () =
   Alcotest.(check (option (float 0.))) "replaced" (Some 2.) (Cgraph.weight g 0 1);
   Alcotest.(check int) "still one edge" 1 (Cgraph.edge_count g)
 
-let test_remove_edge () =
-  let g = Cgraph.create ~n:2 in
-  Cgraph.add_edge g 0 1 1.;
-  Cgraph.remove_edge g 0 1;
-  Alcotest.(check bool) "gone" false (Cgraph.compatible g 0 1)
-
 let test_self_edge_rejected () =
   let g = Cgraph.create ~n:2 in
   Alcotest.(check bool) "raises" true
@@ -101,7 +95,6 @@ let () =
           Alcotest.test_case "negative size rejected" `Quick test_create_negative;
           Alcotest.test_case "edges are symmetric" `Quick test_add_edge_symmetric;
           Alcotest.test_case "add replaces weight" `Quick test_add_edge_replaces;
-          Alcotest.test_case "remove edge" `Quick test_remove_edge;
           Alcotest.test_case "self edge rejected" `Quick test_self_edge_rejected;
           Alcotest.test_case "range checked" `Quick test_out_of_range;
           Alcotest.test_case "edges listed sorted" `Quick test_edges_sorted;

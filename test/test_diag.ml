@@ -1,4 +1,5 @@
 module Diag = Pchls_diag.Diag
+module Json = Pchls_obs.Json
 
 let d1 =
   Diag.errorf ~code:"SCH003" ~layer:Schedule ~entity:(Edge (0, 1))
@@ -56,9 +57,10 @@ let test_json () =
   Alcotest.(check string)
     "escaped"
     {|{"code":"X001","severity":"error","layer":"dfg","entity":"design","message":"say \"hi\"\n"}|}
-    (Diag.to_json d);
-  Alcotest.(check string) "empty array" "[]" (Diag.list_to_json []);
-  let json = Diag.list_to_json [ d1; d2 ] in
+    (Json.to_string (Diag.to_json d));
+  Alcotest.(check string) "empty array" "[]"
+    (Json.to_string (Diag.list_to_json []));
+  let json = Json.to_string (Diag.list_to_json [ d1; d2 ]) in
   Alcotest.(check bool) "array wraps objects" true
     (String.length json > 2
     && json.[0] = '['

@@ -143,39 +143,19 @@ let prop_profile_first_fit =
       Profile.first_fit p ~start ~latency ~power ~limit
       = naive_first_fit a ~start ~latency ~power ~limit)
 
-(* --- Cgraph: incremental invalidation == full rebuild ------------------ *)
+(* --- Cgraph: incremental edits == full rebuild ------------------------- *)
 
-(* Random edit scripts over a small vertex set: adds, edge removals and
-   [remove_vertex] invalidations, interleaved.
-   The model replays the same script into a plain association table and
-   the final graphs must agree edge-for-edge. *)
-type cedit =
-  | Add of int * int * float
-  | Remove_edge of int * int
-  | Remove_vertex of int
-
+(* Random add scripts over a small vertex set, weights replaced on repeat
+   pairs. The model replays the same script into a plain association table
+   and the final graphs must agree edge-for-edge. *)
 let cgraph_gen =
   QCheck.Gen.(
     let* n = 2 -- 24 in
-    let pair =
+    let edit =
       let* u = 0 -- (n - 1) in
       let* v = 0 -- (n - 1) in
-      return (u, if v = u then (u + 1) mod n else v)
-    in
-    let edit =
-      frequency
-        [
-          ( 5,
-            let* u, v = pair in
-            let* w = float_range (-2.) 5. in
-            return (Add (u, v, w)) );
-          ( 1,
-            let* u, v = pair in
-            return (Remove_edge (u, v)) );
-          ( 2,
-            let* u = 0 -- (n - 1) in
-            return (Remove_vertex u) );
-        ]
+      let* w = float_range (-2.) 5. in
+      return (u, (if v = u then (u + 1) mod n else v), w)
     in
     let* edits = list_size (0 -- 80) edit in
     return (n, edits))
@@ -183,12 +163,7 @@ let cgraph_gen =
 let print_cgraph_case (n, edits) =
   Format.asprintf "n=%d [%s]" n
     (String.concat "; "
-       (List.map
-          (function
-            | Add (u, v, w) -> Printf.sprintf "add %d-%d %.3f" u v w
-            | Remove_edge (u, v) -> Printf.sprintf "del %d-%d" u v
-            | Remove_vertex u -> Printf.sprintf "delv %d" u)
-          edits))
+       (List.map (fun (u, v, w) -> Printf.sprintf "add %d-%d %.3f" u v w) edits))
 
 let prop_cgraph_incremental =
   QCheck.Test.make ~name:"cgraph edits == full rebuild" ~count:300
@@ -198,19 +173,9 @@ let prop_cgraph_incremental =
       let model : (int * int, float) Hashtbl.t = Hashtbl.create 16 in
       let key u v = if u < v then (u, v) else (v, u) in
       List.iter
-        (function
-          | Add (u, v, w) ->
-            Cgraph.add_edge g u v w;
-            Hashtbl.replace model (key u v) w
-          | Remove_edge (u, v) ->
-            Cgraph.remove_edge g u v;
-            Hashtbl.remove model (key u v)
-          | Remove_vertex u ->
-            Cgraph.remove_vertex g u;
-            Hashtbl.iter
-              (fun (a, b) _ ->
-                if a = u || b = u then Hashtbl.remove model (a, b))
-              (Hashtbl.copy model))
+        (fun (u, v, w) ->
+          Cgraph.add_edge g u v w;
+          Hashtbl.replace model (key u v) w)
         edits;
       let rebuilt = Cgraph.create ~n in
       Hashtbl.iter (fun (u, v) w -> Cgraph.add_edge rebuilt u v w) model;
@@ -226,18 +191,16 @@ let bitset_gen =
   QCheck.Gen.(
     let* n = 1 -- 200 in
     let* adds = list_size (0 -- 100) (0 -- (n - 1)) in
-    let* dels = list_size (0 -- 50) (0 -- (n - 1)) in
-    return (n, adds, dels))
+    return (n, adds))
 
 module Int_set = Set.Make (Int)
 
 let prop_bitset_model =
   QCheck.Test.make ~name:"bitset == Set.Make(Int)" ~count:300
-    (QCheck.make bitset_gen ~print:(fun (n, adds, dels) ->
-         Printf.sprintf "n=%d adds=%s dels=%s" n
-           (String.concat "," (List.map string_of_int adds))
-           (String.concat "," (List.map string_of_int dels))))
-    (fun (n, adds, dels) ->
+    (QCheck.make bitset_gen ~print:(fun (n, adds) ->
+         Printf.sprintf "n=%d adds=%s" n
+           (String.concat "," (List.map string_of_int adds))))
+    (fun (n, adds) ->
       let b = Bitset.create n in
       let m = ref Int_set.empty in
       List.iter
@@ -245,11 +208,6 @@ let prop_bitset_model =
           Bitset.add b x;
           m := Int_set.add x !m)
         adds;
-      List.iter
-        (fun x ->
-          Bitset.remove b x;
-          m := Int_set.remove x !m)
-        dels;
       Bitset.to_list b = Int_set.elements !m
       && Bitset.cardinal b = Int_set.cardinal !m
       && Bitset.is_empty b = Int_set.is_empty !m

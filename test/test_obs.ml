@@ -174,6 +174,62 @@ let test_metrics_json_parses () =
   | Ok _ -> Alcotest.fail "metrics JSON is not an object"
   | Error msg -> Alcotest.fail ("metrics JSON unparseable: " ^ msg)
 
+(* --- the JSON writer ------------------------------------------------------ *)
+
+let test_json_shortest_numbers () =
+  let show f = Json.to_string (Json.Number f) in
+  Alcotest.(check string) "27.2" "27.2" (show 27.2);
+  Alcotest.(check string) "0.1" "0.1" (show 0.1);
+  Alcotest.(check string) "1/3" "0.3333333333333333" (show (1. /. 3.))
+
+(* Finite doubles from every corner: raw bit patterns, subnormals, values
+   from 1e15 to 1e17 (where doubles turn integral), larger magnitudes, and
+   short decimals. *)
+let finite_double =
+  QCheck.Gen.(
+    oneof
+      [
+        map Int64.float_of_bits int64;
+        map
+          (fun b -> Int64.float_of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL))
+          int64;
+        float_range 1e15 1e17;
+        (let* m = float_range 1. 10. in
+         let* e = 17 -- 300 in
+         return (m *. (10. ** float_of_int e)));
+        map (fun n -> float_of_int n /. 10.) int;
+      ])
+
+let prop_json_numbers_round_trip =
+  QCheck.Test.make ~name:"json numbers read back bit-identical" ~count:2000
+    (QCheck.make finite_double ~print:(Printf.sprintf "%h"))
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      let text = Json.to_string (Json.Number f) in
+      String.length text <= String.length (Printf.sprintf "%.17g" f)
+      &&
+      match Json.parse text with
+      | Ok (Json.Number g) -> Int64.bits_of_float g = Int64.bits_of_float f
+      | Ok _ | Error _ -> false)
+
+(* Chrome documents carry microseconds; every nanosecond timestamp and
+   duration, up to ~13 days, reads back unchanged. *)
+let prop_chrome_timestamps_round_trip =
+  QCheck.Test.make ~name:"chrome timestamps read back exactly" ~count:300
+    QCheck.(pair (int_bound (1 lsl 50)) (int_bound (1 lsl 40)))
+    (fun (ts, dur) ->
+      let ev =
+        {
+          Event.name = "e";
+          cat = "c";
+          phase = Event.Complete { dur_ns = Int64.of_int dur };
+          ts_ns = Int64.of_int ts;
+          tid = 0;
+          args = [];
+        }
+      in
+      Event.of_chrome (Event.chrome_document [ ev ]) = Ok [ ev ])
+
 (* --- histogram buckets --------------------------------------------------- *)
 
 let test_histogram_bucket_boundaries () =
@@ -610,6 +666,12 @@ let () =
           Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip;
           Alcotest.test_case "validator rejects garbage" `Quick
             test_validate_rejects_garbage;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "shortest numbers" `Quick test_json_shortest_numbers;
+          QCheck_alcotest.to_alcotest prop_json_numbers_round_trip;
+          QCheck_alcotest.to_alcotest prop_chrome_timestamps_round_trip;
         ] );
       ( "metrics",
         [

@@ -230,7 +230,7 @@ let test_render_and_json () =
   let r = analyze ~time_limit:4 ~power_limit:5. twin_mults in
   let text = Preflight.render r in
   Alcotest.(check bool) "mentions verdict" true (contains text "infeasible");
-  let json = Preflight.to_json r in
+  let json = Pchls_obs.Json.to_string (Preflight.to_json r) in
   Alcotest.(check bool) "json has code" true
     (contains json "\"code\":\"PRE003\"");
   Alcotest.(check bool) "json infeasible flag" true
@@ -251,7 +251,10 @@ let test_json_non_ascii_name () =
     | Ok g -> g
     | Error msg -> Alcotest.fail msg
   in
-  match Pchls_obs.Json.parse (Preflight.to_json (analyze ~time_limit:5 g)) with
+  match
+    Pchls_obs.Json.parse
+      (Pchls_obs.Json.to_string (Preflight.to_json (analyze ~time_limit:5 g)))
+  with
   | Ok json ->
     Alcotest.(check (option string)) "graph name round-trips"
       (Some "h\xc3\xa4l")
