@@ -1062,7 +1062,7 @@ let overload_bench () =
         queue_age_ms = Float.max 10. (330. *. unc_p99);
         shed_threshold = 0.5;
         degrade_deadline_ms = 25.;
-        watchdog_ms = Some 2000.;
+        max_deadline_ms = Some 2000.;
       }
   in
   let port = Server.port srv in

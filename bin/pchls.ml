@@ -574,7 +574,8 @@ let preflight_cmd =
   in
   let exact_max =
     Arg.(
-      value & opt int 12
+      value
+      & opt int Preflight.default_exact_max_vertices
       & info [ "exact-max" ] ~docv:"N"
           ~doc:"Largest graph (in operations) priced with the exact \
                 clique-search area bound; larger graphs use the interval \
@@ -1208,8 +1209,10 @@ let serve_cmd =
       & opt (some (checked float Request.deadline_ms)) None
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:"Ceiling on (and default for) per-request synthesis \
-                budgets. A request whose budget expires gets HTTP 206 with \
-                its best partial (anytime) result.")
+                budgets: the one wall limit on every engine task, counted \
+                from before it waits for a worker domain. A request whose \
+                budget expires gets HTTP 206 with its best partial \
+                (anytime) result.")
   in
   let max_body_opt =
     Arg.(
@@ -1281,18 +1284,9 @@ let serve_cmd =
                 opens the endpoint and callers fast-fail 503 until a \
                 cooldown probe succeeds.")
   in
-  let watchdog_opt =
-    Arg.(
-      value
-      & opt (checked float Request.deadline_ms) 0.
-      & info [ "watchdog-ms" ] ~docv:"MS"
-          ~doc:"Reclaim engine tasks stuck past $(docv) milliseconds of \
-                wall time (cooperative budget cancellation; the request \
-                is answered 500). 0 disables the watchdog.")
-  in
   let run host port threads jobs library cache_dir no_cache mem_entries
       deadline_ms max_body trace flight_capacity access_log slow_ms max_queue
-      queue_age_ms shed_threshold breaker watchdog_ms no_color =
+      queue_age_ms shed_threshold breaker no_color =
     apply_color no_color;
     let config =
       {
@@ -1316,7 +1310,6 @@ let serve_cmd =
         queue_age_ms;
         shed_threshold;
         breaker;
-        watchdog_ms = (if watchdog_ms = 0. then None else Some watchdog_ms);
       }
     in
     match Server.run config with
@@ -1353,8 +1346,8 @@ let serve_cmd =
               degrades /synth and /sweep to fast partial or \
               preflight-only answers (x-pchls-degraded header), circuit \
               breakers ($(b,--breaker)) fast-fail endpoints that keep \
-              returning 5xx, and $(b,--watchdog-ms) reclaims hung engine \
-              tasks. See docs/ROBUSTNESS.md.";
+              returning 5xx, and a hung engine task answers 206 at \
+              $(b,--deadline-ms). See docs/ROBUSTNESS.md.";
            `P
              "SIGINT/SIGTERM drains in-flight requests and exits 0; a \
               second signal force-exits 1.";
@@ -1364,7 +1357,7 @@ let serve_cmd =
       $ cache_dir_opt $ no_cache_flag $ mem_entries_opt $ serve_deadline_opt
       $ max_body_opt $ serve_trace_flag $ flight_capacity_opt $ access_log_opt
       $ slow_ms_opt $ max_queue_opt $ queue_age_opt $ shed_threshold_opt
-      $ breaker_opt $ watchdog_opt $ no_color_flag)
+      $ breaker_opt $ no_color_flag)
 
 (* --- main -------------------------------------------------------------- *)
 

@@ -234,7 +234,8 @@ let degrade t msg =
 
 (* A corrupt entry is renamed aside rather than deleted (its bytes may
    matter for debugging) or left in place (it would be re-parsed on every
-   lookup). The [".bad"] suffix keeps it off the [extension] filter. *)
+   lookup). The [".bad"] suffix keeps it off the [extension] filter until
+   [clear] deletes it. *)
 let quarantine t path =
   t.corrupt <- t.corrupt + 1;
   Metrics.incr m_corrupt;
@@ -407,12 +408,14 @@ let stats t =
 
 let size t = locked t @@ fun () -> Hashtbl.length t.table
 
-let entries_of_disk disk =
+let entries_of_disk ?(quarantined = false) disk =
   match Sys.readdir disk with
   | exception Sys_error _ -> []
   | files ->
     Array.to_list files
-    |> List.filter (fun f -> Filename.check_suffix f extension)
+    |> List.filter (fun f ->
+           Filename.check_suffix f extension
+           || (quarantined && Filename.check_suffix f (extension ^ ".bad")))
     |> List.map (Filename.concat disk)
 
 let clear t =
@@ -424,7 +427,7 @@ let clear t =
   | Some disk ->
     List.iter
       (fun path -> try Sys.remove path with Sys_error _ -> ())
-      (entries_of_disk disk)
+      (entries_of_disk ~quarantined:true disk)
 
 let disk_usage ~dir =
   let disk = Filename.concat dir version in

@@ -88,8 +88,8 @@ val stats : t -> stats
 (** [size t] is the number of in-memory entries. *)
 val size : t -> int
 
-(** [clear t] drops every in-memory entry and deletes every on-disk entry.
-    Counters are not reset. *)
+(** [clear t] drops every in-memory entry and deletes every on-disk entry,
+    quarantined [.bad] ones included. Counters are not reset. *)
 val clear : t -> unit
 
 (** [disk_usage ~dir] is [(entries, bytes)] for the current-version tier

@@ -13,6 +13,8 @@ let make ~name ~ops ~area ~latency ~power =
   else if ops = [] then Error (Printf.sprintf "module %s implements no operation" name)
   else if List.length (List.sort_uniq Op.compare ops) <> List.length ops then
     Error (Printf.sprintf "module %s lists a duplicate operation" name)
+  else if not (Float.is_finite area && Float.is_finite power) then
+    Error (Printf.sprintf "module %s has non-finite area/power" name)
   else if area < 0. then Error (Printf.sprintf "module %s has negative area" name)
   else if latency < 1 then
     Error (Printf.sprintf "module %s has latency %d < 1" name latency)

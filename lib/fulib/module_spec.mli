@@ -11,8 +11,8 @@ type t = {
 }
 
 (** [make ~name ~ops ~area ~latency ~power] validates the fields: [ops] must
-    be non-empty and duplicate-free, [area >= 0], [latency >= 1],
-    [power >= 0]. *)
+    be non-empty and duplicate-free, [area] and [power] finite (no NaN or
+    infinity), [area >= 0], [latency >= 1], [power >= 0]. *)
 val make :
   name:string ->
   ops:Pchls_dfg.Op.kind list ->

@@ -254,8 +254,10 @@ let check_limits ~time_limit ~power_limit who =
   if not (power_limit > 0.) then
     invalid_arg (Printf.sprintf "Preflight.%s: power_limit must be positive" who)
 
-let analyze ?(exact_max_vertices = 12) ~library ~time_limit
-    ?(power_limit = infinity) g =
+let default_exact_max_vertices = 12
+
+let analyze ?(exact_max_vertices = default_exact_max_vertices) ~library
+    ~time_limit ?(power_limit = infinity) g =
   check_limits ~time_limit ~power_limit "analyze";
   let kinds = List.sort Op.compare (List.map fst (Graph.kind_counts g)) in
   let floors =

@@ -108,12 +108,17 @@ type t = {
   certificates : certificate list;
 }
 
+(** The largest graph, in operations, that {!analyze} prices with the
+    exact clique search unless told otherwise: [12]. The search is
+    exponential in the graph size. *)
+val default_exact_max_vertices : int
+
 (** [analyze ?exact_max_vertices ~library ~time_limit ?power_limit g]
     computes all bounds and certificates. [power_limit] defaults to
-    [infinity]. [exact_max_vertices] (default [12]) caps the exact
-    clique-pricing area bound; graphs above it use the interval relaxation,
-    and [0] disables the exact search entirely (the cheap configuration the
-    sweep pruner uses).
+    [infinity]. [exact_max_vertices] (default {!default_exact_max_vertices})
+    caps the exact clique-pricing area bound; graphs above it use the
+    interval relaxation, and [0] disables the exact search entirely (the
+    cheap configuration the sweep pruner uses).
 
     @raise Invalid_argument if [time_limit < 1] or [power_limit <= 0]
     (mirrors {!Pchls_core.Engine.run}). *)

@@ -8,8 +8,7 @@
     is exhausted, returning the best result found so far instead of
     hanging or raising. A budget is the only way to stop such a loop: the
     server folds every wall limit it enforces (the request's deadline, its
-    own ceiling, the degraded-mode clamp and the watchdog) into one
-    deadline.
+    own ceiling and the degraded-mode clamp) into one deadline.
 
     Wall-clock expiry is measured on {!Pchls_obs.Clock}, which is
     monotonic: NTP steps can never un-expire a deadline. All operations

@@ -41,8 +41,7 @@
       actually saturating the queue;
     - ["serve.hang"]: a [pchls serve] engine task hangs (cooperatively —
       it spins polling its budget) until its deadline passes, exercising
-      the watchdog's kill/reclaim path when that deadline is the
-      watchdog limit. *)
+      the wind-down at the server's deadline ceiling. *)
 
 (** Raised by {!inject}; carries the fault-point name. Registered with
     [Printexc] so reports read ["injected fault: pool.worker"]. *)

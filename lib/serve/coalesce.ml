@@ -1,7 +1,6 @@
 module Metrics = Pchls_obs.Metrics
 
 let m_coalesced = Metrics.counter "serve.coalesced"
-let m_retried = Metrics.counter "serve.coalesce_retries"
 
 type 'a flight = {
   mutable outcome : ('a, exn) result option;  (** [None] while running *)
@@ -17,7 +16,7 @@ let create () = { mutex = Mutex.create (); flights = Hashtbl.create 16 }
 
 type role = Led | Joined
 
-let rec run ?(retry_on = fun _ -> false) t ~key f =
+let run t ~key f =
   Mutex.lock t.mutex;
   match Hashtbl.find_opt t.flights key with
   | Some flight ->
@@ -34,15 +33,7 @@ let rec run ?(retry_on = fun _ -> false) t ~key f =
     in
     let outcome = wait () in
     Mutex.unlock t.mutex;
-    (match outcome with
-    | Error e when retry_on e ->
-      (* The leader died for a reason that is the leader's own fault (it
-         was watchdog-killed), not the computation's: rerun as our
-         own request, exactly once. The recursive call passes no
-         [retry_on], so a second dead leader is shared as-is. *)
-      Metrics.incr m_retried;
-      run t ~key f
-    | _ -> (outcome, Joined))
+    (outcome, Joined)
   | None ->
     let flight = { outcome = None; done_ = Condition.create () } in
     Hashtbl.replace t.flights key flight;

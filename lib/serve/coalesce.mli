@@ -21,26 +21,12 @@ type role =
   | Led  (** this call ran the computation *)
   | Joined  (** this call attached to an in-flight leader *)
 
-(** [run ?retry_on t ~key f] — if no flight for [key] is active, runs
-    [f ()] as the leader; otherwise blocks until the active flight
-    finishes. Returns the shared outcome ([Error] when the leader raised —
-    the exception is returned, not re-raised, so every waiter can decide
-    how to report it) and this call's {!role}.
-
-    [retry_on] (default: never) classifies leader failures that must not
-    be shared: when a follower's flight ends in [Error e] with
-    [retry_on e], the follower re-enters [run] once as its own request
-    (it may lead a fresh flight, or join one led by another retrying
-    follower) instead of propagating the leader's death. The retry itself
-    never retries again. [pchls serve] uses this for watchdog-killed
-    leaders, whose failure says nothing about the computation. Retries
-    bump the [serve.coalesce_retries] counter. *)
-val run :
-  ?retry_on:(exn -> bool) ->
-  'a t ->
-  key:string ->
-  (unit -> 'a) ->
-  ('a, exn) result * role
+(** [run t ~key f] — if no flight for [key] is active, runs [f ()] as
+    the leader; otherwise blocks until the active flight finishes.
+    Returns the shared outcome ([Error] when the leader raised — the
+    exception is returned, not re-raised, so every waiter can decide how
+    to report it) and this call's {!role}. *)
+val run : 'a t -> key:string -> (unit -> 'a) -> ('a, exn) result * role
 
 (** [in_flight t] — number of active flights (diagnostics). *)
 val in_flight : 'a t -> int

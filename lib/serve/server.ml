@@ -22,8 +22,6 @@ let m_partial = Metrics.counter "serve.partial"
 let m_accept_faults = Metrics.counter "serve.accept_faults"
 let m_shed = Metrics.counter "serve.shed"
 let m_degraded = Metrics.counter "serve.degraded"
-let m_kills = Metrics.counter "watchdog.kills"
-let g_live = Metrics.gauge "watchdog.live"
 
 (* Worst accept->503-written time over the process lifetime: the direct
    observable for the "shedding costs milliseconds" contract, free of
@@ -68,7 +66,6 @@ type config = {
   degrade_deadline_ms : float;
   breaker : bool;
   breaker_cooldown_ms : float;
-  watchdog_ms : float option;
 }
 
 let default_config =
@@ -93,7 +90,6 @@ let default_config =
     degrade_deadline_ms = 200.;
     breaker = true;
     breaker_cooldown_ms = 1000.;
-    watchdog_ms = None;
   }
 
 (* What a coalesced flight shares: the engine outcome plus the leader's
@@ -111,10 +107,6 @@ type t = {
   sweeps : Explore.point list flights;
   admission : Unix.file_descr Admission.t;
   breakers : (string * Breaker.t) list;  (* keyed by endpoint path *)
-  (* Watchdog accounting for /healthz: tasks reclaimed since start, and
-     engine tasks running under the limit now. *)
-  kills : int Atomic.t;
-  live : int Atomic.t;
   stopping : bool Atomic.t;
   inflight_count : int Atomic.t;
   shed_count : int Atomic.t;
@@ -135,15 +127,6 @@ let store t = t.cache
 let inflight t = Atomic.get t.inflight_count
 
 (* --- overload state ------------------------------------------------------ *)
-
-(* Raised by an engine task that ran into the watchdog limit; carries the
-   coalescing key for the log. *)
-exception Killed of string
-
-let () =
-  Printexc.register_printer (function
-    | Killed key -> Some ("watchdog reclaimed handler: " ^ key)
-    | _ -> None)
 
 (* Queue pressure in [0, 1]: how full the admission queue is. 0 while
    handlers keep up; approaching 1 as the backlog nears the shed point. *)
@@ -446,57 +429,25 @@ let clamp_ms srv = function
   | `Clamp -> Some srv.config.degrade_deadline_ms
   | `None -> None
 
-let set_live srv delta =
-  let live = Atomic.fetch_and_add srv.live delta + delta in
-  Metrics.set g_live (float_of_int live)
-
 (* One engine task of a request: [f] runs on the pool under the request's
    budget, whose clock starts here (the wait for a pool domain counts).
-   Its deadline is the tightest of the request's own, the degraded-mode
-   [clamp_ms] and the watchdog limit, so the engine winds down at the
-   first of them through the polls it already makes. A task whose wall
-   time reached the watchdog limit is reclaimed: it raises [Killed],
-   answered 500, never a 206 budget verdict. Otherwise the result comes
-   back with the budget's partial verdict. *)
-let engine_task srv ~key ?clamp_ms budget f =
-  let started = Clock.now_ns () in
-  let budget =
-    Request.start
-      ?clamp_ms:(Request.tighter clamp_ms srv.config.watchdog_ms)
-      budget
-  in
-  let run () =
+   Its deadline is the tightest of the request's own (capped by the
+   server's [max_deadline_ms]) and the degraded-mode [clamp_ms], so the
+   engine winds down at the first of them through the polls it already
+   makes. The result comes back with the budget's partial verdict. *)
+let engine_task srv ?clamp_ms budget f =
+  let budget = Request.start ?clamp_ms budget in
+  let v =
     dispatch srv (fun () ->
         maybe_hang srv budget;
         f budget)
   in
-  let v =
-    match srv.config.watchdog_ms with
-    | None -> run ()
-    | Some limit_ms ->
-      set_live srv 1;
-      let v = Fun.protect ~finally:(fun () -> set_live srv (-1)) run in
-      let age_ms =
-        Int64.to_float (Int64.sub (Clock.now_ns ()) started) /. 1e6
-      in
-      if age_ms >= limit_ms then begin
-        Atomic.incr srv.kills;
-        Metrics.incr m_kills;
-        Trace.instant ~cat:"serve"
-          ~args:[ ("id", key); ("age_ms", Printf.sprintf "%.0f" age_ms) ]
-          "serve.watchdog.kill";
-        raise (Killed key)
-      end;
-      v
-  in
   (v, Option.map Budget.reason_to_string (Option.bind budget Budget.check))
 
-(* A watchdog-killed leader says nothing about the computation, so a
-   coalesced follower reruns once as its own request instead of sharing
-   the corpse. *)
+(* Followers share the leader's outcome as it is, partial verdict and
+   raised exception included. *)
 let coalesce flights ~key compute =
-  let retry_on = function Killed _ -> true | _ -> false in
-  let outcome, role = Coalesce.run ~retry_on flights ~key compute in
+  let outcome, role = Coalesce.run flights ~key compute in
   match outcome with
   | Ok flight -> (flight, ("coalesced", Json.Bool (role = Coalesce.Joined)))
   | Error e -> raise e
@@ -554,7 +505,7 @@ let handle_synth srv req =
     in
     let (result, partial), coalesced =
       coalesce srv.synths ~key (fun () ->
-          engine_task srv ~key ?clamp_ms:(clamp_ms srv mode) budget
+          engine_task srv ?clamp_ms:(clamp_ms srv mode) budget
             (fun deadline ->
               Explore.solve ?policy ?deadline ~preflight
                 ~library:srv.config.library ?cache:srv.cache ~fp g ~time_limit
@@ -626,7 +577,7 @@ let handle_sweep srv req ~pareto =
        the pool's domains. *)
     let (points, partial), coalesced =
       coalesce srv.sweeps ~key (fun () ->
-          engine_task srv ~key ?clamp_ms:(clamp_ms srv mode) budget
+          engine_task srv ?clamp_ms:(clamp_ms srv mode) budget
             (fun deadline ->
               Explore.sweep ?policy ?deadline ~preflight
                 ~library:srv.config.library ?cache:srv.cache ~fp g ~times
@@ -657,7 +608,7 @@ let handle_check srv req =
   let budget = budget_field srv.config json in
   let fp = Explore.fingerprint ?policy ~library:srv.config.library g in
   let result, partial =
-    engine_task srv ~key:("check|" ^ fp) budget (fun deadline ->
+    engine_task srv budget (fun deadline ->
         Explore.solve ?policy ?deadline ~library:srv.config.library
           ?cache:srv.cache ~fp g ~time_limit ~power_limit)
   in
@@ -692,7 +643,16 @@ let handle_preflight srv req =
   let name, g = graph_field json in
   let time_limit = time_field json in
   let power_limit = power_field json in
-  let exact_max = opt_int "exact_max" json in
+  (* The exact clique search is exponential in the graph size and runs
+     outside every budget, so a client may only lower its cap. *)
+  let cap = Preflight.default_exact_max_vertices in
+  let exact_max =
+    Option.map
+      (fun n ->
+        if n >= 0 && n <= cap then n
+        else bad "\"exact_max\" must be in 0..%d" cap)
+      (opt_int "exact_max" json)
+  in
   report_response ~name
     (dispatch srv (fun () ->
          Preflight.analyze ?exact_max_vertices:exact_max
@@ -759,16 +719,6 @@ let handle_healthz srv =
                  ( Breaker.name b,
                    Json.String (Breaker.state_to_string (Breaker.state b)) ))
                bs) );
-      ( "watchdog",
-        match srv.config.watchdog_ms with
-        | None -> Json.Null
-        | Some limit_ms ->
-          Json.Obj
-            [
-              ("limit_ms", Json.Number limit_ms);
-              ("kills", Json.Number (float_of_int (Atomic.get srv.kills)));
-              ("live", Json.Number (float_of_int (Atomic.get srv.live)));
-            ] );
     ]
 
 (* GET /trace and GET /debug/flight: the server's unbounded or bounded
@@ -891,20 +841,14 @@ let routed srv req =
     route srv req
   with
   | Bad msg -> Http.response 400 (error_body ~error:"bad request" msg)
-  | Killed _ as e ->
-    Trace.note_crash ~origin:"serve.watchdog" e;
-    let limit = Option.value srv.config.watchdog_ms ~default:0. in
-    Http.response 500
-      (error_body ~error:"watchdog"
-         (Printf.sprintf
-            "handler exceeded the %gms wall limit and was reclaimed" limit))
   | e ->
     Trace.note_crash ~origin:"serve.handler" e;
     Http.response 500 (error_body ~error:"internal" (Printexc.to_string e))
 
 (* The breaker guard around [routed]: an open breaker answers 503 without
    touching the pool; outcomes of admitted calls feed the window (any 5xx
-   counts as a failure — handler crashes and watchdog kills included). *)
+   counts as a failure — handler crashes included; a 206 budget verdict
+   is a success). *)
 let guarded srv (req : Http.request) =
   let breaker =
     if req.Http.meth = "POST" then List.assoc_opt req.Http.path srv.breakers
@@ -1120,11 +1064,6 @@ let start config =
     invalid_arg
       (Printf.sprintf "Server.start: threads must be >= 1, got %d"
          config.threads);
-  (match config.watchdog_ms with
-  | Some ms when not (ms > 0.) ->
-    invalid_arg
-      (Printf.sprintf "Server.start: watchdog_ms must be > 0, got %g" ms)
-  | Some _ | None -> ());
   (* A dying client must surface as EPIPE on write, not kill the daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port) in
@@ -1205,8 +1144,6 @@ let start config =
         Admission.create ~max_depth:config.max_queue
           ~max_age_ms:config.queue_age_ms ();
       breakers;
-      kills = Atomic.make 0;
-      live = Atomic.make 0;
       stopping = Atomic.make false;
       inflight_count = Atomic.make 0;
       shed_count = Atomic.make 0;

@@ -67,25 +67,25 @@
     ["degraded": "none" | "clamped" | "preflight"]. Each engine-backed
     endpoint is guarded by a circuit breaker ({!Pchls_resil.Breaker},
     [breaker = true]): a burst of 5xx outcomes opens it and callers
-    fast-fail 503 + [Retry-After] until a cooldown probe succeeds. With
-    [watchdog_ms] set, that limit is one more ceiling on every engine
-    task's budget deadline, next to the request's own deadline and the
-    degraded clamp, and the tightest one wins. A task whose wall time
-    reaches [watchdog_ms] (counted from before pool dispatch) stops at
-    its next budget poll and is reclaimed: its request is answered 500
-    (["error": "watchdog"]) and the crash is noted in the flight
-    recorder, while coalesced followers of a killed leader retry once as
-    their own request. All of it is visible
-    in [/healthz] ([queue], [pressure], [degraded], [shed], [breakers],
-    [watchdog]), [/metrics] ([serve.shed], [serve.degraded],
-    [admission.*], [breaker.*], [watchdog.*]) and the access log
-    ([queue_ms] on served requests, [shed] records on rejections).
+    fast-fail 503 + [Retry-After] until a cooldown probe succeeds.
+    [max_deadline_ms] is the server's one wall limit: every engine task
+    runs under one budget whose deadline, counted from before pool
+    dispatch, is the tightest of the request's own [deadline_ms], that
+    ceiling and the degraded clamp. A task that reaches it winds down at
+    its next budget poll and answers 206 with its budget verdict (and
+    the anytime design when one exists), like any expired budget; such
+    an answer is never a breaker failure, and coalesced followers share
+    it as it is. All of it is visible in [/healthz] ([queue],
+    [pressure], [degraded], [shed], [breakers]), [/metrics]
+    ([serve.shed], [serve.degraded], [serve.partial], [admission.*],
+    [breaker.*]) and the access log ([queue_ms] on served requests,
+    [shed] records on rejections).
 
     Fault points ["serve.accept"] (a connection dropped at accept; the
     daemon keeps accepting), ["serve.handler"] (a handler crash, answered
     with 500), ["serve.shed"] (a forced admission refusal — the 503 shed
     path without a full queue) and ["serve.hang"] (an engine task that
-    spins until its deadline passes, exercising the watchdog) wire the
+    spins until its deadline passes, exercising the wall limit) wire the
     server into the {!Pchls_resil.Fault} chaos machinery. *)
 
 (** The server's version string, surfaced in [/healthz]. *)
@@ -101,7 +101,8 @@ type config = {
   cache_dir : string option;  (** adds the on-disk tier *)
   cache_mem_entries : int option;  (** LRU cap on the memory tier *)
   max_deadline_ms : float option;
-      (** server-side ceiling on (and default for) per-request budgets *)
+      (** server-side ceiling on (and default for) per-request budgets:
+          the one wall limit on every engine task *)
   max_body_bytes : int;  (** request body cap, → 413 *)
   trace : bool;
       (** install an unbounded {!Pchls_obs.Trace} recorder serving
@@ -127,9 +128,6 @@ type config = {
   breaker : bool;  (** per-endpoint circuit breakers on 5xx bursts *)
   breaker_cooldown_ms : float;
       (** open-state dwell before a breaker admits a probe *)
-  watchdog_ms : float option;
-      (** hard wall limit on engine tasks, folded into their budget
-          deadlines; [None] = no watchdog *)
 }
 
 val default_config : config
@@ -140,8 +138,7 @@ type t
     threads; returns once the server is accepting. Its trace and flight
     recorders are installed next to any the caller installed.
     @raise Unix.Unix_error when the address cannot be bound.
-    @raise Invalid_argument when [threads < 1] or [watchdog_ms] is not
-    [> 0]. *)
+    @raise Invalid_argument when [threads < 1]. *)
 val start : config -> t
 
 (** [port t] — the bound port (useful with [config.port = 0]). *)

@@ -2,9 +2,9 @@
    server and walks the overload-protection surface — a forced shed (503
    + Retry-After), degraded preflight/clamped answers and their
    x-pchls-degraded header, a breaker tripping on a seeded 5xx burst and
-   recovering after its cooldown, and a watchdog kill of an injected
-   hang — printing byte-stable lines (volatile numbers redacted to <n>)
-   for cram to pin. *)
+   recovering after its cooldown, and an injected hang answered 206 at
+   the server's deadline ceiling — printing byte-stable lines (volatile
+   numbers redacted to <n>) for cram to pin. *)
 
 module Http = Pchls_serve.Http
 module Server = Pchls_serve.Server
@@ -52,7 +52,7 @@ let () =
       threads = 2;
       jobs = 1;
       breaker_cooldown_ms = 100.;
-      watchdog_ms = Some 100.;
+      max_deadline_ms = Some 100.;
     }
   in
   let srv = Server.start config in
@@ -114,23 +114,16 @@ let () =
   Printf.printf "breaker-recovered: %d state=%s\n" r.Http.status
     (breaker_state port "synth");
 
-  (* An injected hang: the watchdog reclaims the handler and the request
-     is answered 500, not left dangling. *)
+  (* An injected hang: the engine task winds down at the server's
+     deadline ceiling and answers 206 with its budget verdict, not left
+     dangling. *)
   let r = with_chaos "serve.hang" synth in
-  Printf.printf "watchdog-kill: %d %s\n" r.Http.status r.Http.body;
-  let health = (Http.call ~port ~meth:"GET" ~path:"/healthz" "").Http.body in
-  (match Json.parse health with
-  | Ok json -> (
-    match Json.member "watchdog" json with
-    | Some wd ->
-      Printf.printf "watchdog-health: limit=%s kills>=1=%b\n"
-        (match Json.member "limit_ms" wd with
-        | Some (Json.Number l) -> Printf.sprintf "%gms" l
-        | _ -> "<missing>")
-        (match Json.member "kills" wd with
-        | Some (Json.Number k) -> k >= 1.
-        | _ -> false)
-    | None -> print_endline "watchdog-health: <missing>")
-  | Error _ -> print_endline "watchdog-health: <unparseable>");
+  Printf.printf "hang-ceiling: %d partial=%s\n" r.Http.status
+    (match Json.parse r.Http.body with
+    | Ok json -> (
+      match Json.member "partial" json with
+      | Some (Json.String reason) -> reason
+      | _ -> "<missing>")
+    | Error _ -> "<unparseable>");
 
   Server.stop srv

@@ -327,7 +327,11 @@ let test_corrupt_entry_quarantined () =
   (* The slot is writable again: a fresh add round-trips. *)
   Store.add reopened k sample_summary;
   check_summary "rewritten entry parses" sample_summary
-    (Store.find (Store.create ~dir ()) k)
+    (Store.find (Store.create ~dir ()) k);
+  (* Clearing takes the quarantined file along with the live entry. *)
+  Store.clear reopened;
+  Alcotest.(check (list string)) "tier directory empty after clear" []
+    (Array.to_list (Sys.readdir disk))
 
 let test_write_fault_degrades_to_cache_off () =
   let dir = fresh_dir () in

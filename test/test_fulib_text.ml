@@ -48,7 +48,18 @@ let test_error_lines () =
     |> ignore;
   check_line "line 1" "module a + 1 one 1";
   check_line "line 1" "module a fancyop 1 1 1";
-  check_line "line 1" "module a +"
+  check_line "line 1" "module a +";
+  (* NaN and infinity read as floats; the spec check refuses them and the
+     message still names the line. *)
+  List.iter
+    (fun (line, text) ->
+      let msg = err line (Text_format.of_string text) in
+      Alcotest.(check bool) (line ^ ": " ^ msg) true
+        (contains line msg && contains "non-finite area/power" msg))
+    [
+      ("line 2", "module a + 1 1 1\nmodule b + 87 1 nan");
+      ("line 3", "module a + 1 1 1\n# comment\nmodule b + inf 1 1");
+    ]
 
 let test_spec_validation_applies () =
   ignore (err "zero latency" (Text_format.of_string "module a + 1 0 1"));

@@ -28,6 +28,20 @@ let test_rejects_negative_area () = expect_error "area" (mk ~area:(-1.) ())
 let test_rejects_zero_latency () = expect_error "latency" (mk ~latency:0 ())
 let test_rejects_negative_power () = expect_error "power" (mk ~power:(-0.1) ())
 
+let test_rejects_non_finite () =
+  List.iter
+    (fun (what, spec) ->
+      match spec with
+      | Ok _ -> Alcotest.fail ("accepted " ^ what)
+      | Error msg ->
+        Alcotest.(check string) what "module m has non-finite area/power" msg)
+    [
+      ("NaN area", mk ~area:Float.nan ());
+      ("infinite area", mk ~area:Float.infinity ());
+      ("NaN power", mk ~power:Float.nan ());
+      ("infinite power", mk ~power:Float.infinity ());
+    ]
+
 let test_ops_sorted () =
   let m = ok (mk ~ops:[ Op.Comp; Op.Add; Op.Sub ] ()) in
   Alcotest.(check bool) "sorted" true
@@ -82,6 +96,8 @@ let () =
             test_rejects_zero_latency;
           Alcotest.test_case "negative power rejected" `Quick
             test_rejects_negative_power;
+          Alcotest.test_case "non-finite area and power rejected" `Quick
+            test_rejects_non_finite;
           Alcotest.test_case "ops normalised" `Quick test_ops_sorted;
           Alcotest.test_case "implements" `Quick test_implements;
           Alcotest.test_case "energy" `Quick test_energy;

@@ -1,6 +1,7 @@
-(* The domain pool: order preservation, exception capture, shutdown
-   semantics, and the qcheck property that a parallel Explore.sweep is
-   point-for-point identical to a sequential one. *)
+(* The domain pool: order preservation, exception capture, single-task
+   dispatch ([run]), shutdown semantics, and the qcheck property that a
+   parallel Explore.sweep is point-for-point identical to a sequential
+   one. *)
 
 module Pool = Pchls_par.Pool
 module Explore = Pchls_core.Explore
@@ -78,6 +79,36 @@ let test_pool_reuse_across_maps () =
           (List.map (fun x -> x + i) xs)
           (Pool.map pool (fun x -> x + i) xs)
       done)
+
+(* --- run: one task, dispatched ------------------------------------------ *)
+
+let test_run_on_worker_domain () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let caller = (Domain.self () :> int) in
+      let value, worker =
+        Pool.run pool (fun () -> (42, (Domain.self () :> int)))
+      in
+      Alcotest.(check int) "value returned" 42 value;
+      Alcotest.(check bool) "ran on a worker domain" true (worker <> caller))
+
+let test_run_reraises () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.check_raises "task exception at the caller" (Failure "task boom")
+        (fun () -> Pool.run pool (fun () -> failwith "task boom"));
+      Alcotest.(check int) "pool still works" 7 (Pool.run pool (fun () -> 7)))
+
+let test_run_inline_at_one_job () =
+  Pool.with_pool ~jobs:1 (fun pool ->
+      let caller = (Domain.self () :> int) in
+      Alcotest.(check int) "ran on the calling domain" caller
+        (Pool.run pool (fun () -> (Domain.self () :> int))))
+
+let test_run_after_shutdown () =
+  let pool = Pool.create ~jobs:2 () in
+  Pool.shutdown pool;
+  Alcotest.check_raises "run after shutdown"
+    (Invalid_argument "Pool: pool has been shut down") (fun () ->
+      Pool.run pool (fun () -> ()))
 
 (* --- try_map: per-item isolation, retries, chaos ------------------------ *)
 
@@ -355,6 +386,17 @@ let () =
             test_exception_is_earliest_input;
           Alcotest.test_case "survives task failure" `Quick
             test_pool_survives_task_failure;
+        ] );
+      ( "run",
+        [
+          Alcotest.test_case "value from a worker domain" `Quick
+            test_run_on_worker_domain;
+          Alcotest.test_case "task exception re-raised" `Quick
+            test_run_reraises;
+          Alcotest.test_case "jobs=1 runs inline" `Quick
+            test_run_inline_at_one_job;
+          Alcotest.test_case "shut-down pool raises" `Quick
+            test_run_after_shutdown;
         ] );
       ( "lifecycle",
         [

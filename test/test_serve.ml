@@ -469,6 +469,24 @@ let test_client_errors () =
   check_400 "bad policy"
     "{\"benchmark\":\"hal\",\"time\":8,\"policy\":\"min-cost\"}";
   check_400 "empty body" "";
+  (* The exact area search runs outside every budget: a client may lower
+     its cap but not raise it past the default. hal's 21 operations are
+     over 13, so the refusal, not the search, is what answers at once. *)
+  let preflight fields =
+    request srv ~meth:"POST" ~path:"/preflight"
+      ("{\"benchmark\":\"hal\",\"time\":17,\"power\":10," ^ fields ^ "}")
+  in
+  let status, body = preflight "\"exact_max\":13" in
+  Alcotest.(check int) "exact_max past the cap -> 400" 400 status;
+  (match json_field "reason" body with
+  | Some (Json.String reason) ->
+    Alcotest.(check string) "reason names the field"
+      "\"exact_max\" must be in 0..12" reason
+  | _ -> Alcotest.fail ("exact_max 400 body: " ^ body));
+  Alcotest.(check int) "negative exact_max -> 400" 400
+    (fst (preflight "\"exact_max\":-1"));
+  Alcotest.(check int) "exact_max 0 -> 200" 200
+    (fst (preflight "\"exact_max\":0"));
   let status, _ = request srv ~meth:"GET" ~path:"/nope" "" in
   Alcotest.(check int) "unknown route -> 404" 404 status;
   let status, _ = request srv ~meth:"GET" ~path:"/synth" "" in
@@ -828,68 +846,6 @@ let counter_delta name f =
   let result = f () in
   (result, Metrics.counter_value c - before)
 
-(* A follower whose leader dies a death matching [retry_on] must not
-   inherit it: it re-runs the computation once as its own request. *)
-let test_coalesce_follower_retries_once () =
-  let exception Reclaimed in
-  let t = Coalesce.create () in
-  let runs = Atomic.make 0 in
-  let gate = Mutex.create () in
-  let gate_cond = Condition.create () in
-  let opened = ref false in
-  let work () =
-    if Atomic.fetch_and_add runs 1 = 0 then begin
-      Mutex.lock gate;
-      while not !opened do
-        Condition.wait gate_cond gate
-      done;
-      Mutex.unlock gate;
-      raise Reclaimed
-    end
-    else 7
-  in
-  let leader_result = ref None in
-  let leader =
-    Thread.create (fun () -> leader_result := Some (Coalesce.run t ~key:"k" work)) ()
-  in
-  while Atomic.get runs = 0 do
-    Thread.yield ()
-  done;
-  let follower_result = ref None in
-  let (follower, ()), retried =
-    counter_delta "serve.coalesce_retries" @@ fun () ->
-    let follower =
-      Thread.create
-        (fun () ->
-          follower_result :=
-            Some
-              (Coalesce.run
-                 ~retry_on:(function Reclaimed -> true | _ -> false)
-                 t ~key:"k" work))
-        ()
-    in
-    (* Give the follower a beat to join the leader's flight, then let the
-       leader die. *)
-    Thread.delay 0.05;
-    Mutex.lock gate;
-    opened := true;
-    Condition.broadcast gate_cond;
-    Mutex.unlock gate;
-    Thread.join leader;
-    Thread.join follower;
-    (follower, ())
-  in
-  ignore follower;
-  (match !leader_result with
-  | Some (Error Reclaimed, Coalesce.Led) -> ()
-  | _ -> Alcotest.fail "leader must observe its own death");
-  (match !follower_result with
-  | Some (Ok 7, _) -> ()
-  | Some (Error _, _) -> Alcotest.fail "follower inherited the leader's death"
-  | _ -> Alcotest.fail "follower result missing");
-  Alcotest.(check int) "computation ran twice" 2 (Atomic.get runs);
-  Alcotest.(check int) "retry counted" 1 retried
-
 let test_shed_on_forced_admission_refusal () =
   with_server @@ fun srv ->
   let { Http.status; headers = head; body }, shed =
@@ -1054,155 +1010,119 @@ let test_breaker_opens_and_recovers () =
     [ ("closed", "open"); ("open", "half-open"); ("half-open", "closed") ]
     transitions
 
-let test_watchdog_reclaims_hung_handler () =
+(* The server's deadline ceiling is its one wall limit: a hung engine
+   task winds down there and answers 206 with its budget verdict. Such
+   answers are not failures, so a run of them leaves the breaker closed. *)
+let test_ceiling_answers_hung_handler () =
   let limit_ms = 100. and poll_ms = 25. in
-  with_server ~config:{ base_config with Server.watchdog_ms = Some limit_ms }
-  @@ fun srv ->
-  let (status, body), elapsed =
-    with_chaos "serve.hang" @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let r =
-      request srv ~meth:"POST" ~path:"/synth"
-        "{\"benchmark\":\"hal\",\"time\":8,\"power\":60}"
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Alcotest.(check int) "watchdog kill -> 500" 500 status;
-  (match json_field "error" body with
-  | Some (Json.String "watchdog") -> ()
-  | _ -> Alcotest.fail ("watchdog body: " ^ body));
-  (match json_field "reason" body with
-  | Some (Json.String r) ->
-    Alcotest.(check bool) "reason names the wall limit" true
-      (String.length r > 0)
-  | _ -> Alcotest.fail ("watchdog body without reason: " ^ body));
-  (* The hang spins until cancelled, so the request cannot return before
-     the wall limit; the kill lands within limit + one poll interval, plus
-     grace for engine wind-down and scheduling. Without the watchdog the
-     injected hang would pin the handler for its full 5s cap. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "hung for at least the wall limit (%.0fms)" (elapsed *. 1e3))
-    true
-    (elapsed >= (limit_ms /. 1000.) -. 0.02);
-  Alcotest.(check bool)
-    (Printf.sprintf "reclaimed near limit + poll (%.0fms)" (elapsed *. 1e3))
-    true
-    (elapsed <= ((limit_ms +. poll_ms) /. 1000.) +. 0.375);
-  (* The kill is visible everywhere: healthz and the flight recorder. *)
-  let _, health = request srv ~meth:"GET" ~path:"/healthz" "" in
-  (match json_field "watchdog" health with
-  | Some wd -> (
-    match Json.member "kills" wd with
-    | Some (Json.Number n) ->
-      Alcotest.(check bool) "healthz counts the kill" true (n >= 1.)
-    | _ -> Alcotest.fail ("healthz watchdog shape: " ^ health))
-  | None -> Alcotest.fail ("healthz without watchdog: " ^ health));
-  Alcotest.(check bool) "kill noted as a flight crash" true
-    (List.exists
-       (fun e ->
-         e.Event.name = "flight.crash"
-         && List.assoc_opt "origin" e.Event.args = Some "serve.watchdog")
-       (flight_events srv))
-
-(* The leader of a coalesced flight is watchdog-killed; its follower must
-   not be answered with the leader's 500 — it retries once as its own
-   request and succeeds (the fault is disarmed by then). *)
-let test_killed_leader_follower_retries () =
   with_server
-    ~config:{ base_config with Server.watchdog_ms = Some 100.; jobs = 2 }
+    ~config:{ base_config with Server.max_deadline_ms = Some limit_ms }
   @@ fun srv ->
-  let body = "{\"benchmark\":\"elliptic\",\"time\":25,\"power\":40}" in
-  let results = Array.make 2 (0, "") in
-  let results, retried =
-    counter_delta "serve.coalesce_retries" @@ fun () ->
-    Fault.set (Some "serve.hang");
-    Fun.protect ~finally:(fun () -> Fault.set None) @@ fun () ->
-    let threads =
-      List.init 2 (fun i ->
-          Thread.create
-            (fun () ->
-              results.(i) <- request srv ~meth:"POST" ~path:"/synth" body)
-            ())
-    in
-    (* Both requests are in flight (one leads, one joins). Disarm the
-       fault before the watchdog fires at ~125ms so the follower's retry
-       runs clean. *)
-    Thread.delay 0.05;
-    Fault.set None;
-    List.iter Thread.join threads;
-    results
+  let body = "{\"benchmark\":\"hal\",\"time\":8,\"power\":60}" in
+  let (), partials =
+    counter_delta "serve.partial" @@ fun () ->
+    with_chaos "serve.hang" @@ fun () ->
+    for i = 1 to 5 do
+      let t0 = Unix.gettimeofday () in
+      let status, text = request srv ~meth:"POST" ~path:"/synth" body in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check int) (Printf.sprintf "hang %d at the ceiling -> 206" i)
+        206 status;
+      (match json_field "partial" text with
+      | Some (Json.String "wall-clock deadline exceeded") -> ()
+      | _ -> Alcotest.fail ("206 body without the budget verdict: " ^ text));
+      (* The hang spins until the deadline, so the answer cannot come
+         before the ceiling; it lands within ceiling + one poll interval,
+         plus grace for engine wind-down and scheduling. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "hung for at least the ceiling (%.0fms)"
+           (elapsed *. 1e3))
+        true
+        (elapsed >= (limit_ms /. 1000.) -. 0.02);
+      Alcotest.(check bool)
+        (Printf.sprintf "answered near ceiling + poll (%.0fms)"
+           (elapsed *. 1e3))
+        true
+        (elapsed <= ((limit_ms +. poll_ms) /. 1000.) +. 0.375)
+    done
   in
-  let statuses = List.sort compare (Array.to_list (Array.map fst results)) in
-  Alcotest.(check (list int))
-    "leader killed with 500, follower retried to 200" [ 200; 500 ] statuses;
-  Array.iter
-    (fun (status, text) ->
-      if status = 500 then
-        match json_field "error" text with
-        | Some (Json.String "watchdog") -> ()
-        | _ -> Alcotest.fail ("killed leader body: " ^ text))
-    results;
-  Alcotest.(check int) "exactly one follower retry" 1 retried
+  Alcotest.(check int) "each counted in serve.partial" 5 partials;
+  let status, _ = request srv ~meth:"POST" ~path:"/synth" body in
+  Alcotest.(check int) "breaker still closed: unarmed -> 200" 200 status
 
-(* The watchdog limit is one more ceiling on the engine task's deadline:
-   a request whose own deadline or degraded clamp is tighter gets its 206
-   partial answer, and only a task that runs into the watchdog limit is
-   reclaimed. *)
+(* Identical hung requests coalesce onto one engine run, and every
+   follower shares the leader's 206 as it is. *)
+let test_hung_flight_shared () =
+  with_server
+    ~config:{ base_config with Server.max_deadline_ms = Some 300.; jobs = 2 }
+  @@ fun srv ->
+  let clients = 4 in
+  let body = "{\"benchmark\":\"elliptic\",\"time\":25,\"power\":40}" in
+  let results = Array.make clients (0, "") in
+  let (), runs =
+    counter_delta "engine.runs" @@ fun () ->
+    with_chaos "serve.hang" @@ fun () ->
+    List.init clients (fun i ->
+        Thread.create
+          (fun () ->
+            results.(i) <- request srv ~meth:"POST" ~path:"/synth" body)
+          ())
+    |> List.iter Thread.join
+  in
+  Array.iteri
+    (fun i (status, text) ->
+      Alcotest.(check int) (Printf.sprintf "client %d -> 206" i) 206 status;
+      match json_field "partial" text with
+      | Some (Json.String _) -> ()
+      | _ -> Alcotest.fail ("206 body without partial: " ^ text))
+    results;
+  Alcotest.(check int) "one engine run" 1 runs
+
+(* Every wall limit folds into the one budget deadline and the tightest
+   wins. A hang only ends at its deadline, so an answer well before the
+   ceiling shows that the request's deadline or the degraded clamp
+   stopped it, and a request deadline above the ceiling is cut to it. *)
 let test_tighter_limit_wins () =
+  let ceiling_ms = 500. in
   with_server
     ~config:
       {
         base_config with
-        Server.watchdog_ms = Some 100.;
+        Server.max_deadline_ms = Some ceiling_ms;
         degrade_deadline_ms = 30.;
       }
   @@ fun srv ->
-  let kills () =
-    let _, health = request srv ~meth:"GET" ~path:"/healthz" "" in
-    match Option.bind (json_field "watchdog" health) (Json.member "kills") with
-    | Some (Json.Number n) -> n
-    | _ -> Alcotest.fail ("healthz watchdog shape: " ^ health)
-  in
   let hung_synth fields =
     with_chaos "serve.hang" @@ fun () ->
-    request srv ~meth:"POST" ~path:"/synth"
-      ("{\"benchmark\":\"hal\",\"time\":8,\"power\":60," ^ fields ^ "}")
+    let t0 = Unix.gettimeofday () in
+    let status, body =
+      request srv ~meth:"POST" ~path:"/synth"
+        ("{\"benchmark\":\"hal\",\"time\":8,\"power\":60," ^ fields ^ "}")
+    in
+    Alcotest.(check int) (fields ^ ": -> 206") 206 status;
+    (match json_field "partial" body with
+    | Some (Json.String _) -> ()
+    | _ -> Alcotest.fail ("206 body without partial: " ^ body));
+    (Unix.gettimeofday () -. t0) *. 1e3
   in
-  let before = kills () in
   List.iter
     (fun fields ->
-      let status, body = hung_synth fields in
-      Alcotest.(check int) (fields ^ ": tighter limit -> 206") 206 status;
-      (match json_field "partial" body with
-      | Some (Json.String _) -> ()
-      | _ -> Alcotest.fail ("206 body without partial: " ^ body));
-      Alcotest.(check (float 0.)) (fields ^ ": no kill") before (kills ()))
+      let ms = hung_synth fields in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stopped before the ceiling (%.0fms)" fields ms)
+        true (ms < ceiling_ms))
     [
       "\"deadline_ms\":30";
       "\"deadline_ms\":5000,\"degraded\":\"clamped\"";
     ];
-  let status, body = hung_synth "\"deadline_ms\":5000" in
-  Alcotest.(check int) "watchdog tighter -> 500" 500 status;
-  (match json_field "error" body with
-  | Some (Json.String "watchdog") -> ()
-  | _ -> Alcotest.fail ("watchdog body: " ^ body));
-  Alcotest.(check (float 0.)) "one kill" (before +. 1.) (kills ())
-
-(* A watchdog limit must be > 0; the CLI spells "off" as 0 and maps it to
-   [None] before the server sees it. *)
-let test_watchdog_limit_checked () =
-  List.iter
-    (fun ms ->
-      match Server.start { base_config with Server.watchdog_ms = Some ms } with
-      | srv ->
-        Server.stop srv;
-        Alcotest.failf "watchdog_ms %g accepted" ms
-      | exception Invalid_argument _ -> ())
-    [ 0.; -5.; Float.nan ]
+  let ms = hung_synth "\"deadline_ms\":5000" in
+  Alcotest.(check bool)
+    (Printf.sprintf "deadline_ms above the ceiling is cut to it (%.0fms)" ms)
+    true
+    (ms >= ceiling_ms -. 20. && ms < 5000.)
 
 let test_healthz_overload_fields () =
-  with_server ~config:{ base_config with Server.watchdog_ms = Some 250. }
-  @@ fun srv ->
+  with_server @@ fun srv ->
   let _, body = request srv ~meth:"GET" ~path:"/healthz" "" in
   (match json_field "queue" body with
   | Some q -> (
@@ -1219,12 +1139,6 @@ let test_healthz_overload_fields () =
   (match json_field "degraded" body with
   | Some (Json.String "none") -> ()
   | _ -> Alcotest.fail ("healthz idle degraded tier: " ^ body));
-  (match json_field "watchdog" body with
-  | Some wd -> (
-    match Json.member "limit_ms" wd with
-    | Some (Json.Number 250.) -> ()
-    | _ -> Alcotest.fail ("healthz watchdog shape: " ^ body))
-  | None -> Alcotest.fail ("healthz without watchdog: " ^ body));
   (* Breakers off: healthz says so explicitly. *)
   with_server ~config:{ base_config with Server.breaker = false } @@ fun srv ->
   let _, body = request srv ~meth:"GET" ~path:"/healthz" "" in
@@ -1261,8 +1175,6 @@ let () =
             test_coalesce_exception_shared;
           Alcotest.test_case "sequential calls recompute" `Quick
             test_coalesce_sequential_not_shared;
-          Alcotest.test_case "follower retries a reclaimed leader" `Quick
-            test_coalesce_follower_retries_once;
         ] );
       ( "server",
         [
@@ -1313,14 +1225,12 @@ let () =
           Alcotest.test_case "degraded sweep" `Quick test_degraded_sweep_preflight;
           Alcotest.test_case "breaker opens and recovers" `Quick
             test_breaker_opens_and_recovers;
-          Alcotest.test_case "watchdog reclaims a hung handler" `Quick
-            test_watchdog_reclaims_hung_handler;
-          Alcotest.test_case "killed leader: follower retries" `Quick
-            test_killed_leader_follower_retries;
+          Alcotest.test_case "hang answered partial at ceiling" `Quick
+            test_ceiling_answers_hung_handler;
+          Alcotest.test_case "hung flight shared by followers" `Quick
+            test_hung_flight_shared;
           Alcotest.test_case "tighter limit wins" `Quick
             test_tighter_limit_wins;
-          Alcotest.test_case "watchdog limit checked" `Quick
-            test_watchdog_limit_checked;
           Alcotest.test_case "healthz overload fields" `Quick
             test_healthz_overload_fields;
         ] );
