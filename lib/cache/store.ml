@@ -66,7 +66,7 @@ type t = {
   mutable disk_failed : bool;  (** disk tier permanently off after an error *)
 }
 
-let version = "v1"
+let version = "v2"
 let extension = ".pchls-cache"
 let header = "pchls-cache " ^ version
 
@@ -418,6 +418,15 @@ let entries_of_disk ?(quarantined = false) disk =
            || (quarantined && Filename.check_suffix f (extension ^ ".bad")))
     |> List.map (Filename.concat disk)
 
+(* Every [v<digits>] sibling of the current tier holds entries of an
+   older format that no lookup reads any more, so [clear] deletes those
+   too, and then the emptied older directories. *)
+let is_tier name =
+  String.length name > 1
+  && name.[0] = 'v'
+  && String.for_all (function '0' .. '9' -> true | _ -> false)
+       (String.sub name 1 (String.length name - 1))
+
 let clear t =
   locked t @@ fun () ->
   Hashtbl.reset t.table;
@@ -425,9 +434,20 @@ let clear t =
   match t.disk with
   | None -> ()
   | Some disk ->
+    let root = Filename.dirname disk in
+    let tiers =
+      match Sys.readdir root with
+      | exception Sys_error _ -> []
+      | names -> List.filter is_tier (Array.to_list names)
+    in
     List.iter
-      (fun path -> try Sys.remove path with Sys_error _ -> ())
-      (entries_of_disk ~quarantined:true disk)
+      (fun name ->
+        let tier = Filename.concat root name in
+        List.iter
+          (fun path -> try Sys.remove path with Sys_error _ -> ())
+          (entries_of_disk ~quarantined:true tier);
+        if name <> version then try Sys.rmdir tier with Sys_error _ -> ())
+      tiers
 
 let disk_usage ~dir =
   let disk = Filename.concat dir version in

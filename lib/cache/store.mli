@@ -6,7 +6,7 @@
     [Design.assemble]), or the infeasibility reason. Two tiers:
 
     - an in-memory hash table, always on;
-    - an optional on-disk tier under [dir/v1/] (one small text file per
+    - an optional on-disk tier under [dir/v2/] (one small text file per
       entry, written atomically via {!Pchls_resil.Atomic_io}). Entries
       whose header does not match the current format version, or that fail
       to parse, are quarantined to [<entry>.bad] and counted in
@@ -89,7 +89,9 @@ val stats : t -> stats
 val size : t -> int
 
 (** [clear t] drops every in-memory entry and deletes every on-disk entry,
-    quarantined [.bad] ones included. Counters are not reset. *)
+    quarantined [.bad] ones included, also those an older format version
+    left under a sibling [dir/v<n>/] (those directories go too once
+    empty). Counters are not reset. *)
 val clear : t -> unit
 
 (** [disk_usage ~dir] is [(entries, bytes)] for the current-version tier

@@ -12,12 +12,26 @@ type event = Event.t = {
 (* Each shard is independently mutex-protected: recording takes one short
    critical section on the recording domain's shard, so workers never
    contend with each other on the hot path. An unbounded recorder keeps a
-   list; a bounded one overwrites slot [n mod capacity] of its ring. *)
+   list; a bounded one overwrites slot [n mod capacity] of its ring. The
+   ring is kept as columns, timestamps as unboxed ints and [dur] = -1 for
+   an instant, so a full ring retains each event's strings and args and
+   no record, option or boxed int64 around them. A shard allocates its
+   columns at its first event: most processes record from fewer domains
+   than there are shards. *)
+type ring = {
+  names : string array;
+  cats : string array;
+  ts : int array;
+  dur : int array;
+  tids : int array;
+  args : (string * string) list array;
+}
+
 type shard = {
   mutex : Mutex.t;
   mutable n : int;  (* events ever recorded into this shard *)
   mutable rev : event list;  (* unbounded: every event, newest first *)
-  ring : event option array;  (* bounded: the newest [capacity] events *)
+  mutable ring : ring;  (* bounded: the newest [capacity] events *)
 }
 
 type t = { epoch_ns : int64; capacity : int option; shards : shard array }
@@ -25,20 +39,23 @@ type t = { epoch_ns : int64; capacity : int option; shards : shard array }
 let n_shards = 8
 let default_capacity = 4096
 
+let columns slots =
+  {
+    names = Array.make slots "";
+    cats = Array.make slots "";
+    ts = Array.make slots 0;
+    dur = Array.make slots 0;
+    tids = Array.make slots 0;
+    args = Array.make slots [];
+  }
+
 let make ?capacity () =
-  let capacity = Option.map (max 1) capacity in
-  let slots = Option.value capacity ~default:0 in
   {
     epoch_ns = Clock.now_ns ();
-    capacity;
+    capacity = Option.map (max 1) capacity;
     shards =
       Array.init n_shards (fun _ ->
-          {
-            mutex = Mutex.create ();
-            n = 0;
-            rev = [];
-            ring = Array.make slots None;
-          });
+          { mutex = Mutex.create (); n = 0; rev = []; ring = columns 0 });
   }
 
 (* Installation order: the crash and signal dumps pick the first bounded
@@ -64,7 +81,18 @@ let record r ev =
   Mutex.lock shard.mutex;
   (match r.capacity with
   | None -> shard.rev <- ev :: shard.rev
-  | Some cap -> shard.ring.(shard.n mod cap) <- Some ev);
+  | Some cap ->
+    if shard.n = 0 then shard.ring <- columns cap;
+    let ring = shard.ring and slot = shard.n mod cap in
+    ring.names.(slot) <- ev.name;
+    ring.cats.(slot) <- ev.cat;
+    ring.ts.(slot) <- Int64.to_int ev.ts_ns;
+    ring.dur.(slot) <-
+      (match ev.phase with
+      | Complete { dur_ns } -> Int64.to_int dur_ns
+      | Instant -> -1);
+    ring.tids.(slot) <- ev.tid;
+    ring.args.(slot) <- ev.args);
   shard.n <- shard.n + 1;
   Mutex.unlock shard.mutex;
   Atomic.incr total
@@ -101,6 +129,22 @@ let locked shard f =
   Mutex.unlock shard.mutex;
   v
 
+(* The ring's events, oldest first, rebuilt from its columns. *)
+let ring_events cap s =
+  let ring = s.ring in
+  List.init (min s.n cap) (fun k ->
+      let slot = (s.n - min s.n cap + k) mod cap in
+      {
+        name = ring.names.(slot);
+        cat = ring.cats.(slot);
+        phase =
+          (if ring.dur.(slot) < 0 then Instant
+           else Complete { dur_ns = Int64.of_int ring.dur.(slot) });
+        ts_ns = Int64.of_int ring.ts.(slot);
+        tid = ring.tids.(slot);
+        args = ring.args.(slot);
+      })
+
 (* A span that began before the recorder was made or installed can start
    a hair before its epoch: clamp rather than emit a negative ts the
    Chrome schema rejects. *)
@@ -114,7 +158,7 @@ let events r =
          locked shard (fun s ->
              match r.capacity with
              | None -> s.rev
-             | Some _ -> List.filter_map Fun.id (Array.to_list s.ring)))
+             | Some cap -> ring_events cap s))
   |> List.map relativize
   |> Event.sort
 

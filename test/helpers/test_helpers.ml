@@ -69,3 +69,40 @@ let check_precedences g sched ~info =
 let check_total g sched =
   Alcotest.(check int) "schedule is total" (Graph.node_count g)
     (Schedule.cardinal sched)
+
+(* [g] with its node ids shuffled and spread out: same structure, kinds and
+   names, fresh non-contiguous ids. *)
+let permute_ids ~seed g =
+  let rng = Random.State.make [| seed; 0xbeef |] in
+  let ids = Array.of_list (Graph.node_ids g) in
+  let shuffled = Array.copy ids in
+  for i = Array.length shuffled - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- t
+  done;
+  (* Old id -> fresh non-contiguous id, so renumbering is not a no-op. *)
+  let map = Hashtbl.create 16 in
+  Array.iteri (fun i _ -> Hashtbl.replace map shuffled.(i) ((i * 7) + 3)) ids;
+  let tr id = Hashtbl.find map id in
+  Graph.create_exn ~name:(Graph.name g)
+    ~nodes:
+      (List.map
+         (fun (n : Graph.node) -> { n with Graph.id = tr n.Graph.id })
+         (Graph.nodes g))
+    ~edges:(List.map (fun (a, b) -> (tr a, tr b)) (Graph.edges g))
+
+(* A directed chain of [n] Adds that all share the name "n", with a Mult at
+   [mult_at] if given: every node looks alike until refinement reaches the
+   chain's ends. *)
+let alike_chain ?(mult_at = -1) n =
+  Graph.create_exn ~name:"chain"
+    ~nodes:
+      (List.init n (fun i ->
+           {
+             Graph.id = i;
+             name = "n";
+             kind = (if i = mult_at then Op.Mult else Op.Add);
+           }))
+    ~edges:(List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))

@@ -65,6 +65,28 @@ let test_graph_fingerprint_sensitive () =
   Alcotest.(check bool) "rewiring changes digest" false
     (String.equal base (Fingerprint.graph rewired))
 
+(* Two directed chains of 200 identically named Adds with one Mult, at
+   position 100 in one and 101 in the other. No node lies within 64 hops
+   of both the Mult and a chain end, so a refinement capped at 32 rounds
+   sees the same label multiset in both; the stable partition does not. *)
+let test_graph_fingerprint_deep_chain () =
+  let chain mult_at = Test_helpers.alike_chain ~mult_at 200 in
+  Alcotest.(check bool) "Mult at 100 vs 101" false
+    (String.equal (Fingerprint.graph (chain 100)) (Fingerprint.graph (chain 101)))
+
+(* Alike nodes in a chain are told apart one split at a time, from both
+   ends inwards. A split re-examines only the split cell's neighbours, so
+   10 000 of them cost tens of ms, as 10 000 distinct nodes do; re-signing
+   the whole chain at every step would take seconds. *)
+let test_graph_fingerprint_alike_chain_cost () =
+  let g = Test_helpers.alike_chain 10_000 in
+  let t0 = Unix.gettimeofday () in
+  ignore (Fingerprint.graph g);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 000-node chain in %.3f s, under 2 s" elapsed)
+    true (elapsed < 2.)
+
 let test_library_fingerprint_order_sensitive () =
   let a = Module_spec.make_exn ~name:"a" ~ops:[ Op.Add ] ~area:1. ~latency:1 ~power:1. in
   let b = Module_spec.make_exn ~name:"b" ~ops:[ Op.Add ] ~area:2. ~latency:1 ~power:1. in
@@ -87,33 +109,12 @@ let arbitrary_seeded_graph =
   QCheck.make graph_gen ~print:(fun (seed, g) ->
       Format.asprintf "seed %d:@ %a" seed Graph.pp g)
 
-let permute_ids ~seed g =
-  let rng = Random.State.make [| seed; 0xbeef |] in
-  let ids = Array.of_list (Graph.node_ids g) in
-  let shuffled = Array.copy ids in
-  for i = Array.length shuffled - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = shuffled.(i) in
-    shuffled.(i) <- shuffled.(j);
-    shuffled.(j) <- t
-  done;
-  (* Old id -> fresh non-contiguous id, so renumbering is not a no-op. *)
-  let map = Hashtbl.create 16 in
-  Array.iteri (fun i _ -> Hashtbl.replace map shuffled.(i) ((i * 7) + 3)) ids;
-  let tr id = Hashtbl.find map id in
-  Graph.create_exn ~name:(Graph.name g)
-    ~nodes:
-      (List.map
-         (fun (n : Graph.node) -> { n with Graph.id = tr n.Graph.id })
-         (Graph.nodes g))
-    ~edges:(List.map (fun (a, b) -> (tr a, tr b)) (Graph.edges g))
-
 let prop_fingerprint_invariant_under_renumbering =
   QCheck.Test.make ~count:50
     ~name:"Fingerprint.graph is invariant under node-id permutation"
     arbitrary_seeded_graph (fun (seed, g) ->
       String.equal (Fingerprint.graph g)
-        (Fingerprint.graph (permute_ids ~seed g)))
+        (Fingerprint.graph (Test_helpers.permute_ids ~seed g)))
 
 let flip_kind = function
   | Op.Add -> Op.Sub
@@ -258,6 +259,30 @@ let test_disk_roundtrip () =
   Alcotest.(check int) "cleared memory" 0 (Store.size reopened);
   Alcotest.(check (pair int int)) "cleared disk" (0, 0) (Store.disk_usage ~dir);
   Alcotest.(check bool) "post-clear miss" true (Store.find reopened k = None)
+
+(* Entries of an older format version live in a sibling [v<n>] directory
+   no lookup reads; clearing the cache deletes them with the current ones
+   and leaves anything else under the cache directory alone. *)
+let test_clear_deletes_older_versions () =
+  let dir = fresh_dir () in
+  let store = Store.create ~dir () in
+  Store.add store (key "beef" 9 50.) sample_summary;
+  let put sub file =
+    let d = Filename.concat dir sub in
+    if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+    Out_channel.with_open_text (Filename.concat d file) (fun oc ->
+        output_string oc "pchls-cache v1\n")
+  in
+  put "v1" "old.pchls-cache";
+  put "v1" "old.pchls-cache.bad";
+  put "keep" "other.pchls-cache";
+  Store.clear store;
+  Alcotest.(check (pair int int)) "current tier empty" (0, 0)
+    (Store.disk_usage ~dir);
+  Alcotest.(check bool) "older tier removed" false
+    (Sys.file_exists (Filename.concat dir "v1"));
+  Alcotest.(check bool) "non-tier directory untouched" true
+    (Sys.file_exists (Filename.concat dir "keep/other.pchls-cache"))
 
 let test_corrupt_and_stale_entries_skipped () =
   let dir = fresh_dir () in
@@ -588,6 +613,10 @@ let () =
             test_graph_fingerprint_id_invariant;
           Alcotest.test_case "mutation-sensitive" `Quick
             test_graph_fingerprint_sensitive;
+          Alcotest.test_case "deep symmetric chains" `Quick
+            test_graph_fingerprint_deep_chain;
+          Alcotest.test_case "alike chain cost" `Quick
+            test_graph_fingerprint_alike_chain_cost;
           Alcotest.test_case "library order" `Quick
             test_library_fingerprint_order_sensitive;
           QCheck_alcotest.to_alcotest
@@ -598,6 +627,8 @@ let () =
         [
           Alcotest.test_case "memory roundtrip" `Quick test_memory_roundtrip;
           Alcotest.test_case "disk roundtrip" `Quick test_disk_roundtrip;
+          Alcotest.test_case "clear deletes older versions" `Quick
+            test_clear_deletes_older_versions;
           Alcotest.test_case "corrupt entry quarantined" `Quick
             test_corrupt_entry_quarantined;
           Alcotest.test_case "write fault degrades to cache-off" `Quick

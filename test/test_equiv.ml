@@ -3,9 +3,11 @@
    the incremental compatibility graph against a from-scratch rebuild,
    and heap-ordered selection against a full sort. Each property drives
    the fast structure and a deliberately naive model through the same
-   random operation sequence and requires identical answers. The
-   engine's own store-vs-enumeration cross-check runs via
-   [~self_check:true] on random syntheses. *)
+   random operation sequence and requires identical answers. On random
+   layered graphs, the graph fingerprint must tell apart exactly the
+   pairs its 32-round predecessor does. The engine's own
+   store-vs-enumeration cross-check runs via [~self_check:true] on random
+   syntheses. *)
 
 module H = Test_helpers
 module Generator = Pchls_dfg.Generator
@@ -17,6 +19,8 @@ module Pqueue = Pchls_compat.Pqueue
 module Cgraph = Pchls_compat.Cgraph
 module Engine = Pchls_core.Engine
 module Library = Pchls_fulib.Library
+module Fingerprint = Pchls_cache.Fingerprint
+module Op = Pchls_dfg.Op
 
 let table1_info g id = H.table1_info () g id
 
@@ -254,6 +258,153 @@ let prop_pqueue_interleaved =
           end)
         script)
 
+(* --- Fingerprint: stable refinement == the 32-round reference ----------- *)
+
+(* The fingerprint the stable refinement replaced, kept verbatim. Its
+   digests differ from the new ones; what must agree is which graphs the
+   two tell apart. *)
+module Reference_fingerprint = struct
+  module Int_map = Map.Make (Int)
+
+  let of_string = Fingerprint.of_string
+
+  (* Weisfeiler-Lehman label refinement. Node ids are used only as map keys,
+     never as label content, so the result is invariant under renumbering.
+     Enough rounds to propagate position information along chains of
+     identically-labelled nodes; capped so huge graphs stay cheap (beyond the
+     cap, only nodes further than [max_rounds] hops from any distinguishing
+     feature could alias — collisions, not false splits). *)
+  let max_rounds = 32
+
+  let graph g =
+    let ids = Graph.node_ids g in
+    let initial =
+      List.fold_left
+        (fun m id ->
+          let n = Graph.node g id in
+          Int_map.add id
+            (of_string
+               (Printf.sprintf "n:%s:%s" (Op.to_string n.Graph.kind) n.Graph.name))
+            m)
+        Int_map.empty ids
+    in
+    let refine labels =
+      List.fold_left
+        (fun m id ->
+          let around neighbours =
+            List.map (fun j -> Int_map.find j labels) (neighbours g id)
+            |> List.sort String.compare
+            |> String.concat ","
+          in
+          Int_map.add id
+            (of_string
+               (Int_map.find id labels ^ "|p:" ^ around Graph.preds ^ "|s:"
+              ^ around Graph.succs))
+            m)
+        Int_map.empty ids
+    in
+    let rec iterate n labels =
+      if n = 0 then labels else iterate (n - 1) (refine labels)
+    in
+    let final = iterate (min (Graph.node_count g) max_rounds) initial in
+    let node_sigs =
+      List.map (fun id -> Int_map.find id final) ids |> List.sort String.compare
+    in
+    let edge_sigs =
+      Graph.edges g
+      |> List.map (fun (a, b) ->
+             Int_map.find a final ^ ">" ^ Int_map.find b final)
+      |> List.sort String.compare
+    in
+    of_string
+      (String.concat "\n"
+         (Printf.sprintf "g:%s" (Graph.name g)
+         :: Printf.sprintf "n=%d;e=%d" (Graph.node_count g) (Graph.edge_count g)
+         :: (node_sigs @ edge_sigs)))
+end
+
+(* A layered graph, optionally with every node named alike so refinement
+   has to split classes, and its variants: the ids permuted, one kind
+   flipped, one edge dropped, one edge moved, one node renamed and the
+   graph renamed. *)
+let fingerprint_variants_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 10_000 in
+    let* layers = 1 -- 5 in
+    let* width = 1 -- 4 in
+    let* anonymous = bool in
+    let g = Generator.layered ~seed ~layers ~width () in
+    let g =
+      if anonymous then
+        Graph.create_exn ~name:(Graph.name g)
+          ~nodes:
+            (List.map
+               (fun (v : Graph.node) -> { v with Graph.name = "v" })
+               (Graph.nodes g))
+          ~edges:(Graph.edges g)
+      else g
+    in
+    let nodes = Graph.nodes g and edges = Graph.edges g in
+    let rebuild ?(name = Graph.name g) ?(edges = edges) f =
+      Graph.create_exn ~name ~nodes:(List.map f nodes) ~edges
+    in
+    let first_op =
+      List.find (fun (v : Graph.node) -> not (Op.is_transfer v.Graph.kind)) nodes
+    in
+    let flip (v : Graph.node) =
+      if v.Graph.id <> first_op.Graph.id then v
+      else
+        let kind = if v.Graph.kind = Op.Add then Op.Sub else Op.Add in
+        { v with Graph.kind }
+    in
+    let rename (v : Graph.node) =
+      if v.Graph.id <> first_op.Graph.id then v
+      else { v with Graph.name = v.Graph.name ^ "'" }
+    in
+    (* The first edge re-pointed at another node of its target's kind,
+       where that leaves a DAG: counts, kinds and names stay, so only
+       refinement can tell the two apart. *)
+    let moved =
+      match edges with
+      | [] -> g
+      | (a, b) :: rest ->
+        let kind = (Graph.node g b).Graph.kind in
+        List.find_map
+          (fun (v : Graph.node) ->
+            if v.Graph.kind <> kind || v.Graph.id = b then None
+            else
+              Result.to_option
+                (Graph.create ~name:(Graph.name g) ~nodes
+                   ~edges:((a, v.Graph.id) :: rest)))
+          nodes
+        |> Option.value ~default:g
+    in
+    return
+      [
+        g;
+        H.permute_ids ~seed g;
+        rebuild flip;
+        rebuild ~edges:(List.tl edges) Fun.id;
+        moved;
+        rebuild rename;
+        rebuild ~name:(Graph.name g ^ "'") Fun.id;
+      ])
+
+let prop_fingerprint_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"Fingerprint.graph splits pairs exactly as the 32-round reference"
+    (QCheck.make fingerprint_variants_gen ~print:(fun gs ->
+         Format.asprintf "%a" Graph.pp (List.hd gs)))
+    (fun gs ->
+      let fresh = List.map Fingerprint.graph gs in
+      let reference = List.map Reference_fingerprint.graph gs in
+      List.for_all2
+        (fun f r ->
+          List.for_all2
+            (fun f' r' -> String.equal f f' = String.equal r r')
+            fresh reference)
+        fresh reference)
+
 (* --- Engine: store-driven pick == full enumeration --------------------- *)
 
 (* [~self_check:true] re-derives every iteration's candidate pick by full
@@ -305,6 +456,8 @@ let () =
         List.map to_alcotest [ prop_cgraph_incremental; prop_bitset_model ] );
       ( "pqueue",
         List.map to_alcotest [ prop_pqueue_sorts; prop_pqueue_interleaved ] );
+      ( "fprint",
+        List.map to_alcotest [ prop_fingerprint_matches_reference ] );
       ( "engine",
         List.map to_alcotest [ prop_engine_store_matches_enumeration ] );
     ]

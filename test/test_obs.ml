@@ -301,7 +301,87 @@ let test_flight_ring_bounds () =
     (fun e ->
       Alcotest.(check bool) "timestamps relative to the recorder epoch" true
         (Int64.compare e.Event.ts_ns 0L >= 0))
-    (Trace.events f)
+    (Trace.events f);
+  (* Domains recording one after another get consecutive ids and so
+     distinct shards: each shard keeps its domain's newest [capacity]
+     events and counts the rest as dropped. *)
+  let f = Trace.make ~capacity:8 () in
+  let recorded =
+    Trace.with_sink f (fun () ->
+        List.map
+          (fun d ->
+            Domain.join
+              (Domain.spawn (fun () ->
+                   let names =
+                     List.init (4 + (6 * d)) (Printf.sprintf "d%d-%d" d)
+                   in
+                   List.iter (fun name -> Trace.instant name) names;
+                   ((Domain.self () :> int), names))))
+          [ 0; 1; 2; 3 ])
+  in
+  let newest names =
+    List.filteri (fun i _ -> i >= List.length names - 8) names
+  in
+  List.iter
+    (fun (tid, names) ->
+      Alcotest.(check (list string))
+        "each shard keeps its newest events" (newest names)
+        (List.filter_map
+           (fun e -> if e.Event.tid = tid then Some e.Event.name else None)
+           (Trace.events f)))
+    recorded;
+  Alcotest.(check int) "four shards of at most eight" 28 (Trace.retained f);
+  Alcotest.(check int) "the rest dropped" (2 + 8 + 14) (Trace.dropped f)
+
+(* A ring with room for everything gives back exactly what an unbounded
+   recorder does, field by field, for spans with and without args and for
+   instants recorded from several pool domains at once. The recorders'
+   epochs differ, so timestamps are compared from the first event. *)
+let test_flight_ring_matches_unbounded () =
+  let tasks = List.init 64 Fun.id in
+  let sink = Trace.make () and ring = Trace.make ~capacity:256 () in
+  Trace.with_sink sink (fun () ->
+      Trace.with_sink ring (fun () ->
+          Pool.with_pool ~jobs:4 (fun pool ->
+              ignore
+                (Pool.map pool
+                   (fun i ->
+                     Trace.span ~cat:"test"
+                       ~args:[ ("i", string_of_int i); ("k", "v") ]
+                       "with-args"
+                       (fun () ->
+                         Trace.span "bare" (fun () -> ());
+                         Trace.instant ~args:[ ("i", string_of_int i) ] "tick"))
+                   tasks))));
+  let from_first r =
+    match Trace.events r with
+    | [] -> []
+    | first :: _ as evs ->
+      List.map
+        (fun e ->
+          { e with Event.ts_ns = Int64.sub e.Event.ts_ns first.Event.ts_ns })
+        evs
+  in
+  let dur e =
+    match e.Event.phase with
+    | Event.Complete { dur_ns } -> Some dur_ns
+    | Event.Instant -> None
+  in
+  let expected = from_first sink and actual = from_first ring in
+  Alcotest.(check int) "nothing dropped" 0 (Trace.dropped ring);
+  Alcotest.(check int) "every event kept" (3 * List.length tasks)
+    (List.length actual);
+  Alcotest.(check int) "same events" (List.length expected) (List.length actual);
+  List.iter2
+    (fun e a ->
+      Alcotest.(check string) "name" e.Event.name a.Event.name;
+      Alcotest.(check string) "cat" e.Event.cat a.Event.cat;
+      Alcotest.(check (option int64)) "phase and dur_ns" (dur e) (dur a);
+      Alcotest.(check int64) "ts_ns" e.Event.ts_ns a.Event.ts_ns;
+      Alcotest.(check int) "tid" e.Event.tid a.Event.tid;
+      Alcotest.(check (list (pair string string)))
+        "args" e.Event.args a.Event.args)
+    expected actual
 
 let test_flight_records_synthesis () =
   let f = Trace.make ~capacity:Trace.default_capacity () in
@@ -691,6 +771,8 @@ let () =
         [
           Alcotest.test_case "ring bounds and drop accounting" `Quick
             test_flight_ring_bounds;
+          Alcotest.test_case "ring returns what it recorded" `Quick
+            test_flight_ring_matches_unbounded;
           Alcotest.test_case "records a synthesis" `Quick
             test_flight_records_synthesis;
           Alcotest.test_case "crash dump" `Quick test_flight_crash_dump;

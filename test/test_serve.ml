@@ -548,6 +548,31 @@ let test_oversized_power_range () =
     (Printf.sprintf "answered in %.2f s, under 1 s" elapsed)
     true (elapsed < 1.)
 
+(* The graph fingerprint runs on the handler thread before any deadline
+   applies, so its cost must stay near-linear in any client graph: a
+   10 000-node chain of alike nodes is answered (422, T=1 is below its
+   critical path) in tens of milliseconds, not seconds. *)
+let test_alike_chain_answered_quickly () =
+  with_server @@ fun srv ->
+  let body =
+    Json.to_string
+      (Json.Obj
+         [
+           ( "dfg",
+             Json.String
+               (Pchls_dfg.Text_format.to_string
+                  (Test_helpers.alike_chain 10_000)) );
+           ("time", Json.Number 1.);
+         ])
+  in
+  let t0 = Unix.gettimeofday () in
+  let status, _ = request srv ~meth:"POST" ~path:"/synth" body in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "422" 422 status;
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.2f s, under 3 s" elapsed)
+    true (elapsed < 3.)
+
 let test_keep_alive_connection () =
   with_server @@ fun srv ->
   with_connection srv @@ fun sock rdr ->
@@ -1186,6 +1211,8 @@ let () =
           Alcotest.test_case "sweep and pareto" `Quick test_sweep_and_pareto;
           Alcotest.test_case "oversized power range refused early" `Quick
             test_oversized_power_range;
+          Alcotest.test_case "alike 10 000-node chain answered quickly"
+            `Quick test_alike_chain_answered_quickly;
           Alcotest.test_case "keep-alive connection" `Quick
             test_keep_alive_connection;
           Alcotest.test_case "malformed bytes answered 400" `Quick
