@@ -44,6 +44,15 @@ let checked conv validate =
 
 let time_conv = checked Arg.int Request.time_limit
 
+(* Ranges of the CLI-only options (--width, --max-nodes, --capacity). *)
+let at_least_one n =
+  if n >= 1 then Ok n else Error (Printf.sprintf "must be >= 1, got %d" n)
+
+(* Written so that NaN is refused too. *)
+let finite_positive x =
+  if x > 0. && Float.is_finite x then Ok x
+  else Error (Printf.sprintf "must be finite and > 0, got %g" x)
+
 let benchmark_opt =
   Arg.(
     value
@@ -937,7 +946,7 @@ let fuzz_run_term =
   let max_nodes_opt =
     Arg.(
       value
-      & opt int Fuzz.default_config.Fuzz.max_nodes
+      & opt (checked int at_least_one) Fuzz.default_config.Fuzz.max_nodes
       & info [ "max-nodes" ] ~docv:"N"
           ~doc:"Cap on generated operation nodes per case (I/O nodes come \
                 on top).")
@@ -1021,7 +1030,8 @@ let fuzz_cmd =
 let battery_cmd =
   let capacity =
     Arg.(
-      value & opt float 50_000.
+      value
+      & opt (checked float finite_positive) 50_000.
       & info [ "capacity" ] ~docv:"C" ~doc:"Battery capacity (power-cycles).")
   in
   let run r capacity =
@@ -1126,7 +1136,8 @@ let rtl_cmd =
   in
   let width =
     Arg.(
-      value & opt int 16
+      value
+      & opt (checked int at_least_one) 16
       & info [ "width" ] ~docv:"BITS" ~doc:"Datapath width in bits.")
   in
   let testbench_flag =

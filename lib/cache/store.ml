@@ -102,10 +102,6 @@ let create ?dir ?mem_entries () =
 let in_memory () = create ()
 let dir t = t.disk
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 (* --- serialization ------------------------------------------------------ *)
 
 let render_summary = function
@@ -213,12 +209,6 @@ let parse_summary text =
 
 let entry_path disk id = Filename.concat disk (id ^ extension)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* A disk I/O error turns the disk tier off for the rest of the store's
    life — the memory tier keeps working, so synthesis degrades to
    cache-off rather than aborting or hammering a broken filesystem. Called
@@ -251,7 +241,7 @@ let disk_find t disk id =
   end
   else if not (Sys.file_exists path) then None
   else
-    match read_file path with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error msg ->
       degrade t msg;
       None
@@ -334,7 +324,7 @@ type tier = Memory | Disk
 
 let find t k =
   Trace.span ~cat:"cache" "cache.find" @@ fun () ->
-  locked t @@ fun () ->
+  Mutex.protect t.mutex @@ fun () ->
   let id = key_id k in
   let memory_start = Clock.now_ns () in
   let memory = Hashtbl.find_opt t.table id in
@@ -385,7 +375,7 @@ let find t k =
 
 let add t k summary =
   Trace.span ~cat:"cache" "cache.add" @@ fun () ->
-  locked t @@ fun () ->
+  Mutex.protect t.mutex @@ fun () ->
   let id = key_id k in
   mem_insert t id summary;
   t.stores <- t.stores + 1;
@@ -394,7 +384,7 @@ let add t k summary =
     Option.iter (fun disk -> disk_add t disk id summary) t.disk
 
 let stats t =
-  locked t @@ fun () ->
+  Mutex.protect t.mutex @@ fun () ->
   {
     hits = t.hits;
     misses = t.misses;
@@ -406,7 +396,7 @@ let stats t =
     evictions = t.evictions;
   }
 
-let size t = locked t @@ fun () -> Hashtbl.length t.table
+let size t = Mutex.protect t.mutex @@ fun () -> Hashtbl.length t.table
 
 let entries_of_disk ?(quarantined = false) disk =
   match Sys.readdir disk with
@@ -428,7 +418,7 @@ let is_tier name =
        (String.sub name 1 (String.length name - 1))
 
 let clear t =
-  locked t @@ fun () ->
+  Mutex.protect t.mutex @@ fun () ->
   Hashtbl.reset t.table;
   Queue.clear t.lru;
   match t.disk with
@@ -454,12 +444,9 @@ let disk_usage ~dir =
   List.fold_left
     (fun (n, bytes) path ->
       let size =
-        match open_in_bin path with
+        match In_channel.with_open_bin path In_channel.length with
         | exception Sys_error _ -> 0
-        | ic ->
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> in_channel_length ic)
+        | n -> Int64.to_int n
       in
       (n + 1, bytes + size))
     (0, 0) (entries_of_disk disk)

@@ -177,8 +177,8 @@ let sweep ?cost_model ?policy ?(jobs = 1) ?cache ?fp ?deadline
       cache
   in
   let grid =
-    List.concat_map (fun t -> List.map (fun p -> (t, p)) powers) times
-    |> List.mapi (fun i tp -> (i, tp))
+    Array.of_list
+      (List.concat_map (fun t -> List.map (fun p -> (t, p)) powers) times)
   in
   (* Static pruning runs in the calling domain, before any pool dispatch: a
      certificate costs microseconds, so a provably-doomed point never
@@ -207,7 +207,8 @@ let sweep ?cost_model ?policy ?(jobs = 1) ?cache ?fp ?deadline
     Metrics.incr m_failed_points;
     { time_limit; power_limit; result = Failed msg }
   in
-  let eval (i, (time_limit, power_limit)) =
+  let eval i =
+    let time_limit, power_limit = grid.(i) in
     match deadline with
     | Some b when Budget.exhausted b ->
       failed_point (time_limit, power_limit)
@@ -226,48 +227,36 @@ let sweep ?cost_model ?policy ?(jobs = 1) ?cache ?fp ?deadline
     ~args:
       (if Trace.observed () then
          [
-           ("grid", string_of_int (List.length grid));
+           ("grid", string_of_int (Array.length grid));
            ("jobs", string_of_int jobs);
          ]
        else [])
     "explore.sweep"
   @@ fun () ->
-  let prepared =
-    List.map
-      (fun (i, tp) ->
-        (i, tp, if preflight then static_prune tp else None))
-      grid
+  (* One slot per grid position: pruned points are filled in here, live
+     ones from the pool's results. *)
+  let points =
+    Array.map (fun tp -> if preflight then static_prune tp else None) grid
   in
   let live =
-    List.filter_map
-      (fun (i, tp, pruned) ->
-        match pruned with None -> Some (i, tp) | Some _ -> None)
-      prepared
+    List.filter
+      (fun i -> Option.is_none points.(i))
+      (List.init (Array.length grid) Fun.id)
   in
   (* One path at every [jobs]: a one-job pool runs inline, and every point
      gets the same retry and [pool.worker] fault seam. *)
-  let evaluated =
-    Pool.with_pool ~jobs:(max 1 jobs) (fun pool ->
-        List.map2
-          (fun (_, tp) outcome ->
-            match outcome with
-            | Ok p -> p
-            | Error (f : Pool.failure) ->
-              failed_point tp (Printexc.to_string f.exn))
-          live
-          (Pool.try_map ~retries:1 pool eval live))
-  in
-  (* stitch pruned and evaluated points back into grid order *)
-  let rec merge prepared evaluated =
-    match prepared with
-    | [] -> []
-    | (_, _, Some p) :: rest -> p :: merge rest evaluated
-    | (_, _, None) :: rest -> (
-      match evaluated with
-      | e :: es -> e :: merge rest es
-      | [] -> assert false)
-  in
-  merge prepared evaluated
+  Pool.with_pool ~jobs:(max 1 jobs) (fun pool ->
+      List.iter2
+        (fun i outcome ->
+          points.(i) <-
+            Some
+              (match outcome with
+              | Ok p -> p
+              | Error (f : Pool.failure) ->
+                failed_point grid.(i) (Printexc.to_string f.exn)))
+        live
+        (Pool.try_map ~retries:1 pool eval live));
+  Array.to_list (Array.map Option.get points)
 
 let min_feasible_power points ~time_limit =
   List.fold_left

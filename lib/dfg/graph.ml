@@ -182,8 +182,9 @@ let kind_counts g =
   in
   List.filter (fun (_, n) -> n > 0) tally
 
-(* Longest latency-weighted path ending at each node, producers first. *)
-let distances_from_source g ~latency =
+(* The two longest-path passes, as maps: [from_source] ends at each node,
+   producers first; [to_sink] starts at each node, consumers first. *)
+let from_source g ~latency =
   List.fold_left
     (fun dist id ->
       let via_pred =
@@ -194,7 +195,7 @@ let distances_from_source g ~latency =
       Int_map.add id (via_pred + latency id) dist)
     Int_map.empty g.topo
 
-let distances_to_sink g ~latency =
+let to_sink g ~latency =
   List.fold_left
     (fun dist id ->
       let via_succ =
@@ -207,26 +208,14 @@ let distances_to_sink g ~latency =
 
 let critical_path g ~latency =
   if node_count g = 0 then 0
-  else
-    Int_map.fold (fun _ d best -> max d best) (distances_from_source g ~latency) 0
+  else Int_map.fold (fun _ d best -> max d best) (from_source g ~latency) 0
 
-let distance_to_sink g ~latency id =
-  match Int_map.find_opt id (distances_to_sink g ~latency) with
-  | Some d -> d
-  | None -> raise Not_found
+(* Partial application pays the pass once; each lookup is then a map find. *)
+let lookup dist id =
+  match Int_map.find_opt id dist with Some d -> d | None -> raise Not_found
 
-(* Shadows the map-returning helper above with the exported closure form:
-   partial application [distances_to_sink g ~latency] pays the topological
-   pass once and each lookup is then a map find. *)
-let distances_to_sink g ~latency =
-  let dist = distances_to_sink g ~latency in
-  fun id ->
-    match Int_map.find_opt id dist with Some d -> d | None -> raise Not_found
-
-let distance_from_source g ~latency id =
-  match Int_map.find_opt id (distances_from_source g ~latency) with
-  | Some d -> d
-  | None -> raise Not_found
+let distances_from_source g ~latency = lookup (from_source g ~latency)
+let distances_to_sink g ~latency = lookup (to_sink g ~latency)
 
 let reverse g =
   {

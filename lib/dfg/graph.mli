@@ -78,21 +78,20 @@ val kind_counts : t -> (Op.kind * int) list
     resources. [latency id] must be positive. *)
 val critical_path : t -> latency:(int -> int) -> int
 
-(** [distance_to_sink g ~latency id] is the longest latency-weighted path from
-    [id] (inclusive) to any sink. Used as a list-scheduling priority. *)
-val distance_to_sink : t -> latency:(int -> int) -> int -> int
+(** [distances_to_sink g ~latency] is, for every node, the longest
+    latency-weighted path from that node (inclusive) to any sink — the
+    list-scheduling priority. [distances_from_source g ~latency] is, for
+    every node, the longest latency-weighted path from any source up to and
+    including that node.
 
-(** [distances_to_sink g ~latency] is {!distance_to_sink} for every node at
-    once: the partial application [distances_to_sink g ~latency] runs the
-    single O(V+E) topological pass, and the returned lookup is a map find.
-    Use this when priorities are needed for the whole graph — calling
-    {!distance_to_sink} per node recomputes the pass each time. The lookup
+    These two passes are the graph's one implementation of longest paths:
+    the partial application [distances_to_sink g ~latency] runs the single
+    O(V+E) topological pass, and the returned lookup is a map find. Bind it
+    once and look nodes up in it; do not re-apply it per node. The lookup
     raises [Not_found] on absent ids. *)
 val distances_to_sink : t -> latency:(int -> int) -> int -> int
 
-(** [distance_from_source g ~latency id] is the longest latency-weighted path
-    from any source up to and including [id]. *)
-val distance_from_source : t -> latency:(int -> int) -> int -> int
+val distances_from_source : t -> latency:(int -> int) -> int -> int
 
 (** [reverse g] flips every edge. The result intentionally skips the
     Input/Output orientation checks; it is meant for time-reversed

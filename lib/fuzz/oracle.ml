@@ -1,11 +1,7 @@
 module Graph = Pchls_dfg.Graph
-module Op = Pchls_dfg.Op
 module Library = Pchls_fulib.Library
-module Module_spec = Pchls_fulib.Module_spec
 module Schedule = Pchls_sched.Schedule
 module Profile = Pchls_power.Profile
-module Cgraph = Pchls_compat.Cgraph
-module Exact = Pchls_compat.Exact
 module Engine = Pchls_core.Engine
 module Design = Pchls_core.Design
 module Analysis = Pchls_analysis.Analysis
@@ -30,48 +26,13 @@ let bucket f =
   sanitize f.oracle ^ "-" ^ sanitize f.code
 
 let exact_fu_floor ?(max_vertices = 12) ~library d =
-  let g = Design.graph d in
-  let ids = Array.of_list (Graph.node_ids g) in
-  let n = Array.length ids in
-  if n > max_vertices then None
-  else begin
-    let sched = Design.schedule d in
-    let interval i =
-      let id = ids.(i) in
-      let s = Schedule.start sched id in
-      (s, s + (Design.info d id).Schedule.latency)
-    in
-    let kind i = Graph.kind g ids.(i) in
-    let specs = Library.to_list library in
-    let cg = Cgraph.create ~n in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        let su, eu = interval u and sv, ev = interval v in
-        let disjoint = eu <= sv || ev <= su in
-        let shareable =
-          List.exists
-            (fun m ->
-              Module_spec.implements m (kind u)
-              && Module_spec.implements m (kind v))
-            specs
-        in
-        if disjoint && shareable then Cgraph.add_edge cg u v 1.0
-      done
-    done;
-    let cost members =
-      let kinds = List.sort_uniq Op.compare (List.map kind members) in
-      let area =
-        List.fold_left
-          (fun acc m ->
-            if List.for_all (Module_spec.implements m) kinds then
-              Float.min acc m.Module_spec.area
-            else acc)
-          infinity specs
-      in
-      if Float.is_finite area then Some area else None
-    in
-    Option.map snd (Exact.min_area ~max_vertices ~cost cg)
-  end
+  let g = Design.graph d and sched = Design.schedule d in
+  let interval id =
+    let s = Schedule.start sched id in
+    Some (s, s + (Design.info d id).Schedule.latency)
+  in
+  Preflight.exact_fu_area ~max_vertices ~modules:(Library.to_list library)
+    ~kind:(Graph.kind g) ~interval (Graph.node_ids g)
 
 (* [eps] headroom on float comparisons so the oracle never flags
    accumulated rounding as a violation. *)

@@ -46,11 +46,14 @@ type verdict = Pass of { feasible : bool; exact : exact_status } | Fail of failu
 val bucket : failure -> string
 
 (** [exact_fu_floor ~library d] is the exact minimum functional-unit area
-    achievable for [d]'s own schedule: vertices are [d]'s operations, two
-    operations are compatible when their execution intervals are disjoint
-    and some library module implements both kinds, and a clique costs the
-    cheapest module implementing every member's kind. [None] when the
-    design has more than [max_vertices] (default [12]) operations. *)
+    achievable for [d]'s own schedule: the one exact pricer,
+    {!Pchls_preflight.Preflight.exact_fu_area}, over every library module
+    and each operation's execution interval in [d]'s schedule. Vertices are
+    [d]'s operations, two operations are compatible when their execution
+    intervals are disjoint and some library module implements both kinds,
+    and a clique costs the cheapest module implementing every member's
+    kind. [None] when the design has more than [max_vertices] (default
+    [12]) operations. *)
 val exact_fu_floor :
   ?max_vertices:int ->
   library:Pchls_fulib.Library.t ->

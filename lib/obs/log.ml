@@ -37,18 +37,12 @@ let log t lvl ?(fields = []) msg =
           ]
          @ fields))
   in
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  Mutex.protect t.mutex (fun () ->
       output_string t.oc line;
       output_char t.oc '\n';
       flush t.oc)
 
 let close t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
+  Mutex.protect t.mutex (fun () ->
       flush t.oc;
       if t.owns_channel then close_out t.oc)

@@ -13,12 +13,8 @@ type metric = C of counter | G of gauge | H of histogram
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let reg_mutex = Mutex.create ()
 
-let with_registry f =
-  Mutex.lock reg_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock reg_mutex) f
-
 let register name make cast kind =
-  with_registry @@ fun () ->
+  Mutex.protect reg_mutex @@ fun () ->
   match Hashtbl.find_opt registry name with
   | Some m -> (
     match cast m with
@@ -115,7 +111,7 @@ let snapshot_hist h =
 
 let snapshot () =
   let entries =
-    with_registry @@ fun () ->
+    Mutex.protect reg_mutex @@ fun () ->
     Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry []
   in
   entries
@@ -128,7 +124,7 @@ let snapshot () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset () =
-  with_registry @@ fun () ->
+  Mutex.protect reg_mutex @@ fun () ->
   Hashtbl.iter
     (fun _ m ->
       match m with

@@ -123,11 +123,7 @@ let instant ?(cat = "pchls") ?(args = []) name =
   if observed () then
     emit ~name ~cat ~args ~t0_ns:(Clock.now_ns ()) ~phase:Instant
 
-let locked shard f =
-  Mutex.lock shard.mutex;
-  let v = f shard in
-  Mutex.unlock shard.mutex;
-  v
+let locked shard f = Mutex.protect shard.mutex (fun () -> f shard)
 
 (* The ring's events, oldest first, rebuilt from its columns. *)
 let ring_events cap s =

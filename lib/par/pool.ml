@@ -17,7 +17,7 @@ type t = {
   jobs : int;
   mutex : Mutex.t;
   work : Condition.t;  (* signalled when a task is queued or on shutdown *)
-  tasks : (unit -> unit) Queue.t;  (* tasks never raise; see [map] *)
+  tasks : (unit -> unit) Queue.t;  (* tasks never raise; see [dispatch] *)
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
 }
@@ -70,114 +70,79 @@ let create ?jobs () =
 let jobs pool = pool.jobs
 
 let submit pool task =
-  Mutex.lock pool.mutex;
-  if pool.stopping then begin
-    Mutex.unlock pool.mutex;
-    invalid_arg "Pool: pool has been shut down"
-  end;
-  Queue.push task pool.tasks;
-  Condition.signal pool.work;
-  Mutex.unlock pool.mutex
+  Mutex.protect pool.mutex (fun () ->
+      if pool.stopping then invalid_arg "Pool: pool has been shut down";
+      Queue.push task pool.tasks;
+      Condition.signal pool.work)
 
 let check_alive pool =
-  Mutex.lock pool.mutex;
-  let stopping = pool.stopping in
-  Mutex.unlock pool.mutex;
-  if stopping then invalid_arg "Pool: pool has been shut down"
+  if Mutex.protect pool.mutex (fun () -> pool.stopping) then
+    invalid_arg "Pool: pool has been shut down"
+
+(* The one dispatch path: one task per element, each timed from submit to
+   start (queue wait) and from start to finish (run) — the gap between the
+   two is the pool's scheduling overhead, visible in the pool.task_*_ns
+   histograms. Blocks until every task has finished and returns the
+   outcomes in input order. [f] must not raise. *)
+let dispatch pool f xs =
+  let n = Array.length xs in
+  let outcomes = Array.make n None in
+  let remaining = ref n in
+  let join_mutex = Mutex.create () in
+  let joined = Condition.create () in
+  let task i x queued_ns () =
+    let started_ns = Clock.now_ns () in
+    Metrics.incr m_tasks;
+    Metrics.observe h_task_wait_ns
+      (Int64.to_float (Int64.sub started_ns queued_ns));
+    let outcome = f i x in
+    Metrics.observe h_task_run_ns (Clock.elapsed_ns ~since:started_ns);
+    Mutex.protect join_mutex (fun () ->
+        outcomes.(i) <- Some outcome;
+        decr remaining;
+        if !remaining = 0 then Condition.signal joined)
+  in
+  Array.iteri (fun i x -> submit pool (task i x (Clock.now_ns ()))) xs;
+  Mutex.protect join_mutex (fun () ->
+      while !remaining > 0 do
+        Condition.wait joined join_mutex
+      done);
+  Array.map Option.get outcomes
+
+let catch f x =
+  match f x with
+  | y -> Ok y
+  | exception e -> Error (e, Printexc.get_raw_backtrace ())
+
+(* [Array.map] visits outcomes in input order, so the failure re-raised is
+   the earliest by input index, whatever the completion order. *)
+let reraise_first ~origin outcomes =
+  Array.map
+    (function
+      | Ok y -> y
+      | Error (e, bt) ->
+        (* Crash-path hook: the worker's exception escapes at the join —
+           dump the flight ring before the caller loses the context. *)
+        Trace.note_crash ~origin e;
+        Printexc.raise_with_backtrace e bt)
+    outcomes
+
+let inline pool xs = pool.jobs = 1 || List.compare_length_with xs 1 <= 0
 
 let map pool f xs =
   check_alive pool;
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if n = 0 then []
-  else if pool.jobs = 1 || n = 1 then List.map f xs
-  else begin
-    let results = Array.make n None in
-    (* First failure by *input* index, so the surfaced error is independent
-       of completion order. *)
-    let failure = ref None in
-    let remaining = ref n in
-    let join_mutex = Mutex.create () in
-    let joined = Condition.create () in
-    let run i x queued_ns () =
-      (* Queue wait (submit → start) vs run time, per task: the gap between
-         the two is the pool's scheduling overhead, visible in the
-         pool.task_*_ns histograms. *)
-      let started_ns = Clock.now_ns () in
-      Metrics.incr m_tasks;
-      Metrics.observe h_task_wait_ns
-        (Int64.to_float (Int64.sub started_ns queued_ns));
-      let outcome =
-        match f x with
-        | y -> Ok y
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      Metrics.observe h_task_run_ns (Clock.elapsed_ns ~since:started_ns);
-      Mutex.lock join_mutex;
-      (match outcome with
-      | Ok y -> results.(i) <- Some y
-      | Error (e, bt) -> (
-        match !failure with
-        | Some (j, _, _) when j < i -> ()
-        | Some _ | None -> failure := Some (i, e, bt)));
-      decr remaining;
-      if !remaining = 0 then Condition.signal joined;
-      Mutex.unlock join_mutex
-    in
-    Array.iteri (fun i x -> submit pool (run i x (Clock.now_ns ()))) arr;
-    Mutex.lock join_mutex;
-    while !remaining > 0 do
-      Condition.wait joined join_mutex
-    done;
-    Mutex.unlock join_mutex;
-    match !failure with
-    | Some (_, e, bt) ->
-      (* Crash-path hook: the worker's exception escapes at the join —
-         dump the flight ring before the caller loses the context. *)
-      Trace.note_crash ~origin:"pool.map" e;
-      Printexc.raise_with_backtrace e bt
-    | None ->
-      Array.to_list
-        (Array.map
-           (function Some y -> y | None -> assert false (* all joined *))
-           results)
-  end
+  if inline pool xs then List.map f xs
+  else
+    Array.to_list
+      (reraise_first ~origin:"pool.map"
+         (dispatch pool (fun _ -> catch f) (Array.of_list xs)))
 
 let run pool f =
   check_alive pool;
   if pool.jobs = 1 then f ()
-  else begin
-    let join_mutex = Mutex.create () in
-    let joined = Condition.create () in
-    let result = ref None in
-    let queued_ns = Clock.now_ns () in
-    submit pool (fun () ->
-        let started_ns = Clock.now_ns () in
-        Metrics.incr m_tasks;
-        Metrics.observe h_task_wait_ns
-          (Int64.to_float (Int64.sub started_ns queued_ns));
-        let outcome =
-          match f () with
-          | y -> Ok y
-          | exception e -> Error (e, Printexc.get_raw_backtrace ())
-        in
-        Metrics.observe h_task_run_ns (Clock.elapsed_ns ~since:started_ns);
-        Mutex.lock join_mutex;
-        result := Some outcome;
-        Condition.signal joined;
-        Mutex.unlock join_mutex);
-    Mutex.lock join_mutex;
-    while Option.is_none !result do
-      Condition.wait joined join_mutex
-    done;
-    Mutex.unlock join_mutex;
-    match !result with
-    | Some (Ok y) -> y
-    | Some (Error (e, bt)) ->
-      Trace.note_crash ~origin:"pool.run" e;
-      Printexc.raise_with_backtrace e bt
-    | None -> assert false (* joined *)
-  end
+  else
+    let outcomes = dispatch pool (fun _ -> catch f) [| () |] in
+    (reraise_first ~origin:"pool.run" outcomes).(0)
 
 type failure = {
   attempts : int;
@@ -217,42 +182,11 @@ let try_map ?(retries = 1) pool f xs =
   if retries < 0 then
     invalid_arg (Printf.sprintf "Pool.try_map: retries < 0 (%d)" retries);
   check_alive pool;
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if n = 0 then []
-  else if pool.jobs = 1 || n = 1 then
-    (* Inline path: unlike [map], a failure does not stop the remaining
-       items — isolation is the whole point. *)
-    List.mapi (attempt_item ~retries f) xs
-  else begin
-    let results = Array.make n None in
-    let remaining = ref n in
-    let join_mutex = Mutex.create () in
-    let joined = Condition.create () in
-    let run i x queued_ns () =
-      let started_ns = Clock.now_ns () in
-      Metrics.incr m_tasks;
-      Metrics.observe h_task_wait_ns
-        (Int64.to_float (Int64.sub started_ns queued_ns));
-      let outcome = attempt_item ~retries f i x in
-      Metrics.observe h_task_run_ns (Clock.elapsed_ns ~since:started_ns);
-      Mutex.lock join_mutex;
-      results.(i) <- Some outcome;
-      decr remaining;
-      if !remaining = 0 then Condition.signal joined;
-      Mutex.unlock join_mutex
-    in
-    Array.iteri (fun i x -> submit pool (run i x (Clock.now_ns ()))) arr;
-    Mutex.lock join_mutex;
-    while !remaining > 0 do
-      Condition.wait joined join_mutex
-    done;
-    Mutex.unlock join_mutex;
-    Array.to_list
-      (Array.map
-         (function Some r -> r | None -> assert false (* all joined *))
-         results)
-  end
+  (* Inline, unlike [map], a failure does not stop the remaining items —
+     isolation is the whole point. *)
+  if inline pool xs then List.mapi (attempt_item ~retries f) xs
+  else
+    Array.to_list (dispatch pool (attempt_item ~retries f) (Array.of_list xs))
 
 let shutdown pool =
   Mutex.lock pool.mutex;

@@ -5,6 +5,13 @@
     pool's worker domains while preserving the input order of the results,
     making a parallel sweep bit-identical to a sequential one.
 
+    {!map}, {!run} and {!try_map} share one dispatch path: one task per
+    element, the caller blocked until all have finished, outcomes returned
+    in input order. Every dispatched task counts once in [pool.tasks] and
+    once in each of the [pool.task_wait_ns] (submit to start) and
+    [pool.task_run_ns] (start to finish) histograms; work run inline on the
+    calling domain counts in none of them.
+
     A pool may be reused for any number of {!map} calls and must
     eventually be released with {!shutdown} (or use {!with_pool}).
     Submitting work from inside a pool task is not supported — a task that

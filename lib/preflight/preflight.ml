@@ -102,39 +102,23 @@ let kind_floor ~library ~power_limit k =
 (* ------------------------------------------------------------------ *)
 (* Windows at minimum admissible latency.                              *)
 
-(* With [lat id] a lower bound on the op's real latency, the computed
+(* With [lat id] a lower bound on the op's real latency, the window's
    [earliest] under-approximates and [latest] over-approximates any
    feasible start within [horizon] — the windows contain every feasible
-   schedule, which is what makes pinned intervals proofs. *)
-let compute_windows g ~lat ~horizon =
-  let earliest = Hashtbl.create 64 and latest = Hashtbl.create 64 in
-  let order = Graph.topological_order g in
-  List.iter
-    (fun v ->
-      let e =
-        List.fold_left
-          (fun acc p -> max acc (Hashtbl.find earliest p + lat p))
-          0 (Graph.preds g v)
-      in
-      Hashtbl.replace earliest v e)
-    order;
-  List.iter
-    (fun v ->
-      let ub =
-        List.fold_left
-          (fun acc s -> min acc (Hashtbl.find latest s))
-          horizon (Graph.succs g v)
-      in
-      Hashtbl.replace latest v (ub - lat v))
-    (List.rev order);
-  (earliest, latest)
+   schedule, which is what makes pinned intervals proofs. Both come from
+   {!Graph}'s two longest-path passes. *)
+let window_of g ~lat ~horizon =
+  let from_source = Graph.distances_from_source g ~latency:lat
+  and to_sink = Graph.distances_to_sink g ~latency:lat in
+  fun id ->
+    { earliest = from_source id - lat id; latest = horizon - to_sink id }
 
 (* Walk one latency-critical chain back from the latest-finishing node. *)
 let critical_chain g ~lat ~earliest =
   let best =
     List.fold_left
       (fun acc v ->
-        let f = Hashtbl.find earliest v + lat v in
+        let f = earliest v + lat v in
         match acc with
         | Some (_, bf) when bf >= f -> acc
         | _ -> Some (v, f))
@@ -144,14 +128,10 @@ let critical_chain g ~lat ~earliest =
   | None -> []
   | Some (v0, _) ->
     let rec back v acc =
-      let e = Hashtbl.find earliest v in
+      let e = earliest v in
       if e = 0 then v :: acc
       else
-        let p =
-          List.find
-            (fun p -> Hashtbl.find earliest p + lat p = e)
-            (Graph.preds g v)
-        in
+        let p = List.find (fun p -> earliest p + lat p = e) (Graph.preds g v) in
         back p (v :: acc)
     in
     back v0 []
@@ -159,45 +139,33 @@ let critical_chain g ~lat ~earliest =
 (* ------------------------------------------------------------------ *)
 (* FU-area bounds.                                                     *)
 
-let clique_cost ~library ~power_limit kind_of members =
-  let kinds = List.sort_uniq Op.compare (List.map kind_of members) in
-  Library.to_list library
-  |> List.filter (fun m ->
-         admissible ~power_limit m
-         && List.for_all (Module_spec.implements m) kinds)
-  |> fold_min (fun (m : Module_spec.t) -> m.area)
-
-(* Exact lower bound: price an optimal clique partition of an
-   over-approximate compatibility graph. Two ops are kept compatible unless
-   their pinned execution intervals provably overlap, so every real sharing
-   is allowed and the optimum can only undercut the real design. *)
-let exact_area_lb ~library ~power_limit ~max_vertices g pin kind_of_id =
-  let ids = Array.of_list (Graph.node_ids g) in
+let exact_fu_area ~max_vertices ~modules ~kind ~interval ids =
+  let ids = Array.of_list ids in
   let n = Array.length ids in
   if n > max_vertices then None
   else begin
-    let kind_of i = kind_of_id ids.(i) in
+    let cost members =
+      let kinds =
+        List.sort_uniq Op.compare (List.map (fun i -> kind ids.(i)) members)
+      in
+      List.filter
+        (fun m -> List.for_all (Module_spec.implements m) kinds)
+        modules
+      |> fold_min (fun (m : Module_spec.t) -> m.area)
+    in
     let cg = Cgraph.create ~n in
     for u = 0 to n - 1 do
       for v = u + 1 to n - 1 do
-        let shareable =
-          clique_cost ~library ~power_limit kind_of [ u; v ] <> None
-        in
         let overlap =
-          match (pin ids.(u), pin ids.(v)) with
+          match (interval ids.(u), interval ids.(v)) with
           | Some (a, b), Some (c, d) -> a < d && c < b
           | _ -> false
         in
-        if shareable && not overlap then Cgraph.add_edge cg u v 0.
+        if (not overlap) && cost [ u; v ] <> None then
+          Cgraph.add_edge cg u v 0.
       done
     done;
-    match
-      Exact.min_area ~max_vertices
-        ~cost:(clique_cost ~library ~power_limit kind_of)
-        cg
-    with
-    | Some (_, total) -> Some total
-    | None -> None
+    Option.map snd (Exact.min_area ~max_vertices ~cost cg)
   end
 
 (* Relaxed lower bound for large graphs: (a) ops pinned to the same cycle
@@ -307,10 +275,8 @@ let analyze ?(exact_max_vertices = default_exact_max_vertices) ~library
       else cp
     in
     let horizon = max time_limit cp in
-    let earliest, latest = compute_windows g ~lat ~horizon in
-    let window id =
-      { earliest = Hashtbl.find earliest id; latest = Hashtbl.find latest id }
-    in
+    let window = window_of g ~lat ~horizon in
+    let earliest id = (window id).earliest in
     let pin id = pinned (window id) ~min_latency:(lat id) in
     let windows = List.map (fun id -> (id, window id)) (Graph.node_ids g) in
     let demand = Array.make (max horizon 1) 0. in
@@ -335,10 +301,15 @@ let analyze ?(exact_max_vertices = default_exact_max_vertices) ~library
         (fun acc (n : Graph.node) -> acc +. (floor_of n.kind).f_area_max)
         0. (Graph.nodes g)
     in
+    (* Exact lower bound: two ops are kept compatible unless their pinned
+       execution intervals provably overlap, so every real sharing is
+       allowed and the optimum can only undercut the real design. *)
     let fu_area_lb, fu_area_exact =
       match
-        exact_area_lb ~library ~power_limit ~max_vertices:exact_max_vertices g
-          pin (Graph.kind g)
+        exact_fu_area ~max_vertices:exact_max_vertices
+          ~modules:
+            (List.filter (admissible ~power_limit) (Library.to_list library))
+          ~kind:(Graph.kind g) ~interval:pin (Graph.node_ids g)
       with
       | Some lb -> (lb, true)
       | None ->
@@ -493,18 +464,16 @@ let verify ~library ~time_limit ?(power_limit = infinity) g cert =
           let lat id = (floor_of (Graph.kind g id)).f_lat in
           let cp = Graph.critical_path g ~latency:lat in
           let horizon = max time_limit cp in
-          let earliest, latest = compute_windows g ~lat ~horizon in
+          let window = window_of g ~lat ~horizon in
           if cycle < 0 || cycle >= horizon then
             fail "cycle %d outside [0, %d)" cycle horizon
           else begin
             let bad =
               List.find_opt
                 (fun (id, pw) ->
-                  let f = floor_of (Graph.kind g id) in
+                  let f = floor_of (Graph.kind g id) and w = window id in
                   pw > f.f_pow +. eps
-                  || not
-                       (Hashtbl.find latest id <= cycle
-                       && cycle < Hashtbl.find earliest id + f.f_lat))
+                  || not (w.latest <= cycle && cycle < w.earliest + f.f_lat))
                 cut
             in
             match bad with

@@ -113,6 +113,30 @@ type t = {
     exponential in the graph size. *)
 val default_exact_max_vertices : int
 
+(** [exact_fu_area ~max_vertices ~modules ~kind ~interval ids] is the one
+    exact functional-unit area pricer: the cost of an optimal clique
+    partition of the operations [ids] ({!Pchls_compat.Exact.min_area}).
+    Two operations are compatible when some module of [modules] implements
+    both kinds and their [interval]s do not overlap ([None] overlaps
+    nothing), and a clique costs the cheapest module of [modules]
+    implementing every member's kind. [None] when [ids] has more than
+    [max_vertices] operations.
+
+    {!analyze} prices the modules admissible under [P<] over the pinned
+    intervals, which gives a lower bound on any binding; the fuzzer's
+    exact oracle prices every library module over a design's own schedule
+    ({!Pchls_fuzz.Oracle.exact_fu_floor}).
+
+    @raise Invalid_argument when no module of [modules] implements some
+    operation's kind. *)
+val exact_fu_area :
+  max_vertices:int ->
+  modules:Pchls_fulib.Module_spec.t list ->
+  kind:(int -> Pchls_dfg.Op.kind) ->
+  interval:(int -> (int * int) option) ->
+  int list ->
+  float option
+
 (** [analyze ?exact_max_vertices ~library ~time_limit ?power_limit g]
     computes all bounds and certificates. [power_limit] defaults to
     [infinity]. [exact_max_vertices] (default {!default_exact_max_vertices})

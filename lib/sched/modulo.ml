@@ -32,11 +32,11 @@ let run g ~info ~ii ~horizon ?(power_limit = infinity) () =
   let offset id =
     match Hashtbl.find_opt offsets id with Some o -> o | None -> 0
   in
+  let priority = Graph.distances_to_sink g ~latency in
   let better (id_a, t_a) (id_b, t_b) =
     if t_a <> t_b then t_a < t_b
     else
-      let pa = Graph.distance_to_sink g ~latency id_a
-      and pb = Graph.distance_to_sink g ~latency id_b in
+      let pa = priority id_a and pb = priority id_b in
       if pa <> pb then pa > pb else id_a < id_b
   in
   let pick () =

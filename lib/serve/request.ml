@@ -43,6 +43,12 @@ let power_range ~names:(from_name, step_name) ~from ~upto ~step =
     Error (Printf.sprintf "power range end must be finite, got %g" upto)
   else if from > upto +. 1e-9 then
     Error (Printf.sprintf "empty power range [%g, %g]" from upto)
+  else if step < Float.succ (upto +. 1e-9) -. (upto +. 1e-9) then
+    (* One ulp of the largest point the range continues from: any smaller
+       step can round back to the same point, and the range never ends. *)
+    Error
+      (Printf.sprintf "%s %g cannot advance a power range past %g" step_name
+         step upto)
   else
     Ok
       (Seq.unfold

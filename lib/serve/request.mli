@@ -36,7 +36,9 @@ val power_limit : float -> (float, string) result
 
 (** [power_range ~names ~from ~upto ~step] is [from], [from + step], ...
     up to [upto] (with a 1e-9 tolerance): [from] and [step] positive,
-    [upto] finite, the range non-empty. [names] spells [from] and [step].
+    [upto] finite, the range non-empty, and [step] at least one ulp of
+    [upto + 1e-9], so every point advances. [names] spells [from] and
+    [step].
     The points are produced on demand, so a caller that caps the range
     reads no more of it than it needs to refuse it. *)
 val power_range :

@@ -267,6 +267,27 @@ let test_worker_faults_tallied_not_findings () =
       Alcotest.(check bool) "disarmed report omits the tally" false
         (contains "faulted" (Fuzz.render_summary clean)))
 
+(* The faulted campaign above, run at -j 1 and -j 2: the "pool.worker"
+   fault is keyed by case index and attempt, so the same cases fault and
+   the report is the same whatever the job count. *)
+let test_worker_faults_jobs_invariant () =
+  Fun.protect
+    ~finally:(fun () -> Fault.set None)
+    (fun () ->
+      Fault.set (Some "pool.worker:0.3:5");
+      let summary jobs =
+        match
+          Fuzz.run { Fuzz.default_config with Fuzz.runs = 40; seed = 1; jobs }
+        with
+        | Ok s -> s
+        | Error m -> Alcotest.fail m
+      in
+      let one = summary 1 in
+      Alcotest.(check bool) "some cases faulted" true (one.Fuzz.faulted > 0);
+      Alcotest.(check string) "-j 2 report matches -j 1"
+        (Fuzz.render_summary one)
+        (Fuzz.render_summary (summary 2)))
+
 let test_expired_deadline_skips_remaining_cases () =
   let b = Pchls_resil.Budget.make ~deadline_ms:0. () in
   let config =
@@ -311,6 +332,8 @@ let () =
             test_chaos_bug_caught_and_shrunk;
           Alcotest.test_case "worker faults tallied, not findings" `Quick
             test_worker_faults_tallied_not_findings;
+          Alcotest.test_case "worker faults jobs-invariant" `Quick
+            test_worker_faults_jobs_invariant;
           Alcotest.test_case "expired deadline skips cases" `Quick
             test_expired_deadline_skips_remaining_cases;
         ] );

@@ -140,12 +140,12 @@ let test_critical_path_weighted () =
 let test_distances () =
   let g = diamondish () in
   let latency _ = 1 in
-  Alcotest.(check int) "to sink from 0" 4 (Graph.distance_to_sink g ~latency 0);
-  Alcotest.(check int) "to sink from 3" 1 (Graph.distance_to_sink g ~latency 3);
-  Alcotest.(check int) "from source at 0" 1
-    (Graph.distance_from_source g ~latency 0);
-  Alcotest.(check int) "from source at 3" 4
-    (Graph.distance_from_source g ~latency 3)
+  let to_sink = Graph.distances_to_sink g ~latency
+  and from_source = Graph.distances_from_source g ~latency in
+  Alcotest.(check int) "to sink from 0" 4 (to_sink 0);
+  Alcotest.(check int) "to sink from 3" 1 (to_sink 3);
+  Alcotest.(check int) "from source at 0" 1 (from_source 0);
+  Alcotest.(check int) "from source at 3" 4 (from_source 3)
 
 let test_reverse () =
   let g = diamondish () in

@@ -110,6 +110,89 @@ let test_run_after_shutdown () =
     (Invalid_argument "Pool: pool has been shut down") (fun () ->
       Pool.run pool (fun () -> ()))
 
+(* [pchls serve]'s dispatch pattern: every handler thread calls [run] at
+   once on one pool. Each caller gets its own value back, and a task that
+   raises re-raises in its own caller only. *)
+let test_run_concurrent_callers () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let callers = 8 in
+      let fails i = i mod 3 = 1 in
+      let outcomes = Array.make callers "" in
+      let ready = Atomic.make 0 in
+      let call i () =
+        Atomic.incr ready;
+        while Atomic.get ready < callers do
+          Thread.yield ()
+        done;
+        outcomes.(i) <-
+          (match
+             Pool.run pool (fun () ->
+                 Unix.sleepf 0.002;
+                 if fails i then failwith (Printf.sprintf "boom %d" i)
+                 else i * i)
+           with
+          | v -> Printf.sprintf "ok:%d" v
+          | exception Failure msg -> "raised:" ^ msg)
+      in
+      List.iter Thread.join
+        (List.init callers (fun i -> Thread.create (call i) ()));
+      Alcotest.(check (array string))
+        "own value or own exception, per caller"
+        (Array.init callers (fun i ->
+             if fails i then Printf.sprintf "raised:boom %d" i
+             else Printf.sprintf "ok:%d" (i * i)))
+        outcomes)
+
+(* --- accounting: one count per dispatched task -------------------------- *)
+
+module Metrics = Pchls_obs.Metrics
+
+(* [pool.tasks] and the observation counts of the two task histograms. *)
+let task_counts () =
+  let snapshot = Metrics.snapshot () in
+  let observations name =
+    match List.assoc_opt name snapshot with
+    | Some (Metrics.Histogram h) -> h.Metrics.count
+    | Some (Metrics.Counter _ | Metrics.Gauge _) | None -> 0
+  in
+  [
+    Metrics.counter_value (Metrics.counter "pool.tasks");
+    observations "pool.task_wait_ns";
+    observations "pool.task_run_ns";
+  ]
+
+let check_dispatched what n f =
+  let before = task_counts () in
+  (try ignore (f ()) with Failure _ -> ());
+  Alcotest.(check (list int))
+    (what ^ ": tasks, waits, runs")
+    [ n; n; n ]
+    (List.map2 ( - ) (task_counts ()) before)
+
+let test_accounting_counts_dispatched_tasks () =
+  let boom x = if x = 2 then failwith "boom" else x in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      check_dispatched "map" 5 (fun () ->
+          Pool.map pool succ [ 1; 2; 3; 4; 5 ]);
+      check_dispatched "map with a failure" 3 (fun () ->
+          Pool.map pool boom [ 1; 2; 3 ]);
+      check_dispatched "run" 1 (fun () -> Pool.run pool (fun () -> 1));
+      check_dispatched "run that raises" 1 (fun () ->
+          Pool.run pool (fun () -> failwith "boom"));
+      check_dispatched "try_map with a retried failure" 4 (fun () ->
+          Pool.try_map pool boom [ 1; 2; 3; 4 ]);
+      check_dispatched "map on one element" 0 (fun () ->
+          Pool.map pool succ [ 1 ]);
+      check_dispatched "try_map on one element" 0 (fun () ->
+          Pool.try_map pool succ [ 1 ]));
+  Pool.with_pool ~jobs:1 (fun pool ->
+      check_dispatched "map at jobs=1" 0 (fun () ->
+          Pool.map pool succ [ 1; 2; 3 ]);
+      check_dispatched "run at jobs=1" 0 (fun () ->
+          Pool.run pool (fun () -> 1));
+      check_dispatched "try_map at jobs=1" 0 (fun () ->
+          Pool.try_map pool boom [ 1; 2; 3 ]))
+
 (* --- try_map: per-item isolation, retries, chaos ------------------------ *)
 
 module Fault = Pchls_resil.Fault
@@ -397,6 +480,13 @@ let () =
             test_run_inline_at_one_job;
           Alcotest.test_case "shut-down pool raises" `Quick
             test_run_after_shutdown;
+          Alcotest.test_case "concurrent callers" `Quick
+            test_run_concurrent_callers;
+        ] );
+      ( "accounting",
+        [
+          Alcotest.test_case "counts dispatched tasks only" `Quick
+            test_accounting_counts_dispatched_tasks;
         ] );
       ( "lifecycle",
         [

@@ -531,22 +531,29 @@ let test_sweep_and_pareto () =
    are refused as fast as any other bad body. *)
 let test_oversized_power_range () =
   with_server @@ fun srv ->
-  let t0 = Unix.gettimeofday () in
-  let status, body =
-    request srv ~meth:"POST" ~path:"/sweep"
-      "{\"benchmark\":\"hal\",\"time\":8,\"p_from\":1,\"p_to\":1e6,\
-       \"p_step\":0.1}"
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Alcotest.(check int) "400" 400 status;
-  (match json_field "reason" body with
-  | Some (Json.String reason) ->
-    Alcotest.(check string)
-      "reason" "constraint grid exceeds 10000 points" reason
-  | _ -> Alcotest.fail ("oversized sweep body: " ^ body));
-  Alcotest.(check bool)
-    (Printf.sprintf "answered in %.2f s, under 1 s" elapsed)
-    true (elapsed < 1.)
+  List.iter
+    (fun (range, expected) ->
+      let t0 = Unix.gettimeofday () in
+      let status, body =
+        request srv ~meth:"POST" ~path:"/sweep"
+          ("{\"benchmark\":\"hal\",\"time\":8," ^ range ^ "}")
+      in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check int) (range ^ ": 400") 400 status;
+      (match json_field "reason" body with
+      | Some (Json.String reason) ->
+        Alcotest.(check string) (range ^ ": reason") expected reason
+      | _ -> Alcotest.fail ("oversized sweep body: " ^ body));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: answered in %.2f s, under 1 s" range elapsed)
+        true (elapsed < 1.))
+    [
+      ( "\"p_from\":1,\"p_to\":1e6,\"p_step\":0.1",
+        "constraint grid exceeds 10000 points" );
+      (* a step below one ulp of the range end never advances *)
+      ( "\"p_from\":1,\"p_to\":2,\"p_step\":1e-300",
+        "\"p_step\" 1e-300 cannot advance a power range past 2" );
+    ]
 
 (* The graph fingerprint runs on the handler thread before any deadline
    applies, so its cost must stay near-linear in any client graph: a
