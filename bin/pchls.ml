@@ -637,7 +637,6 @@ let power_range =
   in
   let make from upto step =
     Request.power_range ~names:("--p-from", "--p-step") ~from ~upto ~step
-    |> Result.map List.of_seq
   in
   Term.(term_result' (const make $ p_from $ p_to $ p_step))
 
@@ -655,7 +654,7 @@ let print_pareto points =
 (* sweep and pareto differ only in their time axis and in whether the
    Pareto front is always printed. *)
 let grid_cmd name ~doc ~times ~pareto =
-  let run (gname, g) times powers policy cost_model pareto preflight jobs
+  let run (gname, g) (times, powers) policy cost_model pareto preflight jobs
       cache_dir no_cache budget trace metrics flight =
     with_obs ~flight ~trace ~metrics @@ fun () ->
     let cache = sweep_store no_cache cache_dir in
@@ -669,10 +668,16 @@ let grid_cmd name ~doc ~times ~pareto =
     print_cache_line ~jobs cache;
     finish ?budget 0
   in
+  let grid =
+    Term.(
+      term_result'
+        (const (fun times powers -> Request.grid ~times ~powers)
+        $ times $ power_range))
+  in
   Cmd.v
     (Cmd.info name ~exits:budget_exits ~doc)
     Term.(
-      const run $ graph_source $ times $ power_range $ policy $ cost_model
+      const run $ graph_source $ grid $ policy $ cost_model
       $ pareto $ preflight_flag $ jobs_opt $ cache_dir_opt $ no_cache_flag
       $ budget $ trace_opt $ metrics_flag $ flight_flag)
 

@@ -150,6 +150,20 @@ let ancestors g op =
   in
   visit [] op
 
+(* The first of [mods] by [by] among those that satisfy [keep] and fit the
+   power limit; ties keep [mods]' order, since [List.sort] is stable. *)
+let best st ~by keep mods =
+  match
+    List.filter
+      (fun (m : Module_spec.t) -> keep m && m.power <= st.power_limit +. Profile.eps)
+      mods
+    |> List.sort by
+  with
+  | m :: _ -> Some m
+  | [] -> None
+
+let by_area (a : Module_spec.t) (b : Module_spec.t) = Float.compare a.area b.area
+
 (* If the default-policy schedule misses the time constraint, promote the
    blocking operation (or one of its ancestors) to the fastest module whose
    power still fits under the limit. *)
@@ -175,21 +189,10 @@ let rec settle_defaults st attempts =
     else
       let upgradable op =
         let current = Hashtbl.find st.default_spec op in
-        let faster =
-          List.filter
-            (fun (m : Module_spec.t) ->
-              m.latency < current.Module_spec.latency
-              && m.power <= st.power_limit +. Profile.eps)
-            (Library.candidates st.lib (Graph.kind st.g op))
-        in
-        match
-          List.sort
-            (fun (a : Module_spec.t) (b : Module_spec.t) ->
-              Int.compare a.latency b.latency)
-            faster
-        with
-        | m :: _ -> Some m
-        | [] -> None
+        best st
+          ~by:(fun (a : Module_spec.t) b -> Int.compare a.latency b.latency)
+          (fun m -> m.latency < current.Module_spec.latency)
+          (Library.candidates st.lib (Graph.kind st.g op))
       in
       let rec first_upgrade = function
         | [] -> None
@@ -328,27 +331,25 @@ let power_precheck st inst retype ~start ~d ~power =
     !ok
     && Profile.fits scratch ~start ~latency:d ~power ~limit:st.power_limit
 
-(* The cheapest library module implementing every kind in [kinds], other
-   than [current]; [None] when none exists or none fits the power limit. *)
-let retype_spec st current kinds =
-  let implements_all (m : Module_spec.t) =
-    List.for_all (Module_spec.implements m) kinds
-  in
-  let candidates =
-    List.filter
-      (fun (m : Module_spec.t) ->
-        implements_all m
-        && (not (Module_spec.equal m current))
-        && m.power <= st.power_limit +. Profile.eps)
+(* Where [op] would run if merged onto [inst]: [Some None] on the
+   instance's own module, [Some (Some m)] after a retype to [m], the
+   cheapest other module that covers every kind the instance would host,
+   and [None] when neither exists. [~retype:false] asks for no retype. *)
+let merge_target ?(retype = true) st op inst =
+  let kind = Graph.kind st.g op in
+  if Module_spec.implements inst.spec kind then Some None
+  else if not retype then None
+  else
+    let kinds =
+      kind :: List.map (fun (q, _) -> Graph.kind st.g q) inst.placed
+      |> List.sort_uniq Op.compare
+    in
+    best st ~by:by_area
+      (fun m ->
+        List.for_all (Module_spec.implements m) kinds
+        && not (Module_spec.equal m inst.spec))
       (Library.to_list st.lib)
-  in
-  match
-    List.sort
-      (fun (a : Module_spec.t) (b : Module_spec.t) -> Float.compare a.area b.area)
-      candidates
-  with
-  | m :: _ -> Some m
-  | [] -> None
+    |> Option.map Option.some
 
 (* All timing constraints of a retype: every already-placed op keeps its
    start but runs [m.latency] cycles, so intervals must stay disjoint and
@@ -363,25 +364,27 @@ let retype_timing_ok st palap inst (m : Module_spec.t) =
   disjoint sorted
   && List.for_all (fun (op, t) -> t + d <= deadline st palap op) sorted
 
+let fresh_gain st op = -.(Hashtbl.find st.default_spec op).Module_spec.area
+
+(* Default area saved, less the retype's upgrade cost and the mux input. *)
+let merge_gain st op inst retype =
+  let saved = (Hashtbl.find st.default_spec op).Module_spec.area in
+  let upgrade_cost =
+    match retype with
+    | Some (m : Module_spec.t) -> m.area -. inst.spec.Module_spec.area
+    | None -> 0.
+  in
+  saved -. upgrade_cost -. mux_penalty st op
+
 let gain_of st = function
-  | Fresh { op; _ } ->
-    -.(Hashtbl.find st.default_spec op).Module_spec.area
-  | Merge { op; inst; retype; _ } ->
-    let saved = (Hashtbl.find st.default_spec op).Module_spec.area in
-    let upgrade_cost =
-      match retype with
-      | Some (m : Module_spec.t) -> m.area -. inst.spec.Module_spec.area
-      | None -> 0.
-    in
-    saved -. upgrade_cost -. mux_penalty st op
+  | Fresh { op; _ } -> fresh_gain st op
+  | Merge { op; inst; retype; _ } -> merge_gain st op inst retype
 
 (* Best merge of [op] onto one specific [inst], or [None]. Split out from
    the all-instances enumeration so the candidate store can evaluate a
    single (operation, instance) entry on demand. *)
 let merge_candidate st pasap palap op inst =
-  let kind = Graph.kind st.g op in
   let locked_at = Hashtbl.find_opt st.locked_times op in
-  let same_spec_ok = Module_spec.implements inst.spec kind in
   let consider (m : Module_spec.t) retype =
     let d = m.Module_spec.latency in
     let lo = earliest_start st pasap ?trial:(Option.map (fun r -> (inst, r)) retype) op in
@@ -411,20 +414,12 @@ let merge_candidate st pasap palap op inst =
             else None)
         placements
   in
-  if same_spec_ok then consider inst.spec None
-  else if st.time_locked then None
-  else
-    let kinds =
-      kind
-      :: List.map (fun (q, _) -> Graph.kind st.g q) inst.placed
-      |> List.sort_uniq Op.compare
-    in
-    match retype_spec st inst.spec kinds with
-    | Some m
-      when retype_timing_ok st palap inst m
-           && under_cap st m.Module_spec.name ->
-      consider m (Some m)
-    | Some _ | None -> None
+  match merge_target ~retype:(not st.time_locked) st op inst with
+  | Some None -> consider inst.spec None
+  | Some (Some m)
+    when retype_timing_ok st palap inst m && under_cap st m.Module_spec.name ->
+    consider m (Some m)
+  | Some (Some _) | None -> None
 
 let merge_candidates st pasap palap op =
   List.filter_map (merge_candidate st pasap palap op) (List.rev st.instances)
@@ -446,15 +441,9 @@ let fresh_candidate st pasap palap op =
          other candidate still under its cap and power limit. Its latency
          may differ from the default used by pasap; the post-commit
          revalidation guards the schedule. *)
-      Library.candidates st.lib (Graph.kind st.g op)
-      |> List.filter (fun (m : Module_spec.t) ->
-             under_cap st m.Module_spec.name
-             && m.power <= st.power_limit +. Profile.eps)
-      |> List.sort (fun (a : Module_spec.t) (b : Module_spec.t) ->
-             Float.compare a.area b.area)
-      |> function
-      | m :: _ -> Some m
-      | [] -> None
+      best st ~by:by_area
+        (fun m -> under_cap st m.Module_spec.name)
+        (Library.candidates st.lib (Graph.kind st.g op))
   in
   match spec with
   | None -> None
@@ -560,27 +549,13 @@ type store = {
   parked : (int, centry list ref) Hashtbl.t; (* inst_id -> dead retypes *)
 }
 
-(* Current gain of an entry, mirroring [gain_of] on the decision the entry
-   would produce; [None] when no retype target exists (park it). *)
+(* Current gain of an entry: [gain_of] on the decision the entry would
+   produce; [None] when no retype target exists (park it). *)
 let entry_gain st e =
-  let default op = (Hashtbl.find st.default_spec op : Module_spec.t) in
   match e.c_target with
-  | T_fresh -> Some (-.(default e.c_op).Module_spec.area)
+  | T_fresh -> Some (fresh_gain st e.c_op)
   | T_inst inst ->
-    let kind = Graph.kind st.g e.c_op in
-    let saved = (default e.c_op).Module_spec.area in
-    if Module_spec.implements inst.spec kind then
-      Some (saved -. mux_penalty st e.c_op)
-    else (
-      let kinds =
-        kind :: List.map (fun (q, _) -> Graph.kind st.g q) inst.placed
-        |> List.sort_uniq Op.compare
-      in
-      match retype_spec st inst.spec kinds with
-      | Some (m : Module_spec.t) ->
-        let upgrade_cost = m.area -. inst.spec.Module_spec.area in
-        Some (saved -. upgrade_cost -. mux_penalty st e.c_op)
-      | None -> None)
+    Option.map (merge_gain st e.c_op inst) (merge_target st e.c_op inst)
 
 let store_insert sto gain e =
   match Gain_map.find_opt gain sto.levels with
@@ -733,6 +708,21 @@ let same_decision a b =
 
 type undo = { revert : unit -> unit }
 
+(* Re-account [inst]'s placed operations from its module to [m] in the
+   committed profile. *)
+let respec st inst (m : Module_spec.t) =
+  let old = inst.spec in
+  List.iter
+    (fun (_, t) ->
+      Profile.remove st.assigned_profile ~start:t ~latency:old.latency
+        ~power:old.power)
+    inst.placed;
+  inst.spec <- m;
+  List.iter
+    (fun (_, t) ->
+      Profile.add st.assigned_profile ~start:t ~latency:m.latency ~power:m.power)
+    inst.placed
+
 let commit st decision =
   match decision with
   | Fresh { op; spec; start } ->
@@ -753,22 +743,7 @@ let commit st decision =
     }
   | Merge { op; inst; start; retype } ->
     let old_spec = inst.spec in
-    (match retype with
-    | Some m ->
-      (* Re-account the existing operations under the new module. *)
-      List.iter
-        (fun (_, t) ->
-          Profile.remove st.assigned_profile ~start:t
-            ~latency:old_spec.Module_spec.latency
-            ~power:old_spec.Module_spec.power)
-        inst.placed;
-      inst.spec <- m;
-      List.iter
-        (fun (_, t) ->
-          Profile.add st.assigned_profile ~start:t ~latency:m.Module_spec.latency
-            ~power:m.Module_spec.power)
-        inst.placed
-    | None -> ());
+    Option.iter (respec st inst) retype;
     inst.placed <- (op, start) :: inst.placed;
     Hashtbl.replace st.assigned op (inst, start);
     Profile.add st.assigned_profile ~start
@@ -781,21 +756,7 @@ let commit st decision =
             ~power:inst.spec.Module_spec.power;
           inst.placed <- List.filter (fun (q, _) -> q <> op) inst.placed;
           Hashtbl.remove st.assigned op;
-          match retype with
-          | Some m ->
-            List.iter
-              (fun (_, t) ->
-                Profile.remove st.assigned_profile ~start:t
-                  ~latency:m.Module_spec.latency ~power:m.Module_spec.power)
-              inst.placed;
-            inst.spec <- old_spec;
-            List.iter
-              (fun (_, t) ->
-                Profile.add st.assigned_profile ~start:t
-                  ~latency:old_spec.Module_spec.latency
-                  ~power:old_spec.Module_spec.power)
-              inst.placed
-          | None -> ());
+          if Option.is_some retype then respec st inst old_spec);
     }
 
 (* The op a decision places, its start cycle and the module it runs on, as
@@ -836,6 +797,11 @@ let note_commit st decision =
         :: ("gain", Printf.sprintf "%.1f" (gain_of st decision))
         :: decision_args decision)
       "engine.commit"
+
+(* Book-keeping after a validated commit. *)
+let accept st sto decision =
+  note_commit st decision;
+  store_note_commit st sto decision
 
 (* --- main loop -------------------------------------------------------- *)
 
@@ -992,8 +958,7 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
         let undo = commit st best in
         match run_pasap st with
         | Pasap.Feasible next_pasap ->
-          note_commit st best;
-          store_note_commit st sto best;
+          accept st sto best;
           `Continue next_pasap
         | Pasap.Infeasible _ when interrupted st <> None ->
           (* The re-schedule was cancelled by the deadline, not genuinely
@@ -1024,8 +989,7 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
             | Error e -> `Error e
             | Ok (Some locked_best) ->
               let _ = commit st locked_best in
-              note_commit st locked_best;
-              store_note_commit st sto locked_best;
+              accept st sto locked_best;
               `Continue valid_pasap
             | Ok None ->
               `Error

@@ -22,8 +22,6 @@ let known =
     "serve.hang";
   ]
 
-let canonical = function "no-power-check" -> "engine.power-check" | n -> n
-
 (* --- spec parsing ------------------------------------------------------- *)
 
 let parse spec =
@@ -45,7 +43,7 @@ let parse spec =
                    entry;
                  (entry, None, None)
              in
-             let name = canonical (String.trim name) in
+             let name = String.trim name in
              if not (List.mem name known) then begin
                warn "PCHLS_CHAOS: unknown fault point %S (known: %s)" name
                  (String.concat ", " known);
@@ -98,7 +96,7 @@ let config () =
     arms
   end
 
-let armed name = List.mem_assoc (canonical name) (config ())
+let armed name = List.mem_assoc name (config ())
 
 (* --- deterministic draws ------------------------------------------------ *)
 
@@ -130,7 +128,7 @@ let draw ~seed ~key ?(salt = 0) name =
   /. 9007199254740992.
 
 let fires ?key ?(salt = 0) name =
-  match List.assoc_opt (canonical name) (config ()) with
+  match List.assoc_opt name (config ()) with
   | None -> false
   | Some (prob, seed) ->
     let hit =
@@ -148,4 +146,4 @@ let fires ?key ?(salt = 0) name =
     hit
 
 let inject ?key ?salt name =
-  if fires ?key ?salt name then raise (Injected (canonical name))
+  if fires ?key ?salt name then raise (Injected name)

@@ -21,7 +21,7 @@
     independent, sequence-deterministic draw).
 
     Fault points in this codebase ({!known}):
-    - ["engine.power-check"] (legacy alias ["no-power-check"]):
+    - ["engine.power-check"]:
       {!Pchls_core.Engine.run} silently drops the per-cycle power
       constraint end to end — only a differential oracle can notice;
     - ["cache.read"] / ["cache.write"]: {!Pchls_cache.Store} disk-tier
@@ -50,12 +50,8 @@ exception Injected of string
 (** The catalog of fault points this build consults. *)
 val known : string list
 
-(** [canonical name] resolves legacy aliases (["no-power-check"] →
-    ["engine.power-check"]); other names pass through unchanged. *)
-val canonical : string -> string
-
-(** [armed name] — is the (canonicalized) point listed in the active
-    spec, whatever its probability? *)
+(** [armed name] — is the point listed in the active spec, whatever its
+    probability? *)
 val armed : string -> bool
 
 (** [draw ~seed ~key ?salt name] — the deterministic uniform draw in

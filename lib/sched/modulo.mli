@@ -4,27 +4,14 @@
     A pipelined datapath starts a new iteration every [ii] cycles
     (the initiation interval), so in steady state the power drawn at
     congruence class [c] is the *fold* of the whole schedule modulo [ii].
-    [run] stretches the ASAP schedule exactly like [pasap], but checks each
-    tentative placement against the folded ledger: the resulting schedule's
-    steady-state power stays at or below the limit at every class, for any
-    number of overlapping iterations.
+    [Pasap.run ~period:ii] stretches the ASAP schedule as pasap does, but
+    checks each tentative placement against that folded ledger: the
+    resulting schedule's steady-state power stays at or below the limit at
+    every class, for any number of overlapping iterations.
 
     Like [pasap] this is schedule-only (no resource binding); it bounds the
     power side of pipelining. A lower bound on the feasible interval is
     [ceil (energy / limit)] — {!min_feasible_ii} searches upward from it. *)
-
-(** [run g ~info ~ii ~horizon ?power_limit ()] — [Infeasible] when some
-    operation cannot be placed within [horizon] without overflowing a
-    congruence class.
-    @raise Invalid_argument if [ii < 1] or [horizon < 0]. *)
-val run :
-  Pchls_dfg.Graph.t ->
-  info:(int -> Schedule.op_info) ->
-  ii:int ->
-  horizon:int ->
-  ?power_limit:float ->
-  unit ->
-  Pasap.outcome
 
 (** [steady_state_peak s ~info ~ii] is the folded profile's peak of a given
     schedule — the per-cycle power once the pipeline is full. *)
@@ -32,8 +19,8 @@ val steady_state_peak : Schedule.t -> info:(int -> Schedule.op_info) -> ii:int -
 
 (** [min_feasible_ii g ~info ~horizon ~power_limit] is the smallest
     initiation interval (searched upward from the energy bound, capped at
-    [horizon]) for which {!run} succeeds, with the schedule; [None] when
-    even [ii = horizon] fails. *)
+    [horizon]) for which [Pasap.run ~period] succeeds, with the schedule;
+    [None] when even [ii = horizon] fails. *)
 val min_feasible_ii :
   Pchls_dfg.Graph.t ->
   info:(int -> Schedule.op_info) ->

@@ -1,5 +1,6 @@
 module Graph = Pchls_dfg.Graph
 module Profile = Pchls_power.Profile
+module Folded = Pchls_power.Folded
 module Pqueue = Pchls_compat.Pqueue
 module Trace = Pchls_obs.Trace
 module Metrics = Pchls_obs.Metrics
@@ -24,6 +25,35 @@ type ready = { id : int; est : int; mutable offset : int; priority : int }
 
 exception Stop of outcome
 
+(* The running power total placements are checked against: per cycle, or
+   with [?period] the steady-state total per congruence class. *)
+type ledger = Cycles of Profile.t | Classes of Folded.t
+
+let fits ledger ~start ~latency ~power ~limit =
+  match ledger with
+  | Cycles p -> Profile.fits p ~start ~latency ~power ~limit
+  | Classes f -> Folded.fits f ~start ~latency ~power ~limit
+
+let add ledger ~start ~latency ~power =
+  match ledger with
+  | Cycles p -> Profile.add p ~start ~latency ~power
+  | Classes f -> Folded.add f ~start ~latency ~power
+
+let peak = function Cycles p -> Profile.peak p | Classes f -> Folded.peak f
+
+(* The folded ledger has no block summary to skip by, so it tries each
+   start in turn until one fits or the interval leaves the horizon. *)
+let first_fit ledger ~horizon ~start ~latency ~power ~limit =
+  match ledger with
+  | Cycles p -> Profile.first_fit p ~start ~latency ~power ~limit
+  | Classes f ->
+    let rec go s =
+      if s + latency > horizon then None
+      else if Folded.fits f ~start:s ~latency ~power ~limit then Some s
+      else go (s + 1)
+    in
+    go start
+
 (* Heap entries snapshot the tentative start at push time; an entry whose
    snapshot no longer matches [est + offset] (the operation was re-pushed
    at a later start) or whose operation has been placed is stale and is
@@ -37,9 +67,12 @@ let entry_cmp a b =
   else if a.e_priority <> b.e_priority then Int.compare b.e_priority a.e_priority
   else Int.compare a.e_id b.e_id
 
-let run g ~info ~horizon ?(power_limit = infinity) ?(locked = [])
+let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
     ?(cancelled = fun () -> false) () =
   if horizon < 0 then invalid_arg "Pasap.run: negative horizon";
+  (match period with
+  | Some p when p < 1 -> invalid_arg "Pasap.run: period < 1"
+  | Some _ | None -> ());
   List.iter
     (fun (id, _) ->
       if not (Graph.mem g id) then
@@ -54,7 +87,11 @@ let run g ~info ~horizon ?(power_limit = infinity) ?(locked = [])
   let latency id = (info id).Schedule.latency in
   (* One topological pass for every priority, not one pass per node. *)
   let priority_of = Graph.distances_to_sink g ~latency in
-  let profile = Profile.create ~horizon in
+  let ledger =
+    match period with
+    | None -> Cycles (Profile.create ~horizon)
+    | Some period -> Classes (Folded.create ~period)
+  in
   let sched = ref Schedule.empty in
   let remaining_preds = Hashtbl.create 64 in
   let ready : (int, ready) Hashtbl.t = Hashtbl.create 64 in
@@ -75,10 +112,10 @@ let run g ~info ~horizon ?(power_limit = infinity) ?(locked = [])
             (Stop
                (Infeasible
                   { node = id; reason = "locked start leaves the horizon" }));
-        Profile.add profile ~start:t ~latency:d ~power;
+        add ledger ~start:t ~latency:d ~power;
         sched := Schedule.set !sched id t)
       locked_tbl;
-    if Profile.peak profile > power_limit +. Profile.eps then begin
+    if peak ledger > power_limit +. Profile.eps then begin
       let offender =
         match locked with (id, _) :: _ -> id | [] -> -1
       in
@@ -117,7 +154,7 @@ let run g ~info ~horizon ?(power_limit = infinity) ?(locked = [])
       let t = r.est + r.offset in
       let { Schedule.latency = d; power } = info r.id in
       sched := Schedule.set !sched r.id t;
-      Profile.add profile ~start:t ~latency:d ~power;
+      add ledger ~start:t ~latency:d ~power;
       Hashtbl.remove ready r.id;
       List.iter
         (fun s ->
@@ -153,15 +190,15 @@ let run g ~info ~horizon ?(power_limit = infinity) ?(locked = [])
                           "no power-feasible start in [%d, %d] within horizon %d"
                           r.est (horizon - d) horizon;
                     }));
-          if Profile.fits profile ~start:t ~latency:d ~power ~limit:power_limit
+          if fits ledger ~start:t ~latency:d ~power ~limit:power_limit
           then place r
           else begin
             (* The paper's power-feasibility delay loop, batched: the
-               profile only ever gains power while an operation waits, so
-               every start the current profile rejects stays rejected — the
+               ledger only ever gains power while an operation waits, so
+               every start the current ledger rejects stays rejected — the
                whole run of doomed one-cycle bumps can be taken at once via
                [first_fit]. The operation is re-tested when its new start
-               reaches the head of the heap (the profile may have hardened
+               reaches the head of the heap (the ledger may have hardened
                since, pushing it further right), so placements interleave
                exactly as they would under one-at-a-time bumping. The
                offset-delay counter still advances by one per skipped
@@ -169,12 +206,12 @@ let run g ~info ~horizon ?(power_limit = infinity) ?(locked = [])
                schedule is. *)
             let next =
               match
-                Profile.first_fit profile ~start:t ~latency:d ~power
+                first_fit ledger ~horizon ~start:t ~latency:d ~power
                   ~limit:power_limit
               with
               | Some s -> s
               | None ->
-                (* No fit within the horizon under the current profile: the
+                (* No fit within the horizon under the current ledger: the
                    old loop would bump cycle-by-cycle to the first start
                    past the horizon and report infeasibility only when that
                    entry surfaced — after any other operation with an

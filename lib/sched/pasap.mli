@@ -16,8 +16,16 @@ type outcome =
   | Infeasible of { node : int; reason : string }
       (** [node] could not be placed within the horizon *)
 
-(** [run g ~info ~horizon ?power_limit ?locked ()] schedules every node of
-    [g].
+(** [run g ~info ~horizon ?power_limit ?period ?locked ()] schedules every
+    node of [g].
+
+    [period] makes this a modulo scheduler for a pipelined datapath that
+    starts a new iteration every [period] cycles: placements are checked
+    against the steady-state power of each congruence class modulo
+    [period] ({!Pchls_power.Folded}) instead of the per-cycle profile, so
+    the schedule stays at or below [power_limit] however many iterations
+    overlap. Without it every cycle of [[0, horizon)] is checked on its
+    own.
 
     [locked] pre-places operations at fixed start times (the paper's
     backtracking locks all unscheduled operations to the last valid pasap
@@ -25,18 +33,19 @@ type outcome =
     locked operation violating a precedence or the horizon makes the run
     infeasible.
 
-    [cancelled] is polled once per placement or offset bump; when it turns
-    true the run stops with [Infeasible {node = -1; reason = "cancelled"}].
-    This is how {!Pchls_core.Engine} deadlines interrupt a scheduler stuck
-    in the power-feasibility delay loop mid-iteration.
+    [cancelled] is polled once per heap pop; when it turns true the run
+    stops with [Infeasible {node = -1; reason = "cancelled"}]. This is how
+    {!Pchls_core.Engine} deadlines interrupt a scheduler stuck in the
+    power-feasibility delay loop mid-iteration.
 
-    @raise Invalid_argument if [horizon < 0], or a locked id is not in [g],
-    or is locked twice. *)
+    @raise Invalid_argument if [horizon < 0], [period < 1], or a locked id
+    is not in [g], or is locked twice. *)
 val run :
   Pchls_dfg.Graph.t ->
   info:(int -> Schedule.op_info) ->
   horizon:int ->
   ?power_limit:float ->
+  ?period:int ->
   ?locked:(int * int) list ->
   ?cancelled:(unit -> bool) ->
   unit ->

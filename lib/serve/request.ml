@@ -55,6 +55,16 @@ let power_range ~names:(from_name, step_name) ~from ~upto ~step =
          (fun p -> if p > upto +. 1e-9 then None else Some (p, p +. step))
          from)
 
+let max_grid_points = 10_000
+
+(* One point past the cap is enough to refuse the grid, so a range too
+   fine to hold in memory is never built. *)
+let grid ~times ~powers =
+  let powers = List.of_seq (Seq.take (max_grid_points + 1) powers) in
+  if List.length times * List.length powers > max_grid_points then
+    Error (Printf.sprintf "constraint grid exceeds %d points" max_grid_points)
+  else Ok (times, powers)
+
 let policies =
   List.map
     (fun p -> (Engine.policy_to_string p, p))

@@ -48,6 +48,13 @@ val power_range :
   step:float ->
   (float Seq.t, string) result
 
+(** [grid ~times ~powers] is the [times] × [powers] grid of a sweep or
+    Pareto request, with the powers read into a list, when it holds at most
+    10 000 points. It reads at most one point past the cap, so a range too
+    fine to hold in memory is refused before it is built. *)
+val grid :
+  times:int list -> powers:float Seq.t -> (int list * float list, string) result
+
 (** Policy names, in the order help texts list them. *)
 val policies : (string * Pchls_core.Engine.policy) list
 

@@ -246,38 +246,32 @@ let times_field json =
       ts
   | None -> [ time_field json ]
 
-let max_grid_points = 10_000
-
 let powers_field json =
   match number_list "powers" json with
   | Some [] -> bad "\"powers\" must not be empty"
   | Some ps ->
-    List.map
-      (fun p ->
-        match Request.power_limit p with
-        | Ok p -> p
-        | Error _ -> bad "\"powers\" entries must be > 0")
-      ps
+    List.to_seq
+      (List.map
+         (fun p ->
+           match Request.power_limit p with
+           | Ok p -> p
+           | Error _ -> bad "\"powers\" entries must be > 0")
+         ps)
   | None -> (
     match
       (opt_number "p_from" json, opt_number "p_to" json, opt_number "p_step" json)
     with
-    | None, None, None -> [ power_field json ]
+    | None, None, None -> Seq.return (power_field json)
     | Some from, Some upto, step ->
-      (* One point past the cap is enough for [grid_fields] to refuse it. *)
       or_bad
         (Request.power_range ~names:("\"p_from\"", "\"p_step\"") ~from ~upto
            ~step:(Option.value step ~default:2.5))
-      |> Seq.take (max_grid_points + 1)
-      |> List.of_seq
     | _ -> bad "a power range needs both \"p_from\" and \"p_to\"")
 
 let grid_fields json =
   let times = times_field json in
   let powers = powers_field json in
-  if List.length times * List.length powers > max_grid_points then
-    bad "constraint grid exceeds %d points" max_grid_points;
-  (times, powers)
+  or_bad (Request.grid ~times ~powers)
 
 let policy_field json =
   Option.map (fun name -> or_bad (Request.policy name)) (opt_string "policy" json)

@@ -245,6 +245,70 @@ let test_retype_builds_alu () =
   in
   Alcotest.(check bool) "ALU allocated" true (List.mem "ALU" names)
 
+(* When two library modules tie on the key the engine sorts by, the one
+   listed first wins; swapping them in the library swaps the pick. *)
+let tie_pick ~extra ~t ~p g =
+  let table1 =
+    List.map (Library.find_exn lib) [ "add"; "sub"; "mult_ser"; "input"; "output" ]
+  in
+  match
+    Engine.run ~library:(Library.of_list_exn (table1 @ extra)) ~time_limit:t
+      ~power_limit:p g
+  with
+  | Engine.Synthesized (d, s) ->
+    let extra_names = List.map (fun (m : Module_spec.t) -> m.name) extra in
+    ( List.filter_map
+        (fun i ->
+          let name = i.Design.spec.Module_spec.name in
+          if List.mem name extra_names then Some name else None)
+        (Design.instances d)
+      |> List.sort_uniq String.compare,
+      s )
+  | Engine.Infeasible { reason } -> Alcotest.fail ("infeasible: " ^ reason)
+
+let test_retype_tie_keeps_library_order () =
+  (* Two ALUs of equal area: the Add and Sub chains of two_chains merge
+     through a retype to the cheaper of them. *)
+  let alu name =
+    Module_spec.make_exn ~name ~ops:[ Op.Add; Op.Sub ] ~area:97. ~latency:1
+      ~power:2.5
+  in
+  let pick order =
+    let picked, s =
+      tie_pick ~extra:(List.map alu order) ~t:20 ~p:100. (H.two_chains ())
+    in
+    Alcotest.(check bool) "a retype merge" true (s.Engine.retype_merges > 0);
+    picked
+  in
+  Alcotest.(check (list string)) "first listed" [ "alu_a" ]
+    (pick [ "alu_a"; "alu_b" ]);
+  Alcotest.(check (list string)) "swapped" [ "alu_b" ] (pick [ "alu_b"; "alu_a" ])
+
+let test_upgrade_tie_keeps_library_order () =
+  (* Two serial multiplications take 10 cycles, so T = 8 forces one of them
+     onto one of two equally fast parallel multipliers. *)
+  let g =
+    let b = Pchls_dfg.Builder.create "mult_chain" in
+    let x = Pchls_dfg.Builder.input b "x" in
+    let m1 = Pchls_dfg.Builder.mult b "m1" x x in
+    let m2 = Pchls_dfg.Builder.mult b "m2" m1 x in
+    ignore (Pchls_dfg.Builder.output b "y" m2);
+    Pchls_dfg.Builder.finish_exn b
+  in
+  let fast name =
+    Module_spec.make_exn ~name ~ops:[ Op.Mult ] ~area:339. ~latency:2
+      ~power:8.1
+  in
+  let pick order =
+    let picked, s = tie_pick ~extra:(List.map fast order) ~t:8 ~p:100. g in
+    Alcotest.(check bool) "a default upgrade" true
+      (s.Engine.default_upgrades > 0);
+    picked
+  in
+  Alcotest.(check (list string)) "first listed" [ "par_a" ]
+    (pick [ "par_a"; "par_b" ]);
+  Alcotest.(check (list string)) "swapped" [ "par_b" ] (pick [ "par_b"; "par_a" ])
+
 (* --- anytime synthesis under a budget ----------------------------------- *)
 
 module Budget = Pchls_resil.Budget
@@ -360,6 +424,10 @@ let () =
             test_instance_caps_can_be_infeasible;
           Alcotest.test_case "instance caps validated" `Quick
             test_instance_caps_validation;
+          Alcotest.test_case "retype tie keeps library order" `Quick
+            test_retype_tie_keeps_library_order;
+          Alcotest.test_case "upgrade tie keeps library order" `Quick
+            test_upgrade_tie_keeps_library_order;
         ] );
       ( "constraints",
         [

@@ -5,9 +5,10 @@
    the fast structure and a deliberately naive model through the same
    random operation sequence and requires identical answers. On random
    layered graphs, the graph fingerprint must tell apart exactly the
-   pairs its 32-round predecessor does. The engine's own
-   store-vs-enumeration cross-check runs via [~self_check:true] on random
-   syntheses. *)
+   pairs its 32-round predecessor does. Modulo scheduling through pasap's
+   heap must place exactly as the one-cycle-bump loop it replaced. The
+   engine's own store-vs-enumeration cross-check runs via
+   [~self_check:true] on random syntheses. *)
 
 module H = Test_helpers
 module Generator = Pchls_dfg.Generator
@@ -21,6 +22,8 @@ module Engine = Pchls_core.Engine
 module Library = Pchls_fulib.Library
 module Fingerprint = Pchls_cache.Fingerprint
 module Op = Pchls_dfg.Op
+module Folded = Pchls_power.Folded
+module Pasap = Pchls_sched.Pasap
 
 let table1_info g id = H.table1_info () g id
 
@@ -405,6 +408,101 @@ let prop_fingerprint_matches_reference =
             fresh reference)
         fresh reference)
 
+(* --- Modulo: pasap's loop over the folded ledger == one-cycle bumps ---- *)
+
+(* The modulo scheduler before it ran through [Pasap.run ~period]: each
+   step scans every ready operation for the smallest (tentative start,
+   larger distance to sink, smaller id), places it when the folded ledger
+   admits it, and otherwise bumps its offset by one cycle. [Error node]
+   is the operation that left the horizon. *)
+let naive_modulo g ~info ~period ~horizon ~power_limit =
+  let latency id = (info id).Schedule.latency in
+  let ledger = Folded.create ~period in
+  let sched = ref Schedule.empty in
+  let remaining_preds = Hashtbl.create 64 in
+  List.iter
+    (fun id ->
+      Hashtbl.replace remaining_preds id (List.length (Graph.preds g id)))
+    (Graph.node_ids g);
+  let offsets = Hashtbl.create 64 in
+  let ready = Hashtbl.create 64 in
+  let enter id =
+    if Hashtbl.find remaining_preds id = 0 then
+      Hashtbl.replace ready id
+        (List.fold_left
+           (fun acc p -> max acc (Schedule.start !sched p + latency p))
+           0 (Graph.preds g id))
+  in
+  List.iter enter (Graph.node_ids g);
+  let offset id = Option.value (Hashtbl.find_opt offsets id) ~default:0 in
+  let priority = Graph.distances_to_sink g ~latency in
+  let better (id_a, t_a) (id_b, t_b) =
+    if t_a <> t_b then t_a < t_b
+    else
+      let pa = priority id_a and pb = priority id_b in
+      if pa <> pb then pa > pb else id_a < id_b
+  in
+  let pick () =
+    Hashtbl.fold
+      (fun id est best ->
+        let cand = (id, est + offset id) in
+        match best with
+        | None -> Some cand
+        | Some b -> if better cand b then Some cand else best)
+      ready None
+  in
+  let rec loop () =
+    match pick () with
+    | None -> Ok (Schedule.bindings !sched)
+    | Some (id, t) ->
+      let { Schedule.latency = d; power } = info id in
+      if t + d > horizon then Error id
+      else begin
+        if Folded.fits ledger ~start:t ~latency:d ~power ~limit:power_limit
+        then begin
+          Folded.add ledger ~start:t ~latency:d ~power;
+          sched := Schedule.set !sched id t;
+          Hashtbl.remove ready id;
+          List.iter
+            (fun s ->
+              let n = Hashtbl.find remaining_preds s - 1 in
+              Hashtbl.replace remaining_preds s n;
+              if n = 0 then enter s)
+            (Graph.succs g id)
+        end
+        else Hashtbl.replace offsets id (offset id + 1);
+        loop ()
+      end
+  in
+  loop ()
+
+let modulo_case_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 10_000 in
+    let* max_nodes = 1 -- 40 in
+    let g = Generator.sized ~seed ~max_nodes () in
+    let cp =
+      Graph.critical_path g ~latency:(fun id ->
+          (table1_info g id).Schedule.latency)
+    in
+    let* horizon = cp -- (3 * cp) in
+    let* period = 1 -- 16 in
+    let* power_limit = oneofl [ 4.; 8.; 12.; 20.; infinity ] in
+    return (g, horizon, period, power_limit))
+
+let prop_modulo_matches_bumps =
+  QCheck.Test.make ~name:"pasap ~period == one-cycle bumps" ~count:300
+    (QCheck.make modulo_case_gen ~print:(fun (g, horizon, period, p) ->
+         Format.asprintf "%a T=%d period=%d P<=%g" Graph.pp g horizon period p))
+    (fun (g, horizon, period, power_limit) ->
+      let info = table1_info g in
+      let fast =
+        match Pasap.run g ~info ~horizon ~power_limit ~period () with
+        | Pasap.Feasible s -> Ok (Schedule.bindings s)
+        | Pasap.Infeasible { node; _ } -> Error node
+      in
+      fast = naive_modulo g ~info ~period ~horizon ~power_limit)
+
 (* --- Engine: store-driven pick == full enumeration --------------------- *)
 
 (* [~self_check:true] re-derives every iteration's candidate pick by full
@@ -458,6 +556,7 @@ let () =
         List.map to_alcotest [ prop_pqueue_sorts; prop_pqueue_interleaved ] );
       ( "fprint",
         List.map to_alcotest [ prop_fingerprint_matches_reference ] );
+      ( "modulo", List.map to_alcotest [ prop_modulo_matches_bumps ] );
       ( "engine",
         List.map to_alcotest [ prop_engine_store_matches_enumeration ] );
     ]

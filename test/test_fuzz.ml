@@ -187,7 +187,7 @@ let test_chaos_bug_caught_and_shrunk () =
   Fun.protect
     ~finally:(fun () -> Fault.set None)
     (fun () ->
-      Fault.set (Some "no-power-check");
+      Fault.set (Some "engine.power-check");
       let config =
         {
           Fuzz.default_config with

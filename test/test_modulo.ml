@@ -63,7 +63,7 @@ let test_equals_pasap_when_ii_is_horizon () =
   let info = H.table1_info () g in
   let pasap = feasible (Pasap.run g ~info ~horizon:40 ~power_limit:12. ()) in
   let modulo =
-    feasible (Modulo.run g ~info ~ii:40 ~horizon:40 ~power_limit:12. ())
+    feasible (Pasap.run g ~info ~horizon:40 ~power_limit:12. ~period:40 ())
   in
   Alcotest.(check (list (pair int int)))
     "same schedule" (Schedule.bindings pasap) (Schedule.bindings modulo)
@@ -140,7 +140,7 @@ let test_pipelining_beats_sequential_throughput () =
 let test_infeasible_when_op_exceeds_limit () =
   let g = H.chain3 () in
   let info = H.uniform_info ~power:5. () in
-  match Modulo.run g ~info ~ii:4 ~horizon:20 ~power_limit:4. () with
+  match Pasap.run g ~info ~horizon:20 ~power_limit:4. ~period:4 () with
   | Pasap.Feasible _ -> Alcotest.fail "op above limit accepted"
   | Pasap.Infeasible _ -> ()
 
@@ -149,9 +149,9 @@ let test_validation () =
   let info = H.uniform_info () in
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "ii < 1" true
-    (raises (fun () -> Modulo.run g ~info ~ii:0 ~horizon:5 ()));
+    (raises (fun () -> Pasap.run g ~info ~horizon:5 ~period:0 ()));
   Alcotest.(check bool) "negative horizon" true
-    (raises (fun () -> Modulo.run g ~info ~ii:2 ~horizon:(-1) ()))
+    (raises (fun () -> Pasap.run g ~info ~horizon:(-1) ~period:2 ()))
 
 let () =
   Alcotest.run "modulo"

@@ -94,13 +94,6 @@ let test_fault_parse_full_entry () =
   Alcotest.(check (float 0.)) "default probability" 1. p;
   Alcotest.(check int) "default seed" 0 seed
 
-let test_fault_parse_legacy_alias () =
-  (* The pre-registry spelling must keep arming the power check. *)
-  let arms, warnings = Fault.parse "no-power-check" in
-  Alcotest.(check (list string)) "no warnings" [] warnings;
-  Alcotest.(check bool) "canonical name armed" true
-    (List.mem_assoc "engine.power-check" arms)
-
 let test_fault_parse_unknown_name_warns () =
   (* Satellite: a typo must never silently disarm a chaos campaign. *)
   let arms, warnings = Fault.parse "pool.wrker" in
@@ -416,8 +409,6 @@ let () =
         [
           Alcotest.test_case "parse full entry" `Quick
             test_fault_parse_full_entry;
-          Alcotest.test_case "legacy alias" `Quick
-            test_fault_parse_legacy_alias;
           Alcotest.test_case "unknown name warns" `Quick
             test_fault_parse_unknown_name_warns;
           Alcotest.test_case "bad fields" `Quick test_fault_parse_bad_fields;
