@@ -64,7 +64,8 @@ let pp_stats ppf s =
 type inst_state = {
   inst_id : int;
   mutable spec : Module_spec.t;
-  mutable placed : (int * int) list; (* (op, start), unsorted *)
+  mutable placed : (int * int) list; (* (op, start), newest first *)
+  starts : Slots.t; (* the starts of [placed], sorted *)
 }
 
 type decision =
@@ -210,8 +211,8 @@ let rec settle_defaults st attempts =
       | None ->
         Error
           (Printf.sprintf
-             "infeasible: node %d (%s) cannot be scheduled (%s) and no faster \
-              module fits the power limit"
+             "node %d (%s) cannot be scheduled (%s) and no faster module \
+              fits the power limit"
              node (Graph.node_name st.g node) reason))
 
 (* --- candidate generation ------------------------------------------- *)
@@ -252,36 +253,6 @@ let deadline st palap op =
   List.fold_left
     (fun acc s -> min acc (Schedule.start palap s))
     st.time_limit (Graph.succs st.g op)
-
-(* Busy-interval check: can [op] run on [inst] (under latency [d]) starting
-   at some cycle in [lo, hi]? Returns the earliest such start. *)
-let earliest_slot inst ~d ~lo ~hi =
-  let busy = List.sort (fun (_, a) (_, b) -> Int.compare a b) inst.placed in
-  let rec scan t =
-    if t > hi then None
-    else
-      let clash =
-        List.find_opt (fun (_, tb) -> t < tb + d && tb < t + d) busy
-      in
-      match clash with
-      | None -> Some t
-      | Some (_, tb) -> scan (tb + d)
-  in
-  scan lo
-
-(* The latest such start instead. *)
-let latest_slot inst ~d ~lo ~hi =
-  let rec scan t =
-    if t < lo then None
-    else
-      let clash =
-        List.find_opt (fun (_, tb) -> t < tb + d && tb < t + d) inst.placed
-      in
-      match clash with
-      | None -> Some t
-      | Some (_, tb) -> scan (tb - d)
-  in
-  scan hi
 
 (* Committing an operation pins a start time, which caps the windows of its
    still-unassigned neighbours. An operation whose predecessors are still
@@ -356,13 +327,8 @@ let merge_target ?(retype = true) st op inst =
    each must still meet its successors' deadlines. *)
 let retype_timing_ok st palap inst (m : Module_spec.t) =
   let d = m.latency in
-  let sorted = List.sort (fun (_, a) (_, b) -> Int.compare a b) inst.placed in
-  let rec disjoint = function
-    | (_, t1) :: ((_, t2) :: _ as rest) -> t1 + d <= t2 && disjoint rest
-    | [ _ ] | [] -> true
-  in
-  disjoint sorted
-  && List.for_all (fun (op, t) -> t + d <= deadline st palap op) sorted
+  Slots.spaced inst.starts ~d
+  && List.for_all (fun (op, t) -> t + d <= deadline st palap op) inst.placed
 
 let fresh_gain st op = -.(Hashtbl.find st.default_spec op).Module_spec.area
 
@@ -399,8 +365,11 @@ let merge_candidate st pasap palap op inst =
     else
       let placements =
         if (not st.time_locked) && prefer_late st op then
-          [ latest_slot inst ~d ~lo ~hi; earliest_slot inst ~d ~lo ~hi ]
-        else [ earliest_slot inst ~d ~lo ~hi ]
+          [
+            Slots.latest inst.starts ~d ~lo ~hi;
+            Slots.earliest inst.starts ~d ~lo ~hi;
+          ]
+        else [ Slots.earliest inst.starts ~d ~lo ~hi ]
       in
       List.find_map
         (fun slot ->
@@ -726,7 +695,11 @@ let respec st inst (m : Module_spec.t) =
 let commit st decision =
   match decision with
   | Fresh { op; spec; start } ->
-    let inst = { inst_id = st.next_inst; spec; placed = [ (op, start) ] } in
+    let starts = Slots.create () in
+    Slots.add starts start;
+    let inst =
+      { inst_id = st.next_inst; spec; placed = [ (op, start) ]; starts }
+    in
     st.next_inst <- st.next_inst + 1;
     st.instances <- inst :: st.instances;
     Hashtbl.replace st.assigned op (inst, start);
@@ -745,6 +718,7 @@ let commit st decision =
     let old_spec = inst.spec in
     Option.iter (respec st inst) retype;
     inst.placed <- (op, start) :: inst.placed;
+    Slots.add inst.starts start;
     Hashtbl.replace st.assigned op (inst, start);
     Profile.add st.assigned_profile ~start
       ~latency:inst.spec.Module_spec.latency ~power:inst.spec.Module_spec.power;
@@ -755,6 +729,7 @@ let commit st decision =
             ~latency:inst.spec.Module_spec.latency
             ~power:inst.spec.Module_spec.power;
           inst.placed <- List.filter (fun (q, _) -> q <> op) inst.placed;
+          Slots.remove inst.starts start;
           Hashtbl.remove st.assigned op;
           if Option.is_some retype then respec st inst old_spec);
     }
@@ -879,7 +854,8 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
     (Graph.node_ids g);
   let seeds =
     List.mapi
-      (fun i spec -> { inst_id = i; spec; placed = [] })
+      (fun i spec ->
+        { inst_id = i; spec; placed = []; starts = Slots.create () })
       seed_instances
   in
   let st =
@@ -936,9 +912,40 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
             "self-check: candidate store selection diverges from the full \
              enumeration"
     in
+    (* Once every operation is locked, a merge keeps the op's locked start
+       and default module, and a fresh instance takes the default module at
+       the locked start or is not offered. No commit then changes a start,
+       a latency or a power, so palap, and pasap after each commit, would
+       return the locked schedule [valid_pasap] itself: it stands in for
+       both, after the one deadline poll such a call makes. [self_check]
+       still runs both schedulers, and fails if either returns anything
+       else. *)
     let step valid_pasap =
+      let locked = st.time_locked in
+      let reschedule run =
+        if locked && not self_check then
+          if cancelled st () then
+            Pasap.Infeasible { node = -1; reason = "cancelled" }
+          else Pasap.Feasible valid_pasap
+        else run st
+      in
+      let diverges = function
+        | _ when not locked -> false
+        | Pasap.Feasible s ->
+          Schedule.bindings s <> Schedule.bindings valid_pasap
+        | Pasap.Infeasible _ -> interrupted st = None
+      in
+      let diverged name =
+        `Error
+          (Printf.sprintf
+             "self-check: %s after the lock differs from the locked schedule"
+             name)
+      in
+      let palap = reschedule run_palap in
+      if diverges palap then diverged "palap"
+      else
       let palap =
-        match run_palap st with
+        match palap with
         | Pasap.Feasible s -> s
         | Pasap.Infeasible _ -> valid_pasap (* degenerate windows *)
       in
@@ -956,16 +963,17 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
              (Graph.node_name st.g op))
       | Ok (Some best) -> (
         let undo = commit st best in
-        match run_pasap st with
-        | Pasap.Feasible next_pasap ->
-          accept st sto best;
-          `Continue next_pasap
+        match reschedule run_pasap with
         | Pasap.Infeasible _ when interrupted st <> None ->
           (* The re-schedule was cancelled by the deadline, not genuinely
              infeasible: undo the trial commit (it was never validated) and
              let [iterate] wind down from the last valid schedule. *)
           undo.revert ();
           `Deadline (Option.get (interrupted st))
+        | next when diverges next -> diverged "pasap"
+        | Pasap.Feasible next_pasap ->
+          accept st sto best;
+          `Continue next_pasap
         | Pasap.Infeasible { node; reason } ->
           undo.revert ();
           st.n_backtracks <- st.n_backtracks + 1;

@@ -19,7 +19,9 @@
     + after each commit, pasap feasibility is re-verified; on failure the
       engine backtracks one step and **locks** every unbound operation to
       its start time in the last valid pasap schedule, continuing with
-      binding decisions only — exactly the paper's recovery rule. *)
+      binding decisions only — exactly the paper's recovery rule. Those
+      decisions keep every locked start and default module, so the
+      locked schedule stays valid and no scheduler runs after the lock. *)
 
 type policy = Min_power | Min_area | Min_latency
 
@@ -63,10 +65,12 @@ type outcome =
     hosting no operation are dropped from the resulting design.
 
     [self_check] re-lints the locked schedule after every
-    backtrack-and-lock event via {!Pchls_sched.Schedule.validate}, and
-    additionally cross-checks every iteration's candidate pick from the
-    persistent gain-ordered store against a full enumeration-and-sort of
-    all candidates; a failed check aborts synthesis as [Infeasible] with
+    backtrack-and-lock event via {!Pchls_sched.Schedule.validate}, still
+    runs palap and pasap after the lock and requires both to return the
+    locked schedule, and additionally cross-checks every iteration's
+    candidate pick from the persistent gain-ordered store against a full
+    enumeration-and-sort of all candidates; a failed check aborts
+    synthesis as [Infeasible] with
     the diagnostic in the reason (defence in depth — it should never fire,
     and the run also ends with [Design.assemble]'s full validation either
     way).

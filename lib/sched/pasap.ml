@@ -1,7 +1,6 @@
 module Graph = Pchls_dfg.Graph
 module Profile = Pchls_power.Profile
 module Folded = Pchls_power.Folded
-module Pqueue = Pchls_compat.Pqueue
 module Trace = Pchls_obs.Trace
 module Metrics = Pchls_obs.Metrics
 
@@ -17,11 +16,6 @@ let schedule_exn = function
   | Feasible s -> s
   | Infeasible { node; reason } ->
     failwith (Printf.sprintf "pasap infeasible at node %d: %s" node reason)
-
-(* The scheduler keeps, for each ready operation, its earliest precedence-
-   feasible start [est] (fixed once all predecessors are placed) and its
-   power offset [o]; the tentative start is [est + o]. *)
-type ready = { id : int; est : int; mutable offset : int; priority : int }
 
 exception Stop of outcome
 
@@ -54,19 +48,33 @@ let first_fit ledger ~horizon ~start ~latency ~power ~limit =
     in
     go start
 
-(* Heap entries snapshot the tentative start at push time; an entry whose
-   snapshot no longer matches [est + offset] (the operation was re-pushed
-   at a later start) or whose operation has been placed is stale and is
-   dropped on pop — lazy deletion. The ordering reproduces the total order
-   the old Hashtbl.fold selection used: earliest tentative start first,
-   then highest priority, then lowest id. *)
-type entry = { e_t : int; e_priority : int; e_id : int }
+let no_slot_reason ~est ~latency ~horizon =
+  if est <= horizon - latency then
+    Printf.sprintf "no power-feasible start in [%d, %d] within horizon %d" est
+      (horizon - latency) horizon
+  else if est > 0 then
+    Printf.sprintf
+      "predecessors finish at cycle %d, leaving no %d-cycle slot within \
+       horizon %d"
+      est latency horizon
+  else Printf.sprintf "no %d-cycle slot fits within horizon %d" latency horizon
 
-let entry_cmp a b =
-  if a.e_t <> b.e_t then Int.compare a.e_t b.e_t
-  else if a.e_priority <> b.e_priority then Int.compare b.e_priority a.e_priority
-  else Int.compare a.e_id b.e_id
+(* The loop steps through the cycles 0..horizon. [bucket.(t)] holds the
+   ready operations whose tentative start is [t]; reaching cycle [t], the
+   loop takes them in (larger priority, smaller id) order and either
+   places each at [t] or moves it to a later bucket. That is the order a
+   priority queue keyed on (start, -priority, id) would pop them in,
+   because nothing is ever pushed at or before the cycle being processed:
+   a successor enters at [est >= t + d >= t + 1], a bumped operation moves
+   to [first_fit]'s start, which is after the start that just failed, and
+   an operation with no fit left is parked at [horizon - d + 1 > t]. So
+   tentative starts never decrease and a bucket is complete by the time
+   the loop reaches it, including the bucket that reports an
+   infeasibility first.
 
+   Nodes are indexed by their position in [Graph.node_ids], and every
+   per-node quantity lives in an array allocated for this call only, so
+   concurrent calls on different domains share nothing. *)
 let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
     ?(cancelled = fun () -> false) () =
   if horizon < 0 then invalid_arg "Pasap.run: negative horizon";
@@ -84,175 +92,192 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
   then invalid_arg "Pasap.run: node locked twice";
   Metrics.incr m_runs;
   Trace.span ~cat:"sched" "pasap.run" @@ fun () ->
-  let latency id = (info id).Schedule.latency in
-  (* One topological pass for every priority, not one pass per node. *)
-  let priority_of = Graph.distances_to_sink g ~latency in
+  let ids = Array.of_list (Graph.node_ids g) in
+  let n = Array.length ids in
+  let index = Hashtbl.create n in
+  Array.iteri (fun i id -> Hashtbl.replace index id i) ids;
+  let idx id = Hashtbl.find index id in
+  let adjacent f =
+    Array.map (fun id -> Array.of_list (List.map idx (f g id))) ids
+  in
+  let preds = adjacent Graph.preds and succs = adjacent Graph.succs in
+  let latency = Array.make n 0 and power = Array.make n 0. in
+  Array.iteri
+    (fun i id ->
+      let { Schedule.latency = d; power = p } = info id in
+      latency.(i) <- d;
+      power.(i) <- p)
+    ids;
+  (* Longest latency-weighted path to a sink, consumers first: the values
+     of [Graph.distances_to_sink]. *)
+  let priority = Array.make n 0 in
+  List.iter
+    (fun id ->
+      let i = idx id in
+      priority.(i) <-
+        Array.fold_left (fun acc s -> max acc priority.(s)) 0 succs.(i)
+        + latency.(i))
+    (List.rev (Graph.topological_order g));
   let ledger =
     match period with
     | None -> Cycles (Profile.create ~horizon)
     | Some period -> Classes (Folded.create ~period)
   in
-  let sched = ref Schedule.empty in
-  let remaining_preds = Hashtbl.create 64 in
-  let ready : (int, ready) Hashtbl.t = Hashtbl.create 64 in
-  let heap = Pqueue.create ~cmp:entry_cmp in
-  let push r =
-    Pqueue.add heap { e_t = r.est + r.offset; e_priority = r.priority; e_id = r.id }
-  in
-  let locked_tbl = Hashtbl.create 16 in
-  List.iter (fun (id, t) -> Hashtbl.replace locked_tbl id t) locked;
-  let is_locked id = Hashtbl.mem locked_tbl id in
-  try
-    (* Reserve the locked operations first. *)
-    Hashtbl.iter
-      (fun id t ->
-        let { Schedule.latency = d; power } = info id in
-        if t < 0 || t + d > horizon then
-          raise
-            (Stop
-               (Infeasible
-                  { node = id; reason = "locked start leaves the horizon" }));
-        add ledger ~start:t ~latency:d ~power;
-        sched := Schedule.set !sched id t)
-      locked_tbl;
-    if peak ledger > power_limit +. Profile.eps then begin
-      let offender =
-        match locked with (id, _) :: _ -> id | [] -> -1
-      in
-      raise
-        (Stop
-           (Infeasible
-              {
-                node = offender;
-                reason = "locked operations alone exceed the power limit";
-              }))
-    end;
-    List.iter
-      (fun id ->
-        if not (is_locked id) then
-          let unplaced =
-            List.length (List.filter (fun p -> not (is_locked p)) (Graph.preds g id))
-          in
-          Hashtbl.replace remaining_preds id unplaced)
-      (Graph.node_ids g);
-    let est_of id =
-      List.fold_left
-        (fun acc p -> max acc (Schedule.start !sched p + latency p))
-        0 (Graph.preds g id)
-    in
-    let enter id =
-      if Hashtbl.find remaining_preds id = 0 then begin
-        let r = { id; est = est_of id; offset = 0; priority = priority_of id } in
-        Hashtbl.replace ready id r;
-        push r
-      end
-    in
-    List.iter
-      (fun id -> if not (is_locked id) then enter id)
-      (Graph.node_ids g);
-    let place r =
-      let t = r.est + r.offset in
-      let { Schedule.latency = d; power } = info r.id in
-      sched := Schedule.set !sched r.id t;
-      add ledger ~start:t ~latency:d ~power;
-      Hashtbl.remove ready r.id;
-      List.iter
-        (fun s ->
-          if not (is_locked s) then begin
-            let n = Hashtbl.find remaining_preds s - 1 in
-            Hashtbl.replace remaining_preds s n;
-            if n = 0 then enter s
-          end)
-        (Graph.succs g r.id)
-    in
-    let rec loop () =
-      (* Cooperative cancellation: polled once per heap pop, so a deadline
-         interrupts even a pathologically power-bound schedule. *)
-      if cancelled () then
-        raise (Stop (Infeasible { node = -1; reason = "cancelled" }));
-      match Pqueue.pop heap with
-      | None -> ()
-      | Some e -> (
-        match Hashtbl.find_opt ready e.e_id with
-        | None -> loop () (* already placed; stale entry *)
-        | Some r when r.est + r.offset <> e.e_t -> loop () (* superseded *)
-        | Some r ->
-          let t = r.est + r.offset in
-          let { Schedule.latency = d; power } = info r.id in
-          if t + d > horizon then
+  let start = Array.make n 0 and is_locked = Array.make n false in
+  let delays = ref 0 in
+  let outcome =
+    try
+      (* Reserve the locked operations first, in the order a hash table
+         built from [locked] iterates them: the ledger's floats are sums,
+         and a different order can change a cycle's total in its last
+         bit. *)
+      let locked_tbl = Hashtbl.create 16 in
+      List.iter (fun (id, t) -> Hashtbl.replace locked_tbl id t) locked;
+      Hashtbl.iter
+        (fun id t ->
+          let i = idx id in
+          if t < 0 || t + latency.(i) > horizon then
             raise
               (Stop
                  (Infeasible
-                    {
-                      node = r.id;
-                      reason =
-                        Printf.sprintf
-                          "no power-feasible start in [%d, %d] within horizon %d"
-                          r.est (horizon - d) horizon;
-                    }));
-          if fits ledger ~start:t ~latency:d ~power ~limit:power_limit
-          then place r
-          else begin
-            (* The paper's power-feasibility delay loop, batched: the
-               ledger only ever gains power while an operation waits, so
-               every start the current ledger rejects stays rejected — the
-               whole run of doomed one-cycle bumps can be taken at once via
-               [first_fit]. The operation is re-tested when its new start
-               reaches the head of the heap (the ledger may have hardened
-               since, pushing it further right), so placements interleave
-               exactly as they would under one-at-a-time bumping. The
-               offset-delay counter still advances by one per skipped
-               cycle — it remains the direct measure of how power-bound the
-               schedule is. *)
-            let next =
-              match
-                first_fit ledger ~horizon ~start:t ~latency:d ~power
-                  ~limit:power_limit
-              with
-              | Some s -> s
-              | None ->
-                (* No fit within the horizon under the current ledger: the
-                   old loop would bump cycle-by-cycle to the first start
-                   past the horizon and report infeasibility only when that
-                   entry surfaced — after any other operation with an
-                   earlier tentative start had its own chance to fail. Park
-                   the entry there to preserve that order. *)
-                horizon - d + 1
-            in
-            Metrics.incr ~by:(next - t) m_offset_delays;
-            r.offset <- r.offset + (next - t);
-            push r
-          end;
-          loop ())
-    in
-    loop ();
-    (* Locked operations may have been placed inconsistently with their
-       (possibly later-scheduled) predecessors; reject such schedules. *)
-    List.iter
-      (fun (pred, succ) ->
-        if
-          is_locked succ
-          && Schedule.start !sched pred + latency pred
-             > Schedule.start !sched succ
-        then
+                    { node = id; reason = "locked start leaves the horizon" }));
+          add ledger ~start:t ~latency:latency.(i) ~power:power.(i);
+          start.(i) <- t;
+          is_locked.(i) <- true)
+        locked_tbl;
+      if peak ledger > power_limit +. Profile.eps then begin
+        let offender = match locked with (id, _) :: _ -> id | [] -> -1 in
+        raise
+          (Stop
+             (Infeasible
+                {
+                  node = offender;
+                  reason = "locked operations alone exceed the power limit";
+                }))
+      end;
+      let unplaced =
+        Array.map
+          (fun ps ->
+            Array.fold_left
+              (fun acc p -> if is_locked.(p) then acc else acc + 1)
+              0 ps)
+          preds
+      in
+      let est = Array.make n 0 in
+      let bucket = Array.make (horizon + 1) [] in
+      let push i t = bucket.(t) <- i :: bucket.(t) in
+      let enter i =
+        est.(i) <-
+          Array.fold_left
+            (fun acc p -> max acc (start.(p) + latency.(p)))
+            0 preds.(i);
+        push i est.(i)
+      in
+      for i = 0 to n - 1 do
+        if (not is_locked.(i)) && unplaced.(i) = 0 then enter i
+      done;
+      let place i t =
+        start.(i) <- t;
+        add ledger ~start:t ~latency:latency.(i) ~power:power.(i);
+        Array.iter
+          (fun s ->
+            if not is_locked.(s) then begin
+              unplaced.(s) <- unplaced.(s) - 1;
+              if unplaced.(s) = 0 then enter s
+            end)
+          succs.(i)
+      in
+      let attempt t i =
+        (* Cooperative cancellation: polled once per placement attempt, so
+           a deadline interrupts even a pathologically power-bound
+           schedule. *)
+        if cancelled () then
+          raise (Stop (Infeasible { node = -1; reason = "cancelled" }));
+        let d = latency.(i) and p = power.(i) in
+        if t + d > horizon then
           raise
             (Stop
                (Infeasible
                   {
-                    node = succ;
-                    reason =
-                      Printf.sprintf "locked start precedes end of predecessor %d"
-                        pred;
-                  })))
-      (Graph.edges g);
-    Feasible !sched
-  with Stop o ->
-    Metrics.incr m_infeasible;
-    (match o with
-    | Infeasible { node; reason } ->
-      if Trace.observed () then
-        Trace.instant ~cat:"sched"
-          ~args:[ ("node", string_of_int node); ("reason", reason) ]
-          "pasap.infeasible"
-    | Feasible _ -> ());
-    o
+                    node = ids.(i);
+                    reason = no_slot_reason ~est:est.(i) ~latency:d ~horizon;
+                  }));
+        if fits ledger ~start:t ~latency:d ~power:p ~limit:power_limit then
+          place i t
+        else begin
+          (* The paper's power-feasibility delay loop, batched: the ledger
+             only ever gains power while an operation waits, so every
+             start the current ledger rejects stays rejected, and the
+             whole run of doomed one-cycle bumps is taken at once. The
+             operation is re-tested when the loop reaches its new start
+             (the ledger may have hardened since), so placements
+             interleave exactly as under one-at-a-time bumping. The
+             offset-delay counter still advances by one per skipped
+             cycle. With no fit left the operation is parked just past
+             the last start inside the horizon, so an operation with an
+             earlier tentative start still fails first. *)
+          let next =
+            match
+              first_fit ledger ~horizon ~start:t ~latency:d ~power:p
+                ~limit:power_limit
+            with
+            | Some s -> s
+            | None -> horizon - d + 1
+          in
+          delays := !delays + (next - t);
+          push i next
+        end
+      in
+      let by_priority a b =
+        if priority.(a) <> priority.(b) then
+          Int.compare priority.(b) priority.(a)
+        else Int.compare a b
+      in
+      for t = 0 to horizon do
+        match bucket.(t) with
+        | [] -> ()
+        | ready ->
+          bucket.(t) <- [];
+          let ready = Array.of_list ready in
+          Array.sort by_priority ready;
+          Array.iter (attempt t) ready
+      done;
+      (* The poll a drained queue would make on its last, empty pop. *)
+      if cancelled () then
+        raise (Stop (Infeasible { node = -1; reason = "cancelled" }));
+      (* Locked operations may have been placed inconsistently with their
+         (possibly later-scheduled) predecessors; reject such schedules,
+         reporting the first offending edge in (pred, succ) order. *)
+      Array.iteri
+        (fun p ss ->
+          Array.iter
+            (fun s ->
+              if is_locked.(s) && start.(p) + latency.(p) > start.(s) then
+                raise
+                  (Stop
+                     (Infeasible
+                        {
+                          node = ids.(s);
+                          reason =
+                            Printf.sprintf
+                              "locked start precedes end of predecessor %d"
+                              ids.(p);
+                        })))
+            ss)
+        succs;
+      let sched = ref Schedule.empty in
+      Array.iteri (fun i id -> sched := Schedule.set !sched id start.(i)) ids;
+      Feasible !sched
+    with Stop o ->
+      Metrics.incr m_infeasible;
+      (match o with
+      | Infeasible { node; reason } ->
+        if Trace.observed () then
+          Trace.instant ~cat:"sched"
+            ~args:[ ("node", string_of_int node); ("reason", reason) ]
+            "pasap.infeasible"
+      | Feasible _ -> ());
+      o
+  in
+  if !delays > 0 then Metrics.incr ~by:!delays m_offset_delays;
+  outcome

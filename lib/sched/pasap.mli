@@ -7,9 +7,13 @@
     fits or leaves the horizon (infeasible).
 
     With [power_limit = infinity] (the default) this degenerates to classic
-    ASAP. Ready operations are chosen deterministically: smallest tentative
+    ASAP. The scheduler steps through the cycles of the horizon in order,
+    keeping each ready operation in the bucket of its tentative start.
+    Ready operations are still taken deterministically: smallest tentative
     start first, then largest latency-weighted distance to a sink, then
-    smallest id. *)
+    smallest id. A rejected operation moves straight to the next start the
+    current power ledger admits, which is always a later cycle, so every
+    bucket is complete when the loop reaches it. *)
 
 type outcome =
   | Feasible of Schedule.t
@@ -33,7 +37,8 @@ type outcome =
     locked operation violating a precedence or the horizon makes the run
     infeasible.
 
-    [cancelled] is polled once per heap pop; when it turns true the run
+    [cancelled] is polled once per placement attempt, and once more when
+    every operation is placed; when it turns true the run
     stops with [Infeasible {node = -1; reason = "cancelled"}]. This is how
     {!Pchls_core.Engine} deadlines interrupt a scheduler stuck in the
     power-feasibility delay loop mid-iteration.

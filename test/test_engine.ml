@@ -9,6 +9,9 @@ module Op = Pchls_dfg.Op
 module Schedule = Pchls_sched.Schedule
 module Profile = Pchls_power.Profile
 module B = Pchls_dfg.Benchmarks
+module Generator = Pchls_dfg.Generator
+module Trace = Pchls_obs.Trace
+module Metrics = Pchls_obs.Metrics
 
 let lib = Library.default
 
@@ -405,6 +408,99 @@ let test_expired_wall_clock_never_raises () =
     Alcotest.(check bool) "reason mentions the deadline" true
       (contains ~needle:"deadline exceeded" reason)
 
+(* --- schedulers after the lock ----------------------------------------- *)
+
+let pasap_runs = Metrics.counter "pasap.runs"
+
+(* hal at its pinned backtracking point, and a generated graph that also
+   backtracks once. *)
+let backtracking_cases () =
+  let g = Generator.sized ~seed:2 ~max_nodes:40 () in
+  let info = H.table1_info () g in
+  let cp =
+    Graph.critical_path g ~latency:(fun id -> (info id).Schedule.latency)
+  in
+  [ ("hal", B.hal, 17, 10.); ("sized-40", g, 2 * cp, 10.) ]
+
+(* One synthesis under an unbounded recorder: its design, stats, events
+   and the pasap calls it made (palap's included, as palap runs pasap on
+   the reversed graph). *)
+let traced_synth ~self_check (_, g, t, p) =
+  let r = Trace.make () in
+  let before = Metrics.counter_value pasap_runs in
+  match
+    Trace.with_sink r (fun () ->
+        Engine.run ~self_check ~library:lib ~time_limit:t ~power_limit:p g)
+  with
+  | Engine.Synthesized (d, s) ->
+    (d, s, Trace.events r, Metrics.counter_value pasap_runs - before)
+  | Engine.Infeasible { reason } -> Alcotest.fail reason
+
+let backtrack_ts events =
+  match List.filter (fun e -> e.Trace.name = "engine.backtrack") events with
+  | [ e ] -> e.Trace.ts_ns
+  | es -> Alcotest.failf "%d engine.backtrack instants" (List.length es)
+
+let started ~after name events =
+  List.filter
+    (fun e -> e.Trace.name = name && Int64.compare e.Trace.ts_ns after > 0)
+    events
+
+let test_schedulers_off_after_lock () =
+  List.iter
+    (fun ((label, _, _, _) as case) ->
+      let _, stats, events, runs = traced_synth ~self_check:false case in
+      Alcotest.(check int)
+        (label ^ ": one backtrack")
+        1 stats.Engine.backtracks;
+      let lock = backtrack_ts events in
+      (* k: the iteration that backtracked, counting it. *)
+      let k =
+        List.length
+          (List.filter
+             (fun e ->
+               e.Trace.name = "engine.iterate"
+               && Int64.compare e.Trace.ts_ns lock < 0)
+             events)
+      in
+      Alcotest.(check bool)
+        (label ^ ": iterations after the lock")
+        true
+        (started ~after:lock "engine.iterate" events <> []);
+      List.iter
+        (fun name ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s spans after the lock" label name)
+            0
+            (List.length (started ~after:lock name events)))
+        [ "pasap.run"; "palap.run" ];
+      (* Settling the defaults runs pasap once per attempt; each iteration
+         up to the backtrack runs palap and one post-commit pasap. *)
+      Alcotest.(check int) (label ^ ": pasap calls")
+        (1 + stats.Engine.default_upgrades + (2 * k))
+        runs)
+    (backtracking_cases ())
+
+let test_self_check_runs_schedulers_after_lock () =
+  List.iter
+    (fun ((label, _, _, _) as case) ->
+      let plain, _, _, _ = traced_synth ~self_check:false case in
+      let checked, stats, events, _ = traced_synth ~self_check:true case in
+      Alcotest.(check int)
+        (label ^ ": one backtrack")
+        1 stats.Engine.backtracks;
+      let lock = backtrack_ts events in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s spans after the lock" label name)
+            true
+            (started ~after:lock name events <> []))
+        [ "pasap.run"; "palap.run" ];
+      Alcotest.(check string) (label ^ ": same design") (design_signature plain)
+        (design_signature checked))
+    (backtracking_cases ())
+
 let () =
   Alcotest.run "engine"
     [
@@ -467,5 +563,12 @@ let () =
             test_partial_quality_monotone_in_iterations;
           Alcotest.test_case "expired budget never raises" `Quick
             test_expired_wall_clock_never_raises;
+        ] );
+      ( "lock",
+        [
+          Alcotest.test_case "schedulers stay off after the lock" `Quick
+            test_schedulers_off_after_lock;
+          Alcotest.test_case "self-check runs both after the lock" `Quick
+            test_self_check_runs_schedulers_after_lock;
         ] );
     ]

@@ -1,14 +1,16 @@
 (* Equivalence suites pinning the hot-path rewrite to its naive
    reference semantics: the block-max profile against per-cycle rescans,
-   the incremental compatibility graph against a from-scratch rebuild,
-   and heap-ordered selection against a full sort. Each property drives
-   the fast structure and a deliberately naive model through the same
-   random operation sequence and requires identical answers. On random
-   layered graphs, the graph fingerprint must tell apart exactly the
-   pairs its 32-round predecessor does. Modulo scheduling through pasap's
-   heap must place exactly as the one-cycle-bump loop it replaced. The
-   engine's own store-vs-enumeration cross-check runs via
-   [~self_check:true] on random syntheses. *)
+   and the incremental compatibility graph against a from-scratch
+   rebuild. Each property drives the fast structure and a deliberately
+   naive model through the same random operation sequence and requires
+   identical answers. On random layered graphs, the graph fingerprint
+   must tell apart exactly the pairs its 32-round predecessor does.
+   Pasap's per-cycle buckets must place exactly as the priority-queue
+   loop they replaced, modulo scheduling through that loop exactly as
+   the one-cycle-bump loop before it, and an instance's sorted-start
+   slot searches exactly as the list scans they replaced. The engine's
+   own store-vs-enumeration cross-check runs via [~self_check:true] on
+   random syntheses. *)
 
 module H = Test_helpers
 module Generator = Pchls_dfg.Generator
@@ -16,7 +18,6 @@ module Graph = Pchls_dfg.Graph
 module Profile = Pchls_power.Profile
 module Schedule = Pchls_sched.Schedule
 module Bitset = Pchls_compat.Bitset
-module Pqueue = Pchls_compat.Pqueue
 module Cgraph = Pchls_compat.Cgraph
 module Engine = Pchls_core.Engine
 module Library = Pchls_fulib.Library
@@ -24,6 +25,9 @@ module Fingerprint = Pchls_cache.Fingerprint
 module Op = Pchls_dfg.Op
 module Folded = Pchls_power.Folded
 module Pasap = Pchls_sched.Pasap
+module Palap = Pchls_sched.Palap
+module Metrics = Pchls_obs.Metrics
+module Slots = Pchls_core.Slots
 
 let table1_info g id = H.table1_info () g id
 
@@ -222,45 +226,6 @@ let prop_bitset_model =
            (fun x -> Bitset.mem b x = Int_set.mem x !m)
            (List.init n Fun.id))
 
-(* --- Pqueue: heap pop order == full sort -------------------------------- *)
-
-let prop_pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue drain == List.sort" ~count:300
-    QCheck.(list_of_size (QCheck.Gen.int_bound 200) small_int)
-    (fun xs ->
-      let q = Pqueue.of_list ~cmp:Int.compare xs in
-      let rec drain acc =
-        match Pqueue.pop q with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-(* Interleaved adds and pops against a sorted-list model: every prefix of
-   the pop sequence must match, not just the final drain. *)
-let prop_pqueue_interleaved =
-  QCheck.Test.make ~name:"pqueue interleaved add/pop == sorted model"
-    ~count:300
-    QCheck.(list (pair bool small_int))
-    (fun script ->
-      let q = Pqueue.create ~cmp:Int.compare in
-      let model = ref [] in
-      List.for_all
-        (fun (is_pop, x) ->
-          if is_pop then
-            match (Pqueue.pop q, !model) with
-            | None, [] -> true
-            | Some a, b :: rest ->
-              model := rest;
-              a = b
-            | None, _ :: _ | Some _, [] -> false
-          else begin
-            Pqueue.add q x;
-            model := List.sort Int.compare (x :: !model);
-            true
-          end)
-        script)
-
 (* --- Fingerprint: stable refinement == the 32-round reference ----------- *)
 
 (* The fingerprint the stable refinement replaced, kept verbatim. Its
@@ -408,6 +373,229 @@ let prop_fingerprint_matches_reference =
             fresh reference)
         fresh reference)
 
+(* --- Pasap: per-cycle buckets == the priority-queue loop --------------- *)
+
+(* [Pasap.run] before it stepped through per-cycle buckets, less its
+   cancellation poll and reason texts. Ready operations wait in a queue of
+   (tentative start, -priority, id) entries with lazy deletion; a [Set]
+   over that total order pops them exactly as the binary heap did. The
+   answer is the placements or the node reported infeasible, with the
+   offset delays counted. *)
+module Entries = Set.Make (struct
+  type t = int * int * int
+
+  let compare = compare
+end)
+
+type naive_ledger = N_cycles of Profile.t | N_classes of Folded.t
+
+let naive_pasap g ~info ~horizon ~power_limit ?period ~locked () =
+  let latency id = (info id).Schedule.latency in
+  let priority_of = Graph.distances_to_sink g ~latency in
+  let ledger =
+    match period with
+    | None -> N_cycles (Profile.create ~horizon)
+    | Some period -> N_classes (Folded.create ~period)
+  in
+  let fits ~start ~latency ~power =
+    match ledger with
+    | N_cycles p -> Profile.fits p ~start ~latency ~power ~limit:power_limit
+    | N_classes f -> Folded.fits f ~start ~latency ~power ~limit:power_limit
+  in
+  let add ~start ~latency ~power =
+    match ledger with
+    | N_cycles p -> Profile.add p ~start ~latency ~power
+    | N_classes f -> Folded.add f ~start ~latency ~power
+  in
+  let first_fit ~start ~latency ~power =
+    match ledger with
+    | N_cycles p ->
+      Profile.first_fit p ~start ~latency ~power ~limit:power_limit
+    | N_classes f ->
+      let rec go s =
+        if s + latency > horizon then None
+        else if Folded.fits f ~start:s ~latency ~power ~limit:power_limit then
+          Some s
+        else go (s + 1)
+      in
+      go start
+  in
+  let peak () =
+    match ledger with
+    | N_cycles p -> Profile.peak p
+    | N_classes f -> Folded.peak f
+  in
+  let delays = ref 0 in
+  let sched = ref Schedule.empty in
+  let remaining_preds = Hashtbl.create 64 in
+  let ready = Hashtbl.create 64 in
+  let queue = ref Entries.empty in
+  let push id t = queue := Entries.add (t, -priority_of id, id) !queue in
+  let locked_tbl = Hashtbl.create 16 in
+  List.iter (fun (id, t) -> Hashtbl.replace locked_tbl id t) locked;
+  let is_locked id = Hashtbl.mem locked_tbl id in
+  let exception Stop of int in
+  let answer =
+    try
+      Hashtbl.iter
+        (fun id t ->
+          let { Schedule.latency = d; power } = info id in
+          if t < 0 || t + d > horizon then raise (Stop id);
+          add ~start:t ~latency:d ~power;
+          sched := Schedule.set !sched id t)
+        locked_tbl;
+      if peak () > power_limit +. Profile.eps then
+        raise (Stop (match locked with (id, _) :: _ -> id | [] -> -1));
+      List.iter
+        (fun id ->
+          if not (is_locked id) then
+            Hashtbl.replace remaining_preds id
+              (List.length
+                 (List.filter (fun p -> not (is_locked p)) (Graph.preds g id))))
+        (Graph.node_ids g);
+      let enter id =
+        if Hashtbl.find remaining_preds id = 0 then begin
+          let est =
+            List.fold_left
+              (fun acc p -> max acc (Schedule.start !sched p + latency p))
+              0 (Graph.preds g id)
+          in
+          Hashtbl.replace ready id (est, ref 0);
+          push id est
+        end
+      in
+      List.iter
+        (fun id -> if not (is_locked id) then enter id)
+        (Graph.node_ids g);
+      let place id t =
+        let { Schedule.latency = d; power } = info id in
+        sched := Schedule.set !sched id t;
+        add ~start:t ~latency:d ~power;
+        Hashtbl.remove ready id;
+        List.iter
+          (fun s ->
+            if not (is_locked s) then begin
+              Hashtbl.replace remaining_preds s
+                (Hashtbl.find remaining_preds s - 1);
+              enter s
+            end)
+          (Graph.succs g id)
+      in
+      let rec loop () =
+        match Entries.min_elt_opt !queue with
+        | None -> ()
+        | Some ((t_entry, _, id) as entry) ->
+          queue := Entries.remove entry !queue;
+          (match Hashtbl.find_opt ready id with
+          | None -> () (* already placed *)
+          | Some (est, offset) when est + !offset <> t_entry ->
+            () (* superseded *)
+          | Some (est, offset) ->
+            let t = est + !offset in
+            let { Schedule.latency = d; power } = info id in
+            if t + d > horizon then raise (Stop id);
+            if fits ~start:t ~latency:d ~power then place id t
+            else begin
+              let next =
+                match first_fit ~start:t ~latency:d ~power with
+                | Some s -> s
+                | None -> horizon - d + 1
+              in
+              delays := !delays + (next - t);
+              offset := !offset + (next - t);
+              push id next
+            end);
+          loop ()
+      in
+      loop ();
+      List.iter
+        (fun (pred, succ) ->
+          if
+            is_locked succ
+            && Schedule.start !sched pred + latency pred
+               > Schedule.start !sched succ
+          then raise (Stop succ))
+        (Graph.edges g);
+      Ok (Schedule.bindings !sched)
+    with Stop node -> Error node
+  in
+  (answer, !delays)
+
+let offset_delays = Metrics.counter "pasap.offset_delays"
+
+(* [Pasap.run]'s answer in the model's terms, with the offset delays it
+   added to the shared counter. *)
+let fast_pasap g ~info ~horizon ~power_limit ?period ~locked () =
+  let before = Metrics.counter_value offset_delays in
+  let answer =
+    match Pasap.run g ~info ~horizon ~power_limit ?period ~locked () with
+    | Pasap.Feasible s -> Ok (Schedule.bindings s)
+    | Pasap.Infeasible { node; _ } -> Error node
+  in
+  (answer, Metrics.counter_value offset_delays - before)
+
+(* Locked sets come from a feasible schedule: pasap's or palap's under
+   the case's limits when there is one, else unconstrained ASAP or ALAP,
+   which fit any horizon from the critical path up. A few locks move by
+   up to three cycles (which can break a precedence or the power limit)
+   or just past the horizon. *)
+let pasap_case_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 10_000 in
+    let* max_nodes = 1 -- 60 in
+    let g = Generator.sized ~seed ~max_nodes () in
+    let info = table1_info g in
+    let cp =
+      Graph.critical_path g ~latency:(fun id -> (info id).Schedule.latency)
+    in
+    let* horizon = cp -- (3 * cp) in
+    let* power_limit = oneofl [ 4.; 8.; 12.; 20.; infinity ] in
+    let* period = opt ~ratio:0.5 (1 -- 16) in
+    let* late = bool in
+    let feasible ?power_limit ?period () =
+      if late && period = None then Palap.run g ~info ~horizon ?power_limit ()
+      else Pasap.run g ~info ~horizon ?power_limit ?period ()
+    in
+    let base =
+      match feasible ~power_limit ?period () with
+      | Pasap.Feasible s -> s
+      | Pasap.Infeasible _ -> Pasap.schedule_exn (feasible ())
+    in
+    let* density = oneofl [ 0.; 0.1; 0.4; 0.9 ] in
+    let* moved = oneofl [ 0.; 0.; 0.05; 0.2 ] in
+    let* locked =
+      flatten_l
+        (List.map
+           (fun (id, t) ->
+             let* pick = float_bound_inclusive 1. in
+             let* move = float_bound_inclusive 1. in
+             let* shift =
+               if move >= moved then return 0
+               else
+                 frequency
+                   [ (4, int_range (-3) 3); (1, return (horizon + 1 - t)) ]
+             in
+             return (if pick < density then Some (id, t + shift) else None))
+           (Schedule.bindings base))
+    in
+    let* locked = shuffle_l (List.filter_map Fun.id locked) in
+    return (g, horizon, power_limit, period, locked))
+
+let print_pasap_case (g, horizon, power_limit, period, locked) =
+  Format.asprintf "%a T=%d P<=%g period=%s locked=[%s]" Graph.pp g horizon
+    power_limit
+    (match period with Some p -> string_of_int p | None -> "none")
+    (String.concat "; "
+       (List.map (fun (id, t) -> Printf.sprintf "%d@%d" id t) locked))
+
+let prop_pasap_matches_queue =
+  QCheck.Test.make ~name:"pasap buckets == priority-queue loop" ~count:500
+    (QCheck.make pasap_case_gen ~print:print_pasap_case)
+    (fun (g, horizon, power_limit, period, locked) ->
+      let info = table1_info g in
+      fast_pasap g ~info ~horizon ~power_limit ?period ~locked ()
+      = naive_pasap g ~info ~horizon ~power_limit ?period ~locked ())
+
 (* --- Modulo: pasap's loop over the folded ledger == one-cycle bumps ---- *)
 
 (* The modulo scheduler before it ran through [Pasap.run ~period]: each
@@ -503,6 +691,98 @@ let prop_modulo_matches_bumps =
       in
       fast = naive_modulo g ~info ~period ~horizon ~power_limit)
 
+(* --- Slots: sorted-start searches == the list scans they replaced ------ *)
+
+(* The engine's free-slot searches before an instance kept its starts
+   sorted: [scan_earliest] sorted the placements on every call and
+   rescanned them for each candidate start, [scan_latest] rescanned the
+   unsorted list, and a retype's disjointness test sorted them again. *)
+let scan_earliest placed ~d ~lo ~hi =
+  let busy = List.sort Int.compare placed in
+  let rec scan t =
+    if t > hi then None
+    else
+      match List.find_opt (fun tb -> t < tb + d && tb < t + d) busy with
+      | None -> Some t
+      | Some tb -> scan (tb + d)
+  in
+  scan lo
+
+let scan_latest placed ~d ~lo ~hi =
+  let rec scan t =
+    if t < lo then None
+    else
+      match List.find_opt (fun tb -> t < tb + d && tb < t + d) placed with
+      | None -> Some t
+      | Some tb -> scan (tb - d)
+  in
+  scan hi
+
+let scan_spaced placed ~d =
+  let rec disjoint = function
+    | t1 :: (t2 :: _ as rest) -> t1 + d <= t2 && disjoint rest
+    | [ _ ] | [] -> true
+  in
+  disjoint (List.sort Int.compare placed)
+
+(* An instance of latency [l]: starts at least [l] apart, added in random
+   order with some removed again, and probes of latency [l] and of other
+   latencies (a retype trial), some with [lo > hi]. *)
+let slots_case_gen =
+  QCheck.Gen.(
+    let* l = 1 -- 4 in
+    let* n = frequency [ (1, return 0); (5, 1 -- 20) ] in
+    let* first = 0 -- 5 in
+    let* gaps = list_repeat n (0 -- 4) in
+    let starts =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (t, acc) gap -> (t + l + gap, t :: acc))
+              (first, []) gaps))
+    in
+    let* order = shuffle_l starts in
+    let* removed = list_repeat n bool in
+    let top = first + (n * (l + 4)) + 10 in
+    let probe =
+      let* d = frequency [ (1, return l); (1, 1 -- 6) ] in
+      let* lo = -2 -- top and* hi = -2 -- top in
+      return (d, lo, hi)
+    in
+    let* probes = list_size (1 -- 10) probe in
+    return (l, order, removed, probes))
+
+let prop_slots_match_scans =
+  QCheck.Test.make ~name:"slot searches == list scans" ~count:500
+    (QCheck.make slots_case_gen ~print:(fun (l, order, removed, probes) ->
+         Printf.sprintf "L=%d adds=[%s] removed=[%s] probes=[%s]" l
+           (String.concat "; " (List.map string_of_int order))
+           (String.concat "; " (List.map string_of_bool removed))
+           (String.concat "; "
+              (List.map
+                 (fun (d, lo, hi) -> Printf.sprintf "d=%d [%d, %d]" d lo hi)
+                 probes))))
+    (fun (_, order, removed, probes) ->
+      let slots = Slots.create () in
+      List.iter (Slots.add slots) order;
+      let placed =
+        List.filteri
+          (fun i t ->
+            if List.nth removed i then begin
+              Slots.remove slots t;
+              false
+            end
+            else true)
+          order
+      in
+      Slots.to_list slots = List.sort Int.compare placed
+      && List.for_all
+           (fun (d, lo, hi) ->
+             Slots.earliest slots ~d ~lo ~hi = scan_earliest placed ~d ~lo ~hi
+             && Slots.latest slots ~d ~lo ~hi = scan_latest placed ~d ~lo ~hi
+             && Slots.spaced slots ~d = scan_spaced placed ~d)
+           probes)
+
 (* --- Engine: store-driven pick == full enumeration --------------------- *)
 
 (* [~self_check:true] re-derives every iteration's candidate pick by full
@@ -552,11 +832,11 @@ let () =
           ] );
       ( "cgraph",
         List.map to_alcotest [ prop_cgraph_incremental; prop_bitset_model ] );
-      ( "pqueue",
-        List.map to_alcotest [ prop_pqueue_sorts; prop_pqueue_interleaved ] );
       ( "fprint",
         List.map to_alcotest [ prop_fingerprint_matches_reference ] );
+      ( "pasap", List.map to_alcotest [ prop_pasap_matches_queue ] );
       ( "modulo", List.map to_alcotest [ prop_modulo_matches_bumps ] );
+      ( "slots", List.map to_alcotest [ prop_slots_match_scans ] );
       ( "engine",
         List.map to_alcotest [ prop_engine_store_matches_enumeration ] );
     ]
