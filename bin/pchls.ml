@@ -1032,6 +1032,10 @@ let fuzz_cmd =
 
 (* --- battery ----------------------------------------------------------- *)
 
+(* Each model steps cycle by cycle, so a large capacity costs time in
+   proportion; past this many cycles the verdict is [Survives]. *)
+let battery_max_cycles = 10_000_000
+
 let battery_cmd =
   let capacity =
     Arg.(
@@ -1046,7 +1050,7 @@ let battery_cmd =
         r.time_limit r.power_limit;
       List.iter
         (fun model ->
-          let v = Sim.lifetime model ~profile ~max_cycles:1_000_000_000 in
+          let v = Sim.lifetime model ~profile ~max_cycles:battery_max_cycles in
           Format.printf "  %-40s %a@."
             (Format.asprintf "%a" Model.pp model)
             Sim.pp_verdict v)
@@ -1058,7 +1062,8 @@ let battery_cmd =
         ];
       let rak = Pchls_battery.Rakhmatov.create ~alpha:capacity ~beta:0.3 () in
       let v =
-        Pchls_battery.Rakhmatov.lifetime rak ~profile ~max_cycles:1_000_000_000
+        Pchls_battery.Rakhmatov.lifetime rak ~profile
+          ~max_cycles:battery_max_cycles
       in
       Format.printf "  %-40s %a@."
         (Format.asprintf "%a" Pchls_battery.Rakhmatov.pp rak)
@@ -1067,7 +1072,15 @@ let battery_cmd =
   in
   Cmd.v
     (Cmd.info "battery"
-       ~doc:"Estimate battery lifetime of the synthesized design.")
+       ~doc:"Estimate battery lifetime of the synthesized design."
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "Each battery model is simulated cycle by cycle for at most \
+              10000000 cycles; a battery still alive then reads $(b,survives \
+              10000000 cycles).";
+         ])
     Term.(const run $ request $ capacity)
 
 (* --- report ------------------------------------------------------------ *)

@@ -1032,8 +1032,11 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
           "engine.deadline";
       Deadline_exceeded { reason; forced }
     in
+    (* Every committed op is a node of [g], so the run is complete once
+       [assigned] holds as many entries as [g] has nodes. *)
+    let n_nodes = Graph.node_count g in
     let rec iterate valid_pasap =
-      if unassigned st = [] then Ok Complete
+      if Hashtbl.length st.assigned = n_nodes then Ok Complete
       else
         match Option.bind st.budget Budget.check with
         | Some reason -> Ok (force_complete valid_pasap reason)

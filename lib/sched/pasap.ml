@@ -59,18 +59,78 @@ let no_slot_reason ~est ~latency ~horizon =
       est latency horizon
   else Printf.sprintf "no %d-cycle slot fits within horizon %d" latency horizon
 
-(* The loop steps through the cycles 0..horizon. [bucket.(t)] holds the
-   ready operations whose tentative start is [t]; reaching cycle [t], the
-   loop takes them in (larger priority, smaller id) order and either
-   places each at [t] or moves it to a later bucket. That is the order a
-   priority queue keyed on (start, -priority, id) would pop them in,
-   because nothing is ever pushed at or before the cycle being processed:
-   a successor enters at [est >= t + d >= t + 1], a bumped operation moves
-   to [first_fit]'s start, which is after the start that just failed, and
-   an operation with no fit left is parked at [horizon - d + 1 > t]. So
-   tentative starts never decrease and a bucket is complete by the time
-   the loop reaches it, including the bucket that reports an
-   infeasibility first.
+(* Binary min-heaps of ints ordered by [rank], in arrays sized for their
+   largest content. *)
+type heap = { slots : int array; mutable size : int }
+
+let top h = h.slots.(0)
+
+let swap h j k =
+  let x = h.slots.(j) in
+  h.slots.(j) <- h.slots.(k);
+  h.slots.(k) <- x
+
+let rec sift_up h ~rank j =
+  let parent = (j - 1) / 2 in
+  if j > 0 && rank h.slots.(j) < rank h.slots.(parent) then begin
+    swap h j parent;
+    sift_up h ~rank parent
+  end
+
+let rec sift_down h ~rank j =
+  let l = (2 * j) + 1 in
+  if l < h.size then begin
+    let c =
+      if l + 1 < h.size && rank h.slots.(l + 1) < rank h.slots.(l) then l + 1
+      else l
+    in
+    if rank h.slots.(c) < rank h.slots.(j) then begin
+      swap h j c;
+      sift_down h ~rank c
+    end
+  end
+
+let push h ~rank x =
+  h.slots.(h.size) <- x;
+  h.size <- h.size + 1;
+  sift_up h ~rank (h.size - 1)
+
+let pop h ~rank =
+  h.size <- h.size - 1;
+  h.slots.(0) <- h.slots.(h.size);
+  sift_down h ~rank 0
+
+(* The loop steps through the cycles 0..horizon and tests one operation at
+   a time at the current cycle [t]. Unlocked operations that share a
+   (latency, power) form a class; an operation joins its class's heap,
+   ordered by (larger priority, smaller id), when the loop reaches its
+   [est]. At [t] the loop tests the best head among the awake classes,
+   picked by a heap of awake classes keyed on their heads. A head that
+   fits is placed at [t]. A head that does not puts its whole class to
+   sleep until [first_fit]'s next admissible start, or until
+   [horizon - d + 1] when none is left, where the head then reports the
+   infeasibility. A successor joins at [est >= t + d >= t + 1], so a
+   cycle's candidates are fixed once it starts; the cycle ends when no
+   class is awake.
+
+   This makes the placements, in the same order, of the loop that moves
+   each rejected operation to [first_fit]'s start and re-tests it there,
+   taking a cycle's operations in (larger priority, smaller id) order.
+   Within a call the ledger only gains power, so a start rejected once
+   stays rejected, and whether a start fits depends on an operation only
+   through its (latency, power). So every test that one loop makes and
+   the other does not fails:
+   - an operation tested here at a cycle before the start its own
+     [first_fit] named fails, as that start was rejected for it then;
+   - an operation skipped here, behind a head that failed at [t] or in a
+     class asleep until [w], would fail at [t] or at any cycle before
+     [w], as the head's failure rejected those starts for its class.
+   Failed tests place nothing, and the rest run in the same (cycle,
+   larger priority, smaller id) order against the same ledger. A class
+   asleep at [t] has [t + d <= horizon], since it wakes by
+   [horizon - d + 1], so the first operation in that order to run past
+   the horizon is an awake head, the one the other loop reports. Only
+   the count of tests falls: per cycle, at most one failure per class.
 
    Nodes are indexed by their position in [Graph.node_ids], and every
    per-node quantity lives in an array allocated for this call only, so
@@ -164,14 +224,13 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
           preds
       in
       let est = Array.make n 0 in
-      let bucket = Array.make (horizon + 1) [] in
-      let push i t = bucket.(t) <- i :: bucket.(t) in
+      let arrivals = Array.make (horizon + 1) [] in
       let enter i =
         est.(i) <-
           Array.fold_left
             (fun acc p -> max acc (start.(p) + latency.(p)))
             0 preds.(i);
-        push i est.(i)
+        arrivals.(est.(i)) <- i :: arrivals.(est.(i))
       in
       for i = 0 to n - 1 do
         if (not is_locked.(i)) && unplaced.(i) = 0 then enter i
@@ -179,6 +238,7 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
       let place i t =
         start.(i) <- t;
         add ledger ~start:t ~latency:latency.(i) ~power:power.(i);
+        delays := !delays + (t - est.(i));
         Array.iter
           (fun s ->
             if not is_locked.(s) then begin
@@ -187,62 +247,99 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
             end)
           succs.(i)
       in
-      let attempt t i =
-        (* Cooperative cancellation: polled once per placement attempt, so
-           a deadline interrupts even a pathologically power-bound
-           schedule. *)
-        if cancelled () then
-          raise (Stop (Infeasible { node = -1; reason = "cancelled" }));
-        let d = latency.(i) and p = power.(i) in
-        if t + d > horizon then
-          raise
-            (Stop
-               (Infeasible
-                  {
-                    node = ids.(i);
-                    reason = no_slot_reason ~est:est.(i) ~latency:d ~horizon;
-                  }));
-        if fits ledger ~start:t ~latency:d ~power:p ~limit:power_limit then
-          place i t
-        else begin
-          (* The paper's power-feasibility delay loop, batched: the ledger
-             only ever gains power while an operation waits, so every
-             start the current ledger rejects stays rejected, and the
-             whole run of doomed one-cycle bumps is taken at once. The
-             operation is re-tested when the loop reaches its new start
-             (the ledger may have hardened since), so placements
-             interleave exactly as under one-at-a-time bumping. The
-             offset-delay counter still advances by one per skipped
-             cycle. With no fit left the operation is parked just past
-             the last start inside the horizon, so an operation with an
-             earlier tentative start still fails first. *)
-          let next =
-            match
-              first_fit ledger ~horizon ~start:t ~latency:d ~power:p
-                ~limit:power_limit
-            with
-            | Some s -> s
-            | None -> horizon - d + 1
+      (* One int per operation, ascending in (larger priority, smaller
+         index) order. *)
+      let op_rank i = i - (priority.(i) * n) in
+      (* Classes are numbered in the order their first member appears. *)
+      let class_of = Array.make n (-1) and members = Array.make n 0 in
+      let by_spec = Hashtbl.create 8 in
+      for i = 0 to n - 1 do
+        if not is_locked.(i) then begin
+          let spec = (latency.(i), power.(i)) in
+          let c =
+            match Hashtbl.find_opt by_spec spec with
+            | Some c -> c
+            | None ->
+              let c = Hashtbl.length by_spec in
+              Hashtbl.add by_spec spec c;
+              c
           in
-          delays := !delays + (next - t);
-          push i next
+          class_of.(i) <- c;
+          members.(c) <- members.(c) + 1
+        end
+      done;
+      let n_classes = Hashtbl.length by_spec in
+      let ready =
+        Array.init n_classes (fun c ->
+            { slots = Array.make members.(c) 0; size = 0 })
+      in
+      let class_rank c = op_rank (top ready.(c)) in
+      let awake = { slots = Array.make n_classes 0; size = 0 } in
+      let in_awake = Array.make n_classes false in
+      let asleep_until = Array.make n_classes 0 in
+      let wakes = Array.make (horizon + 1) [] in
+      let wake t c =
+        if (not in_awake.(c)) && ready.(c).size > 0 && asleep_until.(c) <= t
+        then begin
+          in_awake.(c) <- true;
+          push awake ~rank:class_rank c
         end
       in
-      let by_priority a b =
-        if priority.(a) <> priority.(b) then
-          Int.compare priority.(b) priority.(a)
-        else Int.compare a b
+      let retire c =
+        in_awake.(c) <- false;
+        pop awake ~rank:class_rank
       in
       for t = 0 to horizon do
-        match bucket.(t) with
-        | [] -> ()
-        | ready ->
-          bucket.(t) <- [];
-          let ready = Array.of_list ready in
-          Array.sort by_priority ready;
-          Array.iter (attempt t) ready
+        (* Every arrival joins before any class is keyed by its head. *)
+        List.iter
+          (fun i -> push ready.(class_of.(i)) ~rank:op_rank i)
+          arrivals.(t);
+        List.iter (fun i -> wake t class_of.(i)) arrivals.(t);
+        List.iter (wake t) wakes.(t);
+        while awake.size > 0 do
+          let c = top awake in
+          let i = top ready.(c) in
+          (* Cooperative cancellation: polled once per test, so a deadline
+             interrupts even a pathologically power-bound schedule. *)
+          if cancelled () then
+            raise (Stop (Infeasible { node = -1; reason = "cancelled" }));
+          let d = latency.(i) and p = power.(i) in
+          if t + d > horizon then
+            raise
+              (Stop
+                 (Infeasible
+                    {
+                      node = ids.(i);
+                      reason = no_slot_reason ~est:est.(i) ~latency:d ~horizon;
+                    }));
+          if fits ledger ~start:t ~latency:d ~power:p ~limit:power_limit
+          then begin
+            pop ready.(c) ~rank:op_rank;
+            place i t;
+            if ready.(c).size > 0 then sift_down awake ~rank:class_rank 0
+            else retire c
+          end
+          else begin
+            (* Every operation of the class fails at every start the
+               ledger rejects for this head, now and later in the call,
+               so the class sleeps until the next start it admits. With
+               none left it wakes just past the last start inside the
+               horizon, where its head reports the infeasibility. *)
+            let w =
+              match
+                first_fit ledger ~horizon ~start:t ~latency:d ~power:p
+                  ~limit:power_limit
+              with
+              | Some s -> s
+              | None -> horizon - d + 1
+            in
+            asleep_until.(c) <- w;
+            wakes.(w) <- c :: wakes.(w);
+            retire c
+          end
+        done
       done;
-      (* The poll a drained queue would make on its last, empty pop. *)
+      (* One more poll once every operation is placed. *)
       if cancelled () then
         raise (Stop (Infeasible { node = -1; reason = "cancelled" }));
       (* Locked operations may have been placed inconsistently with their

@@ -7,13 +7,22 @@
     fits or leaves the horizon (infeasible).
 
     With [power_limit = infinity] (the default) this degenerates to classic
-    ASAP. The scheduler steps through the cycles of the horizon in order,
-    keeping each ready operation in the bucket of its tentative start.
-    Ready operations are still taken deterministically: smallest tentative
-    start first, then largest latency-weighted distance to a sink, then
-    smallest id. A rejected operation moves straight to the next start the
-    current power ledger admits, which is always a later cycle, so every
-    bucket is complete when the loop reaches it. *)
+    ASAP. The scheduler steps through the cycles of the horizon in order.
+    Ready operations that share a (latency, power) form a class, and an
+    operation joins its class when the loop reaches its earliest start.
+    At each cycle the loop tests the best waiting operation of the awake
+    classes, by largest latency-weighted distance to a sink, then smallest
+    id: one that fits is placed there, and one that does not puts its
+    whole class to sleep until the next start the current power ledger
+    admits. The ledger only gains power while operations wait, and every
+    operation of a class gets the same verdict at the same start, so this
+    places exactly what the paper's one-cycle delays place, in the same
+    order, with at most one failed test per class per cycle.
+
+    The [pasap.offset_delays] counter adds each placed operation's final
+    offset [o_i], its start minus its earliest start. A run that stops
+    infeasible or cancelled counts only the operations placed before it
+    stopped. *)
 
 type outcome =
   | Feasible of Schedule.t
@@ -37,8 +46,8 @@ type outcome =
     locked operation violating a precedence or the horizon makes the run
     infeasible.
 
-    [cancelled] is polled once per placement attempt, and once more when
-    every operation is placed; when it turns true the run
+    [cancelled] is polled once per test of an operation at a cycle, and
+    once more when every operation is placed; when it turns true the run
     stops with [Infeasible {node = -1; reason = "cancelled"}]. This is how
     {!Pchls_core.Engine} deadlines interrupt a scheduler stuck in the
     power-feasibility delay loop mid-iteration.

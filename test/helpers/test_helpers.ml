@@ -15,6 +15,29 @@ let table1_info ?(select = Library.min_power) () g id =
   | Some m -> { Schedule.latency = m.Module_spec.latency; power = m.Module_spec.power }
   | None -> Alcotest.fail "table1_info: kind not covered"
 
+(* Per-node (latency, power) drawn at random: a latency of 1-6 cycles and
+   one of five powers. A graph of a few dozen nodes then has many
+   distinct (latency, power) pairs, several of them shared by a few
+   nodes. *)
+let random_specs g =
+  QCheck.Gen.(
+    flatten_l
+      (List.map
+         (fun id ->
+           let* latency = 1 -- 6 in
+           let* power = oneofl [ 0.2; 1.7; 2.5; 2.7; 8.1 ] in
+           return (id, latency, power))
+         (Graph.node_ids g)))
+
+(* The scheduling view of a [random_specs] draw. *)
+let spec_info specs =
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun (id, latency, power) ->
+      Hashtbl.replace table id { Schedule.latency; power })
+    specs;
+  fun id -> Hashtbl.find table id
+
 (* in -> a -> o chain. *)
 let chain3 () =
   Graph.create_exn ~name:"chain3"

@@ -5,12 +5,12 @@
    naive model through the same random operation sequence and requires
    identical answers. On random layered graphs, the graph fingerprint
    must tell apart exactly the pairs its 32-round predecessor does.
-   Pasap's per-cycle buckets must place exactly as the priority-queue
-   loop they replaced, modulo scheduling through that loop exactly as
-   the one-cycle-bump loop before it, and an instance's sorted-start
-   slot searches exactly as the list scans they replaced. The engine's
-   own store-vs-enumeration cross-check runs via [~self_check:true] on
-   random syntheses. *)
+   Pasap's class loop must place exactly as the priority-queue loop of
+   [first_fit] bumps before it, modulo scheduling through that loop
+   exactly as the one-cycle-bump loop before it, and an instance's
+   sorted-start slot searches exactly as the list scans they replaced.
+   The engine's own store-vs-enumeration cross-check runs via
+   [~self_check:true] on random syntheses. *)
 
 module H = Test_helpers
 module Generator = Pchls_dfg.Generator
@@ -373,14 +373,16 @@ let prop_fingerprint_matches_reference =
             fresh reference)
         fresh reference)
 
-(* --- Pasap: per-cycle buckets == the priority-queue loop --------------- *)
+(* --- Pasap: the class loop == the priority-queue loop ------------------ *)
 
 (* [Pasap.run] before it stepped through per-cycle buckets, less its
    cancellation poll and reason texts. Ready operations wait in a queue of
    (tentative start, -priority, id) entries with lazy deletion; a [Set]
-   over that total order pops them exactly as the binary heap did. The
-   answer is the placements or the node reported infeasible, with the
-   offset delays counted. *)
+   over that total order pops them exactly as the binary heap did, and a
+   rejected operation moves to [first_fit]'s start. The answer is the
+   placements or the node reported infeasible, with the offset delays
+   counted as [Pasap.run] counts them: each placed operation's final
+   offset. *)
 module Entries = Set.Make (struct
   type t = int * int * int
 
@@ -494,14 +496,16 @@ let naive_pasap g ~info ~horizon ~power_limit ?period ~locked () =
             let t = est + !offset in
             let { Schedule.latency = d; power } = info id in
             if t + d > horizon then raise (Stop id);
-            if fits ~start:t ~latency:d ~power then place id t
+            if fits ~start:t ~latency:d ~power then begin
+              delays := !delays + !offset;
+              place id t
+            end
             else begin
               let next =
                 match first_fit ~start:t ~latency:d ~power with
                 | Some s -> s
                 | None -> horizon - d + 1
               in
-              delays := !delays + (next - t);
               offset := !offset + (next - t);
               push id next
             end);
@@ -534,17 +538,25 @@ let fast_pasap g ~info ~horizon ~power_limit ?period ~locked () =
   in
   (answer, Metrics.counter_value offset_delays - before)
 
-(* Locked sets come from a feasible schedule: pasap's or palap's under
-   the case's limits when there is one, else unconstrained ASAP or ALAP,
-   which fit any horizon from the critical path up. A few locks move by
-   up to three cycles (which can break a precedence or the power limit)
-   or just past the horizon. *)
+(* Half the cases give every node a random (latency, power), so they have
+   many classes of operations that share one; the others use Table 1's
+   min-power modules, a few classes of many operations each. Locked sets
+   come from a feasible schedule: pasap's or palap's under the case's
+   limits when there is one, else unconstrained ASAP or ALAP, which fit
+   any horizon from the critical path up. A few locks move by up to three
+   cycles (which can break a precedence or the power limit) or just past
+   the horizon. *)
+let case_info g = function
+  | None -> table1_info g
+  | Some specs -> H.spec_info specs
+
 let pasap_case_gen =
   QCheck.Gen.(
     let* seed = int_bound 10_000 in
     let* max_nodes = 1 -- 60 in
     let g = Generator.sized ~seed ~max_nodes () in
-    let info = table1_info g in
+    let* specs = opt ~ratio:0.5 (H.random_specs g) in
+    let info = case_info g specs in
     let cp =
       Graph.critical_path g ~latency:(fun id -> (info id).Schedule.latency)
     in
@@ -579,20 +591,26 @@ let pasap_case_gen =
            (Schedule.bindings base))
     in
     let* locked = shuffle_l (List.filter_map Fun.id locked) in
-    return (g, horizon, power_limit, period, locked))
+    return (g, specs, horizon, power_limit, period, locked))
 
-let print_pasap_case (g, horizon, power_limit, period, locked) =
-  Format.asprintf "%a T=%d P<=%g period=%s locked=[%s]" Graph.pp g horizon
-    power_limit
+let print_pasap_case (g, specs, horizon, power_limit, period, locked) =
+  Format.asprintf "%a specs=%s T=%d P<=%g period=%s locked=[%s]" Graph.pp g
+    (match specs with
+    | None -> "table1"
+    | Some specs ->
+      String.concat " "
+        (List.map (fun (id, d, p) -> Printf.sprintf "%d:%d/%g" id d p) specs))
+    horizon power_limit
     (match period with Some p -> string_of_int p | None -> "none")
     (String.concat "; "
        (List.map (fun (id, t) -> Printf.sprintf "%d@%d" id t) locked))
 
 let prop_pasap_matches_queue =
-  QCheck.Test.make ~name:"pasap buckets == priority-queue loop" ~count:500
+  QCheck.Test.make ~name:"pasap classes == priority-queue loop" ~count:500
+    ~long_factor:40
     (QCheck.make pasap_case_gen ~print:print_pasap_case)
-    (fun (g, horizon, power_limit, period, locked) ->
-      let info = table1_info g in
+    (fun (g, specs, horizon, power_limit, period, locked) ->
+      let info = case_info g specs in
       fast_pasap g ~info ~horizon ~power_limit ?period ~locked ()
       = naive_pasap g ~info ~horizon ~power_limit ?period ~locked ())
 
@@ -680,6 +698,7 @@ let modulo_case_gen =
 
 let prop_modulo_matches_bumps =
   QCheck.Test.make ~name:"pasap ~period == one-cycle bumps" ~count:300
+    ~long_factor:40
     (QCheck.make modulo_case_gen ~print:(fun (g, horizon, period, p) ->
          Format.asprintf "%a T=%d period=%d P<=%g" Graph.pp g horizon period p))
     (fun (g, horizon, period, power_limit) ->

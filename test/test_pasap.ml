@@ -174,6 +174,97 @@ let test_tighter_budget_never_shorter () =
   Alcotest.(check bool) "monotone stretch" true (ms 6. >= ms 12.);
   Alcotest.(check bool) "monotone stretch 2" true (ms 12. >= ms 100.)
 
+(* The loop polls [cancelled] once per test and once when every operation
+   is placed. A test places an operation, or puts its (latency, power)
+   class to sleep until a later cycle, or reports the infeasibility that
+   ends the run: so a run polls at most [placed + C * (horizon + 1) + 1]
+   times, for C distinct (latency, power) pairs among the unlocked
+   operations. *)
+let polls run =
+  let count = ref 0 in
+  let outcome =
+    run (fun () ->
+        incr count;
+        false)
+  in
+  (outcome, !count)
+
+let poll_bound g ~info ~horizon ~locked =
+  let unlocked =
+    List.filter (fun id -> not (List.mem_assoc id locked)) (Graph.node_ids g)
+  in
+  let classes =
+    List.sort_uniq compare
+      (List.map
+         (fun id ->
+           let { Schedule.latency; power } = info id in
+           (latency, power))
+         unlocked)
+  in
+  List.length unlocked + (List.length classes * (horizon + 1)) + 1
+
+(* Random graphs with random or Table 1 infos, optionally modulo, with
+   some operations locked at their ASAP start. *)
+let poll_case_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 10_000 in
+    let* max_nodes = 1 -- 60 in
+    let g = Pchls_dfg.Generator.sized ~seed ~max_nodes () in
+    let* specs = opt ~ratio:0.5 (H.random_specs g) in
+    let info =
+      match specs with None -> H.table1_info () g | Some s -> H.spec_info s
+    in
+    let cp = Graph.critical_path g ~latency:(fun id -> (info id).latency) in
+    let* horizon = cp -- (3 * cp) in
+    let* power_limit = oneofl [ 4.; 8.; 12.; 20.; infinity ] in
+    let* period = opt ~ratio:0.3 (1 -- 16) in
+    let* density = oneofl [ 0.; 0.2; 0.6 ] in
+    let* picks =
+      flatten_l
+        (List.map (fun _ -> float_bound_inclusive 1.) (Graph.node_ids g))
+    in
+    let asap = Pchls_sched.Asap.run g ~info in
+    let locked =
+      List.filter_map
+        (fun ((id, t), pick) -> if pick < density then Some (id, t) else None)
+        (List.combine (Schedule.bindings asap) picks)
+    in
+    return (g, info, horizon, power_limit, period, locked))
+
+let prop_polls_bounded =
+  QCheck.Test.make ~name:"polls <= placed + C*(horizon+1) + 1" ~count:300
+    (QCheck.make poll_case_gen
+       ~print:(fun (g, _, horizon, p, period, locked) ->
+         Format.asprintf "%a T=%d P<=%g period=%s locked=%d" Graph.pp g
+           horizon p
+           (match period with Some p -> string_of_int p | None -> "none")
+           (List.length locked)))
+    (fun (g, info, horizon, power_limit, period, locked) ->
+      let _, n =
+        polls (fun cancelled ->
+            Pasap.run g ~info ~horizon ~power_limit ?period ~locked ~cancelled
+              ())
+      in
+      n <= poll_bound g ~info ~horizon ~locked)
+
+(* The 988-op scaling graph at T = 301, P< = 40 under Table 1's min-power
+   modules: adds, subtracts and compares share (1, 2.5) and multiplies
+   are (4, 2.7), so two classes and at most 988 + 2 * 302 + 1 polls,
+   where re-testing every waiting operation at every cycle took 26 041. *)
+let test_polls_on_scaling_graph () =
+  let g = Pchls_dfg.Generator.sized ~seed:2 ~max_nodes:1000 () in
+  let info = H.table1_info () g in
+  let cp = Graph.critical_path g ~latency:(fun id -> (info id).latency) in
+  let horizon = (2 * cp) + (Graph.node_count g / 4) in
+  Alcotest.(check int) "horizon" 301 horizon;
+  let outcome, n =
+    polls (fun cancelled ->
+        Pasap.run g ~info ~horizon ~power_limit:40. ~cancelled ())
+  in
+  ignore (feasible outcome);
+  Alcotest.(check int) "bound" 1593 (poll_bound g ~info ~horizon ~locked:[]);
+  Alcotest.(check bool) (Printf.sprintf "%d polls <= 1593" n) true (n <= 1593)
+
 let () =
   Alcotest.run "pasap"
     [
@@ -195,6 +286,12 @@ let () =
             test_tighter_budget_never_shorter;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "schedule_exn raises" `Quick test_schedule_exn;
+        ] );
+      ( "polls",
+        [
+          QCheck_alcotest.to_alcotest prop_polls_bounded;
+          Alcotest.test_case "one test per class per cycle at 1k ops" `Quick
+            test_polls_on_scaling_graph;
         ] );
       ( "locking",
         [
