@@ -593,6 +593,9 @@ let preflight_cmd =
   let run (name, g) t p library exact_max json no_color =
     apply_color no_color;
     match
+      if t > Request.max_time_limit then
+        invalid_arg
+          (Printf.sprintf "-t must be <= %d, got %d" Request.max_time_limit t);
       Preflight.analyze ~exact_max_vertices:exact_max
         ~library:(the_library library) ~time_limit:t ~power_limit:p g
     with
@@ -617,7 +620,8 @@ let preflight_cmd =
              area bounds. Emits a machine-checkable infeasibility \
              certificate (PRE001-PRE004) and exits 1 when the bounds \
              contradict the (T, P<) constraints.")
-    (* Unchecked T and P<: Preflight.analyze rejects them itself (exit 2). *)
+    (* Unchecked T and P<: Preflight.analyze rejects them itself, and [run]
+       a T past the request cap (exit 2). *)
     Term.(
       const run $ graph_source $ time_arg Arg.int $ power_arg Arg.float
       $ library_opt $ exact_max $ json_flag $ no_color_flag)

@@ -21,19 +21,8 @@ let float_repr f = Printf.sprintf "%h" f
    is split, queued and popped when depends on labels and counts only, so
    the final partition is the stable one, ordered canonically. *)
 let graph g =
-  let nodes = Array.of_list (Graph.nodes g) in
-  let n = Array.length nodes in
-  let index = Hashtbl.create (max 16 n) in
-  Array.iteri
-    (fun i (v : Graph.node) -> Hashtbl.replace index v.Graph.id i)
-    nodes;
-  let adjacent neighbours =
-    Array.map
-      (fun (v : Graph.node) ->
-        Array.of_list (List.map (Hashtbl.find index) (neighbours g v.Graph.id)))
-      nodes
-  in
-  let preds = adjacent Graph.preds and succs = adjacent Graph.succs in
+  let n = Graph.node_count g in
+  let preds = Graph.pred_indices g and succs = Graph.succ_indices g in
   let buf = Buffer.create 1024 in
   let int i = Buffer.add_int64_le buf (Int64.of_int i) in
   let text s =
@@ -44,9 +33,9 @@ let graph g =
   int n;
   int (Graph.edge_count g);
   let keys =
-    Array.map
-      (fun (v : Graph.node) -> (Op.to_string v.Graph.kind, v.Graph.name))
-      nodes
+    Array.init n (fun i ->
+        let v = Graph.node_at g i in
+        (Op.to_string v.Graph.kind, v.Graph.name))
   in
   let elems = Array.init n Fun.id in
   Array.stable_sort (fun i j -> compare keys.(i) keys.(j)) elems;
@@ -132,7 +121,7 @@ let graph g =
           (fun v ->
             if count.(v) = 0 then touched := v :: !touched;
             count.(v) <- count.(v) + 1)
-          neighbours.(u))
+          (neighbours u))
       members;
     let touched = Array.of_list !touched in
     let key v = (cell.(v) * (n + 1)) + count.(v) in
@@ -161,10 +150,8 @@ let graph g =
      its (kind, name) cell did. *)
   let edges =
     Array.concat
-      (Array.to_list
-         (Array.mapi
-            (fun i s -> Array.map (fun j -> (cell.(i) * n) + cell.(j)) s)
-            succs))
+      (List.init n (fun i ->
+           Array.map (fun j -> (cell.(i) * n) + cell.(j)) (succs i)))
   in
   Array.sort Int.compare edges;
   Array.iter

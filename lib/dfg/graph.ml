@@ -1,129 +1,113 @@
-module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
 
 type node = { id : int; name : string; kind : Op.kind }
 
+(* Nodes sit at indices 0..n-1 in ascending id order. [preds], [succs]
+   (each ascending) and [topo] hold indices. Nothing is mutated after
+   [create], so domains may read one graph at the same time. *)
 type t = {
   name : string;
-  nodes : node Int_map.t;
-  succs : int list Int_map.t;
-  preds : int list Int_map.t;
+  nodes : node array;
+  preds : int array array;
+  succs : int array array;
+  topo : int array;
   edge_count : int;
-  topo : int list;
 }
 
-let adjacency ids edges =
-  let empty =
-    List.fold_left (fun m id -> Int_map.add id [] m) Int_map.empty ids
-  in
-  let add m (a, b) =
-    Int_map.update a
-      (function Some l -> Some (b :: l) | None -> Some [ b ])
-      m
-  in
-  let filled = List.fold_left add empty edges in
-  Int_map.map (List.sort_uniq Int.compare) filled
-
-(* Kahn's algorithm with a smallest-id-first frontier so the order is
-   deterministic. Returns [Error id] naming a node on a cycle. *)
-let kahn_order nodes succs preds =
-  let module Int_set = Set.Make (Int) in
-  let indegree =
-    Int_map.map (fun l -> List.length l) preds |> fun m ->
-    Int_map.fold (fun id _ acc -> acc |> Int_map.add id (Int_map.find id m)) nodes Int_map.empty
-  in
-  let frontier =
-    Int_map.fold
-      (fun id deg acc -> if deg = 0 then Int_set.add id acc else acc)
-      indegree Int_set.empty
-  in
-  let rec go frontier indegree acc =
-    match Int_set.min_elt_opt frontier with
-    | None ->
-      if List.length acc = Int_map.cardinal nodes then Ok (List.rev acc)
+(* The index of [id] in [nodes], or -1. Ids ascend, so a graph numbered
+   0..n-1 holds [id] at index [id]; any other is a binary search. *)
+let slot nodes id =
+  let n = Array.length nodes in
+  if id >= 0 && id < n && nodes.(id).id = id then id
+  else
+    let rec search lo hi =
+      if lo >= hi then -1
       else
-        let on_cycle =
-          Int_map.fold
-            (fun id deg found ->
-              match found with Some _ -> found | None -> if deg > 0 then Some id else None)
-            indegree None
-        in
-        (match on_cycle with
-        | Some id -> Error id
-        | None -> Ok (List.rev acc) (* unreachable: counts matched *))
-    | Some id ->
-      let frontier = Int_set.remove id frontier in
-      let frontier, indegree =
-        List.fold_left
-          (fun (f, d) s ->
-            let deg = Int_map.find s d - 1 in
-            let d = Int_map.add s deg d in
-            if deg = 0 then (Int_set.add s f, d) else (f, d))
-          (frontier, indegree)
-          (Int_map.find id succs)
-      in
-      go frontier indegree (id :: acc)
-  in
-  go frontier indegree []
+        let mid = (lo + hi) / 2 in
+        let m = nodes.(mid).id in
+        if m = id then mid
+        else if m < id then search (mid + 1) hi
+        else search lo mid
+    in
+    search 0 n
 
+exception Malformed of string
+
+let malformed fmt = Printf.ksprintf (fun msg -> raise (Malformed msg)) fmt
+
+(* Kahn's algorithm with a smallest-index-first frontier so the order is
+   deterministic. A node never freed lies on a cycle or downstream of
+   one; the error names the smallest. *)
+let kahn_order nodes preds succs =
+  let n = Array.length preds in
+  let indegree = Array.map Array.length preds in
+  let order = Array.make n 0 in
+  let rec go frontier k =
+    match Int_set.min_elt_opt frontier with
+    | None -> k
+    | Some i ->
+      order.(k) <- i;
+      let free f s =
+        indegree.(s) <- indegree.(s) - 1;
+        if indegree.(s) = 0 then Int_set.add s f else f
+      in
+      go (Array.fold_left free (Int_set.remove i frontier) succs.(i)) (k + 1)
+  in
+  let sources = Seq.filter (fun i -> indegree.(i) = 0) (Seq.init n Fun.id) in
+  if go (Int_set.of_seq sources) 0 < n then begin
+    let i = Option.get (Array.find_index (fun d -> d > 0) indegree) in
+    malformed "graph has a cycle through node %d" nodes.(i).id
+  end;
+  order
+
+(* The checks run in a fixed order and the first failure is the error. *)
 let create ~name ~nodes ~edges =
-  let ( let* ) = Result.bind in
-  let* node_map =
-    List.fold_left
-      (fun acc n ->
-        let* m = acc in
-        if n.id < 0 then Error (Printf.sprintf "node %S has negative id %d" n.name n.id)
-        else if Int_map.mem n.id m then
-          Error (Printf.sprintf "duplicate node id %d" n.id)
-        else Ok (Int_map.add n.id n m))
-      (Ok Int_map.empty) nodes
-  in
-  let* () =
-    List.fold_left
-      (fun acc (a, b) ->
-        let* () = acc in
-        if not (Int_map.mem a node_map) then
-          Error (Printf.sprintf "edge (%d, %d): unknown source %d" a b a)
-        else if not (Int_map.mem b node_map) then
-          Error (Printf.sprintf "edge (%d, %d): unknown target %d" a b b)
-        else if a = b then Error (Printf.sprintf "self-loop on node %d" a)
-        else Ok ())
-      (Ok ()) edges
-  in
-  let sorted_edges = List.sort_uniq compare edges in
-  let* () =
-    if List.length sorted_edges <> List.length edges then
-      Error "duplicate edge"
-    else Ok ()
-  in
-  let ids = List.map (fun n -> n.id) nodes in
-  let succs = adjacency ids sorted_edges in
-  let preds = adjacency ids (List.map (fun (a, b) -> (b, a)) sorted_edges) in
-  let* () =
-    Int_map.fold
-      (fun id n acc ->
-        let* () = acc in
-        match n.kind with
-        | Op.Input when Int_map.find id preds <> [] ->
-          Error (Printf.sprintf "input node %d (%s) has a predecessor" id n.name)
-        | Op.Output when Int_map.find id succs <> [] ->
-          Error (Printf.sprintf "output node %d (%s) has a successor" id n.name)
-        | Op.Input | Op.Output | Op.Add | Op.Sub | Op.Mult | Op.Comp -> Ok ())
-      node_map (Ok ())
-  in
-  let* topo =
-    match kahn_order node_map succs preds with
-    | Ok order -> Ok order
-    | Error id -> Error (Printf.sprintf "graph has a cycle through node %d" id)
-  in
-  Ok
-    {
-      name;
-      nodes = node_map;
-      succs;
-      preds;
-      edge_count = List.length sorted_edges;
-      topo;
-    }
+  let seen = Hashtbl.create 64 in
+  match
+    List.iter
+      (fun v ->
+        if v.id < 0 then malformed "node %S has negative id %d" v.name v.id;
+        if Hashtbl.mem seen v.id then malformed "duplicate node id %d" v.id;
+        Hashtbl.replace seen v.id ())
+      nodes;
+    List.iter
+      (fun (a, b) ->
+        if not (Hashtbl.mem seen a) then
+          malformed "edge (%d, %d): unknown source %d" a b a;
+        if not (Hashtbl.mem seen b) then
+          malformed "edge (%d, %d): unknown target %d" a b b;
+        if a = b then malformed "self-loop on node %d" a)
+      edges;
+    let sorted_edges = List.sort_uniq compare edges in
+    if List.compare_lengths sorted_edges edges <> 0 then
+      malformed "duplicate edge";
+    let nodes = Array.of_list nodes in
+    Array.sort (fun a b -> Int.compare a.id b.id) nodes;
+    (* Prepending the edges in descending order leaves each list ascending. *)
+    let preds = Array.make (Array.length nodes) []
+    and succs = Array.make (Array.length nodes) [] in
+    List.iter
+      (fun (a, b) ->
+        let i = slot nodes a and j = slot nodes b in
+        succs.(i) <- j :: succs.(i);
+        preds.(j) <- i :: preds.(j))
+      (List.rev sorted_edges);
+    let preds = Array.map Array.of_list preds
+    and succs = Array.map Array.of_list succs in
+    Array.iteri
+      (fun i v ->
+        match v.kind with
+        | Op.Input when preds.(i) <> [||] ->
+          malformed "input node %d (%s) has a predecessor" v.id v.name
+        | Op.Output when succs.(i) <> [||] ->
+          malformed "output node %d (%s) has a successor" v.id v.name
+        | Op.Input | Op.Output | Op.Add | Op.Sub | Op.Mult | Op.Comp -> ())
+      nodes;
+    let topo = kahn_order nodes preds succs in
+    { name; nodes; preds; succs; topo; edge_count = List.length sorted_edges }
+  with
+  | g -> Ok g
+  | exception Malformed msg -> Error msg
 
 let create_exn ~name ~nodes ~edges =
   match create ~name ~nodes ~edges with
@@ -131,50 +115,49 @@ let create_exn ~name ~nodes ~edges =
   | Error msg -> invalid_arg (Printf.sprintf "Graph.create_exn (%s): %s" name msg)
 
 let name g = g.name
-let node_count g = Int_map.cardinal g.nodes
+let node_count g = Array.length g.nodes
 let edge_count g = g.edge_count
-let nodes g = Int_map.bindings g.nodes |> List.map snd
-let node_ids g = Int_map.bindings g.nodes |> List.map fst
-let mem g id = Int_map.mem id g.nodes
+let node_at g i = g.nodes.(i)
+let pred_indices g i = g.preds.(i)
+let succ_indices g i = g.succs.(i)
 
-let node g id =
-  match Int_map.find_opt id g.nodes with
-  | Some n -> n
-  | None -> raise Not_found
+let index g id =
+  match slot g.nodes id with -1 -> raise Not_found | i -> i
 
-let find_node g id = Int_map.find_opt id g.nodes
+let mem g id = slot g.nodes id >= 0
+let node g id = g.nodes.(index g id)
+
+let find_node g id =
+  match slot g.nodes id with -1 -> None | i -> Some g.nodes.(i)
+
 let kind g id = (node g id).kind
 let node_name g id = (node g id).name
 
+(* The ids at indices [is], in their order. *)
+let ids g is = Array.fold_right (fun i acc -> g.nodes.(i).id :: acc) is []
+
+let nodes g = Array.to_list g.nodes
+let node_ids g = List.map (fun v -> v.id) (nodes g)
+
+(* The ids whose index satisfies [keep], ascending. *)
+let ids_where g keep = List.filteri (fun i _ -> keep i) (node_ids g)
+let succs g id = ids g g.succs.(index g id)
+let preds g id = ids g g.preds.(index g id)
+
 let edges g =
-  Int_map.fold
-    (fun a bs acc -> List.fold_left (fun acc b -> (a, b) :: acc) acc bs)
-    g.succs []
-  |> List.sort compare
+  List.concat_map
+    (fun v -> List.map (fun s -> (v.id, s)) (succs g v.id))
+    (nodes g)
 
-let succs g id =
-  match Int_map.find_opt id g.succs with Some l -> l | None -> raise Not_found
+let is_edge g ~src ~dst =
+  match (slot g.nodes src, slot g.nodes dst) with
+  | -1, _ | _, -1 -> false
+  | i, j -> Array.mem j g.succs.(i)
 
-let preds g id =
-  match Int_map.find_opt id g.preds with Some l -> l | None -> raise Not_found
-
-let is_edge g ~src ~dst = mem g src && List.mem dst (succs g src)
-
-let sources g =
-  Int_map.fold (fun id ps acc -> if ps = [] then id :: acc else acc) g.preds []
-  |> List.rev
-
-let sinks g =
-  Int_map.fold (fun id ss acc -> if ss = [] then id :: acc else acc) g.succs []
-  |> List.rev
-
-let topological_order g = g.topo
-
-let nodes_of_kind g k =
-  Int_map.fold
-    (fun id n acc -> if Op.equal n.kind k then id :: acc else acc)
-    g.nodes []
-  |> List.rev
+let sources g = ids_where g (fun i -> g.preds.(i) = [||])
+let sinks g = ids_where g (fun i -> g.succs.(i) = [||])
+let topological_order g = ids g g.topo
+let nodes_of_kind g k = ids_where g (fun i -> Op.equal g.nodes.(i).kind k)
 
 let kind_counts g =
   let tally =
@@ -182,50 +165,42 @@ let kind_counts g =
   in
   List.filter (fun (_, n) -> n > 0) tally
 
-(* The two longest-path passes, as maps: [from_source] ends at each node,
-   producers first; [to_sink] starts at each node, consumers first. *)
-let from_source g ~latency =
-  List.fold_left
-    (fun dist id ->
-      let via_pred =
-        List.fold_left
-          (fun best p -> max best (Int_map.find p dist))
-          0 (preds g id)
-      in
-      Int_map.add id (via_pred + latency id) dist)
-    Int_map.empty g.topo
-
-let to_sink g ~latency =
-  List.fold_left
-    (fun dist id ->
-      let via_succ =
-        List.fold_left
-          (fun best s -> max best (Int_map.find s dist))
-          0 (succs g id)
-      in
-      Int_map.add id (via_succ + latency id) dist)
-    Int_map.empty (List.rev g.topo)
-
-let critical_path g ~latency =
-  if node_count g = 0 then 0
-  else Int_map.fold (fun _ d best -> max d best) (from_source g ~latency) 0
-
-(* Partial application pays the pass once; each lookup is then a map find. *)
-let lookup dist id =
-  match Int_map.find_opt id dist with Some d -> d | None -> raise Not_found
-
-let distances_from_source g ~latency = lookup (from_source g ~latency)
-let distances_to_sink g ~latency = lookup (to_sink g ~latency)
-
 let reverse g =
+  let n = node_count g in
   {
+    g with
     name = g.name ^ "_rev";
-    nodes = g.nodes;
     succs = g.preds;
     preds = g.succs;
-    edge_count = g.edge_count;
-    topo = List.rev g.topo;
+    topo = Array.init n (fun k -> g.topo.(n - 1 - k));
   }
+
+(* The one longest-path pass, consumers first. *)
+let longest_paths g ~latency =
+  let dist = Array.make (node_count g) 0 in
+  for k = Array.length g.topo - 1 downto 0 do
+    let i = g.topo.(k) in
+    dist.(i) <-
+      Array.fold_left (fun acc s -> max acc dist.(s)) 0 g.succs.(i) + latency i
+  done;
+  dist
+
+let by_id g ~latency i = latency g.nodes.(i).id
+
+(* Paths from a source are paths to a sink of the reversed graph, whose
+   pass visits producers first. *)
+let from_source g ~latency =
+  longest_paths (reverse g) ~latency:(by_id g ~latency)
+
+let critical_path g ~latency = Array.fold_left max 0 (from_source g ~latency)
+
+(* Partial application pays the pass once; each lookup is then an index
+   search. *)
+let lookup g dist id = dist.(index g id)
+let distances_from_source g ~latency = lookup g (from_source g ~latency)
+
+let distances_to_sink g ~latency =
+  lookup g (longest_paths g ~latency:(by_id g ~latency))
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph %s: %d nodes, %d edges@," g.name (node_count g)

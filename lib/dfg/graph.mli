@@ -6,7 +6,10 @@
     only start once [i] has finished.
 
     Construction validates all structural invariants once; every value of
-    type {!t} is therefore known to be a well-formed DAG. *)
+    type {!t} is therefore known to be a well-formed DAG. Nodes sit at dense
+    indices in ascending id order, with index arrays for predecessors,
+    successors and the topological order. Nothing is mutated after
+    {!create}, so any number of domains may read one graph at once. *)
 
 type node = {
   id : int;  (** unique non-negative identifier *)
@@ -51,10 +54,12 @@ val edges : t -> (int * int) list
 
 val is_edge : t -> src:int -> dst:int -> bool
 
-(** [succs g id] are the direct consumers of [id], in increasing order. *)
+(** [succs g id] are the direct consumers of [id], in increasing order,
+    in a list built per call. *)
 val succs : t -> int -> int list
 
-(** [preds g id] are the direct producers feeding [id], in increasing order. *)
+(** [preds g id] are the direct producers feeding [id], in increasing order,
+    in a list built per call. *)
 val preds : t -> int -> int list
 
 (** [sources g] are the nodes with no predecessor. *)
@@ -84,18 +89,39 @@ val critical_path : t -> latency:(int -> int) -> int
     every node, the longest latency-weighted path from any source up to and
     including that node.
 
-    These two passes are the graph's one implementation of longest paths:
-    the partial application [distances_to_sink g ~latency] runs the single
-    O(V+E) topological pass, and the returned lookup is a map find. Bind it
-    once and look nodes up in it; do not re-apply it per node. The lookup
-    raises [Not_found] on absent ids. *)
+    Both read {!longest_paths}, the one longest-path pass (on {!reverse}
+    for paths from a source, as {!critical_path} does): the partial
+    application [distances_to_sink g ~latency] runs it, and the returned
+    lookup is an index search. Bind it once and look nodes up in it; do
+    not re-apply it per node. The lookup raises [Not_found] on absent ids. *)
 val distances_to_sink : t -> latency:(int -> int) -> int -> int
 
 val distances_from_source : t -> latency:(int -> int) -> int -> int
 
-(** [reverse g] flips every edge. The result intentionally skips the
+(** [reverse g] flips every edge, sharing [g]'s nodes and index arrays;
+    only the topological order is copied, reversed. The result skips the
     Input/Output orientation checks; it is meant for time-reversed
     scheduling (ALAP family), not as a user-facing graph. *)
 val reverse : t -> t
+
+(** {2 Indices}
+
+    A node's index is its rank in ascending id order. The arrays returned
+    are the graph's own: read them, never write them. *)
+
+(** [index g id] is [id]'s index. @raise Not_found if [id] is absent. *)
+val index : t -> int -> int
+
+val node_at : t -> int -> node
+
+(** The direct producers and consumers of an index, ascending. *)
+val pred_indices : t -> int -> int array
+
+val succ_indices : t -> int -> int array
+
+(** [longest_paths g ~latency] is, per index, the longest path from that
+    node (inclusive) to any sink, with [latency] given by index: one pass,
+    consumers first; on [reverse g] the paths from any source. *)
+val longest_paths : t -> latency:(int -> int) -> int array
 
 val pp : Format.formatter -> t -> unit

@@ -132,9 +132,11 @@ let pop h ~rank =
    the horizon is an awake head, the one the other loop reports. Only
    the count of tests falls: per cycle, at most one failure per class.
 
-   Nodes are indexed by their position in [Graph.node_ids], and every
-   per-node quantity lives in an array allocated for this call only, so
-   concurrent calls on different domains share nothing. *)
+   Operations are [Graph]'s indices, and the loop reads the graph's own
+   predecessor and successor arrays and its longest-path pass for the
+   priorities. Every per-node quantity lives in an array allocated for
+   this call only, and the graph is read-only, so concurrent calls on
+   different domains share nothing they write. *)
 let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
     ?(cancelled = fun () -> false) () =
   if horizon < 0 then invalid_arg "Pasap.run: negative horizon";
@@ -152,32 +154,16 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
   then invalid_arg "Pasap.run: node locked twice";
   Metrics.incr m_runs;
   Trace.span ~cat:"sched" "pasap.run" @@ fun () ->
-  let ids = Array.of_list (Graph.node_ids g) in
-  let n = Array.length ids in
-  let index = Hashtbl.create n in
-  Array.iteri (fun i id -> Hashtbl.replace index id i) ids;
-  let idx id = Hashtbl.find index id in
-  let adjacent f =
-    Array.map (fun id -> Array.of_list (List.map idx (f g id))) ids
-  in
-  let preds = adjacent Graph.preds and succs = adjacent Graph.succs in
+  let n = Graph.node_count g in
+  let id i = (Graph.node_at g i).Graph.id in
+  let preds = Graph.pred_indices g and succs = Graph.succ_indices g in
   let latency = Array.make n 0 and power = Array.make n 0. in
-  Array.iteri
-    (fun i id ->
-      let { Schedule.latency = d; power = p } = info id in
-      latency.(i) <- d;
-      power.(i) <- p)
-    ids;
-  (* Longest latency-weighted path to a sink, consumers first: the values
-     of [Graph.distances_to_sink]. *)
-  let priority = Array.make n 0 in
-  List.iter
-    (fun id ->
-      let i = idx id in
-      priority.(i) <-
-        Array.fold_left (fun acc s -> max acc priority.(s)) 0 succs.(i)
-        + latency.(i))
-    (List.rev (Graph.topological_order g));
+  for i = 0 to n - 1 do
+    let { Schedule.latency = d; power = p } = info (id i) in
+    latency.(i) <- d;
+    power.(i) <- p
+  done;
+  let priority = Graph.longest_paths g ~latency:(Array.get latency) in
   let ledger =
     match period with
     | None -> Cycles (Profile.create ~horizon)
@@ -195,7 +181,7 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
       List.iter (fun (id, t) -> Hashtbl.replace locked_tbl id t) locked;
       Hashtbl.iter
         (fun id t ->
-          let i = idx id in
+          let i = Graph.index g id in
           if t < 0 || t + latency.(i) > horizon then
             raise
               (Stop
@@ -216,12 +202,10 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
                 }))
       end;
       let unplaced =
-        Array.map
-          (fun ps ->
+        Array.init n (fun i ->
             Array.fold_left
               (fun acc p -> if is_locked.(p) then acc else acc + 1)
-              0 ps)
-          preds
+              0 (preds i))
       in
       let est = Array.make n 0 in
       let arrivals = Array.make (horizon + 1) [] in
@@ -229,7 +213,7 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
         est.(i) <-
           Array.fold_left
             (fun acc p -> max acc (start.(p) + latency.(p)))
-            0 preds.(i);
+            0 (preds i);
         arrivals.(est.(i)) <- i :: arrivals.(est.(i))
       in
       for i = 0 to n - 1 do
@@ -245,7 +229,7 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
               unplaced.(s) <- unplaced.(s) - 1;
               if unplaced.(s) = 0 then enter s
             end)
-          succs.(i)
+          (succs i)
       in
       (* One int per operation, ascending in (larger priority, smaller
          index) order. *)
@@ -309,7 +293,7 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
               (Stop
                  (Infeasible
                     {
-                      node = ids.(i);
+                      node = id i;
                       reason = no_slot_reason ~est:est.(i) ~latency:d ~horizon;
                     }));
           if fits ledger ~start:t ~latency:d ~power:p ~limit:power_limit
@@ -345,25 +329,26 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
       (* Locked operations may have been placed inconsistently with their
          (possibly later-scheduled) predecessors; reject such schedules,
          reporting the first offending edge in (pred, succ) order. *)
-      Array.iteri
-        (fun p ss ->
-          Array.iter
-            (fun s ->
-              if is_locked.(s) && start.(p) + latency.(p) > start.(s) then
-                raise
-                  (Stop
-                     (Infeasible
-                        {
-                          node = ids.(s);
-                          reason =
-                            Printf.sprintf
-                              "locked start precedes end of predecessor %d"
-                              ids.(p);
-                        })))
-            ss)
-        succs;
+      for p = 0 to n - 1 do
+        Array.iter
+          (fun s ->
+            if is_locked.(s) && start.(p) + latency.(p) > start.(s) then
+              raise
+                (Stop
+                   (Infeasible
+                      {
+                        node = id s;
+                        reason =
+                          Printf.sprintf
+                            "locked start precedes end of predecessor %d"
+                            (id p);
+                      })))
+          (succs p)
+      done;
       let sched = ref Schedule.empty in
-      Array.iteri (fun i id -> sched := Schedule.set !sched id start.(i)) ids;
+      for i = 0 to n - 1 do
+        sched := Schedule.set !sched (id i) start.(i)
+      done;
       Feasible !sched
     with Stop o ->
       Metrics.incr m_infeasible;

@@ -29,8 +29,13 @@ let graph ~missing ~conflict = function
     | Ok { Pchls_lang.Elaborate.graph; _ } -> Ok (name, graph)
     | Error msg -> Error (Printf.sprintf "%s: %s" origin msg))
 
+let max_time_limit = 1_000_000
+
 let time_limit t =
-  if t >= 1 then Ok t else Error (Printf.sprintf "must be >= 1, got %d" t)
+  if t < 1 then Error (Printf.sprintf "must be >= 1, got %d" t)
+  else if t > max_time_limit then
+    Error (Printf.sprintf "must be <= %d, got %d" max_time_limit t)
+  else Ok t
 
 (* Written so that NaN is refused too. *)
 let power_limit p =

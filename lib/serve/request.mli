@@ -1,7 +1,7 @@
 (** What a valid synthesis request is, defined once for the [pchls]
-    command line and [pchls serve]: a graph, a latency bound T >= 1 and a
-    per-cycle power cap P< > 0 (or grids of them), a default-module policy
-    and an optional anytime budget.
+    command line and [pchls serve]: a graph, a latency bound T from 1 to
+    {!max_time_limit} and a per-cycle power cap P< > 0 (or grids of them),
+    a default-module policy and an optional anytime budget.
 
     Each check returns [Error reason] on a caller mistake, which the CLI
     reports as an argument error (exit 124) and the server as a 400. A
@@ -28,6 +28,10 @@ val graph :
   conflict:string ->
   source list ->
   (string * Pchls_dfg.Graph.t, string) result
+
+(** 10{^6}: the engine keeps about 86 bytes per cycle of T, so hal at
+    this T takes about 1 s and 100 MB. *)
+val max_time_limit : int
 
 val time_limit : int -> (int, string) result
 

@@ -242,7 +242,9 @@ let times_field json =
       (fun f ->
         match Request.time_limit (int_of_float f) with
         | Ok t when Float.is_integer f -> t
-        | Ok _ | Error _ -> bad "\"times\" entries must be integers >= 1")
+        | Ok _ | Error _ ->
+          bad "\"times\" entries must be integers in 1..%d"
+            Request.max_time_limit)
       ts
   | None -> [ time_field json ]
 

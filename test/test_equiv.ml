@@ -5,6 +5,9 @@
    naive model through the same random operation sequence and requires
    identical answers. On random layered graphs, the graph fingerprint
    must tell apart exactly the pairs its 32-round predecessor does.
+   [Graph]'s index arrays must answer every accessor as the map-based
+   graph they replaced did, and refuse malformed node and edge lists
+   with the same first error.
    Pasap's class loop must place exactly as the priority-queue loop of
    [first_fit] bumps before it, modulo scheduling through that loop
    exactly as the one-cycle-bump loop before it, and an instance's
@@ -372,6 +375,545 @@ let prop_fingerprint_matches_reference =
             (fun f' r' -> String.equal f f' = String.equal r r')
             fresh reference)
         fresh reference)
+
+(* --- Graph: dense indices == the map-based graph ----------------------- *)
+
+(* The graph before it stored its nodes at dense indices, kept verbatim:
+   nodes, successors and predecessors in [Int_map]s, the topological
+   order as a list. *)
+module Reference_graph = struct
+  module Int_map = Map.Make (Int)
+
+  type node = { id : int; name : string; kind : Op.kind }
+
+  type t = {
+    name : string;
+    nodes : node Int_map.t;
+    succs : int list Int_map.t;
+    preds : int list Int_map.t;
+    edge_count : int;
+    topo : int list;
+  }
+
+  let adjacency ids edges =
+    let empty =
+      List.fold_left (fun m id -> Int_map.add id [] m) Int_map.empty ids
+    in
+    let add m (a, b) =
+      Int_map.update a
+        (function Some l -> Some (b :: l) | None -> Some [ b ])
+        m
+    in
+    let filled = List.fold_left add empty edges in
+    Int_map.map (List.sort_uniq Int.compare) filled
+
+  (* Kahn's algorithm with a smallest-id-first frontier so the order is
+     deterministic. Returns [Error id] naming a node on a cycle. *)
+  let kahn_order nodes succs preds =
+    let module Int_set = Set.Make (Int) in
+    let indegree =
+      Int_map.map (fun l -> List.length l) preds |> fun m ->
+      Int_map.fold (fun id _ acc -> acc |> Int_map.add id (Int_map.find id m)) nodes Int_map.empty
+    in
+    let frontier =
+      Int_map.fold
+        (fun id deg acc -> if deg = 0 then Int_set.add id acc else acc)
+        indegree Int_set.empty
+    in
+    let rec go frontier indegree acc =
+      match Int_set.min_elt_opt frontier with
+      | None ->
+        if List.length acc = Int_map.cardinal nodes then Ok (List.rev acc)
+        else
+          let on_cycle =
+            Int_map.fold
+              (fun id deg found ->
+                match found with Some _ -> found | None -> if deg > 0 then Some id else None)
+              indegree None
+          in
+          (match on_cycle with
+          | Some id -> Error id
+          | None -> Ok (List.rev acc) (* unreachable: counts matched *))
+      | Some id ->
+        let frontier = Int_set.remove id frontier in
+        let frontier, indegree =
+          List.fold_left
+            (fun (f, d) s ->
+              let deg = Int_map.find s d - 1 in
+              let d = Int_map.add s deg d in
+              if deg = 0 then (Int_set.add s f, d) else (f, d))
+            (frontier, indegree)
+            (Int_map.find id succs)
+        in
+        go frontier indegree (id :: acc)
+    in
+    go frontier indegree []
+
+  let create ~name ~nodes ~edges =
+    let ( let* ) = Result.bind in
+    let* node_map =
+      List.fold_left
+        (fun acc n ->
+          let* m = acc in
+          if n.id < 0 then Error (Printf.sprintf "node %S has negative id %d" n.name n.id)
+          else if Int_map.mem n.id m then
+            Error (Printf.sprintf "duplicate node id %d" n.id)
+          else Ok (Int_map.add n.id n m))
+        (Ok Int_map.empty) nodes
+    in
+    let* () =
+      List.fold_left
+        (fun acc (a, b) ->
+          let* () = acc in
+          if not (Int_map.mem a node_map) then
+            Error (Printf.sprintf "edge (%d, %d): unknown source %d" a b a)
+          else if not (Int_map.mem b node_map) then
+            Error (Printf.sprintf "edge (%d, %d): unknown target %d" a b b)
+          else if a = b then Error (Printf.sprintf "self-loop on node %d" a)
+          else Ok ())
+        (Ok ()) edges
+    in
+    let sorted_edges = List.sort_uniq compare edges in
+    let* () =
+      if List.length sorted_edges <> List.length edges then
+        Error "duplicate edge"
+      else Ok ()
+    in
+    let ids = List.map (fun n -> n.id) nodes in
+    let succs = adjacency ids sorted_edges in
+    let preds = adjacency ids (List.map (fun (a, b) -> (b, a)) sorted_edges) in
+    let* () =
+      Int_map.fold
+        (fun id n acc ->
+          let* () = acc in
+          match n.kind with
+          | Op.Input when Int_map.find id preds <> [] ->
+            Error (Printf.sprintf "input node %d (%s) has a predecessor" id n.name)
+          | Op.Output when Int_map.find id succs <> [] ->
+            Error (Printf.sprintf "output node %d (%s) has a successor" id n.name)
+          | Op.Input | Op.Output | Op.Add | Op.Sub | Op.Mult | Op.Comp -> Ok ())
+        node_map (Ok ())
+    in
+    let* topo =
+      match kahn_order node_map succs preds with
+      | Ok order -> Ok order
+      | Error id -> Error (Printf.sprintf "graph has a cycle through node %d" id)
+    in
+    Ok
+      {
+        name;
+        nodes = node_map;
+        succs;
+        preds;
+        edge_count = List.length sorted_edges;
+        topo;
+      }
+
+  let create_exn ~name ~nodes ~edges =
+    match create ~name ~nodes ~edges with
+    | Ok g -> g
+    | Error msg -> invalid_arg (Printf.sprintf "Graph.create_exn (%s): %s" name msg)
+
+  let name g = g.name
+  let node_count g = Int_map.cardinal g.nodes
+  let edge_count g = g.edge_count
+  let nodes g = Int_map.bindings g.nodes |> List.map snd
+  let node_ids g = Int_map.bindings g.nodes |> List.map fst
+  let mem g id = Int_map.mem id g.nodes
+
+  let node g id =
+    match Int_map.find_opt id g.nodes with
+    | Some n -> n
+    | None -> raise Not_found
+
+  let find_node g id = Int_map.find_opt id g.nodes
+  let kind g id = (node g id).kind
+  let node_name g id = (node g id).name
+
+  let edges g =
+    Int_map.fold
+      (fun a bs acc -> List.fold_left (fun acc b -> (a, b) :: acc) acc bs)
+      g.succs []
+    |> List.sort compare
+
+  let succs g id =
+    match Int_map.find_opt id g.succs with Some l -> l | None -> raise Not_found
+
+  let preds g id =
+    match Int_map.find_opt id g.preds with Some l -> l | None -> raise Not_found
+
+  let is_edge g ~src ~dst = mem g src && List.mem dst (succs g src)
+
+  let sources g =
+    Int_map.fold (fun id ps acc -> if ps = [] then id :: acc else acc) g.preds []
+    |> List.rev
+
+  let sinks g =
+    Int_map.fold (fun id ss acc -> if ss = [] then id :: acc else acc) g.succs []
+    |> List.rev
+
+  let topological_order g = g.topo
+
+  let nodes_of_kind g k =
+    Int_map.fold
+      (fun id n acc -> if Op.equal n.kind k then id :: acc else acc)
+      g.nodes []
+    |> List.rev
+
+  let kind_counts g =
+    let tally =
+      List.map (fun k -> (k, List.length (nodes_of_kind g k))) Op.all
+    in
+    List.filter (fun (_, n) -> n > 0) tally
+
+  (* The two longest-path passes, as maps: [from_source] ends at each node,
+     producers first; [to_sink] starts at each node, consumers first. *)
+  let from_source g ~latency =
+    List.fold_left
+      (fun dist id ->
+        let via_pred =
+          List.fold_left
+            (fun best p -> max best (Int_map.find p dist))
+            0 (preds g id)
+        in
+        Int_map.add id (via_pred + latency id) dist)
+      Int_map.empty g.topo
+
+  let to_sink g ~latency =
+    List.fold_left
+      (fun dist id ->
+        let via_succ =
+          List.fold_left
+            (fun best s -> max best (Int_map.find s dist))
+            0 (succs g id)
+        in
+        Int_map.add id (via_succ + latency id) dist)
+      Int_map.empty (List.rev g.topo)
+
+  let critical_path g ~latency =
+    if node_count g = 0 then 0
+    else Int_map.fold (fun _ d best -> max d best) (from_source g ~latency) 0
+
+  (* Partial application pays the pass once; each lookup is then a map find. *)
+  let lookup dist id =
+    match Int_map.find_opt id dist with Some d -> d | None -> raise Not_found
+
+  let distances_from_source g ~latency = lookup (from_source g ~latency)
+  let distances_to_sink g ~latency = lookup (to_sink g ~latency)
+
+  let reverse g =
+    {
+      name = g.name ^ "_rev";
+      nodes = g.nodes;
+      succs = g.preds;
+      preds = g.succs;
+      edge_count = g.edge_count;
+      topo = List.rev g.topo;
+    }
+
+  let pp ppf g =
+    Format.fprintf ppf "@[<v>graph %s: %d nodes, %d edges@," g.name (node_count g)
+      (edge_count g);
+    List.iter
+      (fun n ->
+        Format.fprintf ppf "  %3d %-10s %-6s -> %s@," n.id n.name
+          (Op.to_string n.kind)
+          (String.concat ", " (List.map string_of_int (succs g n.id))))
+      (nodes g);
+    Format.fprintf ppf "@]"
+end
+
+(* The accessors [Graph] and its reference share, node records included. *)
+module type GRAPH = sig
+  type node = { id : int; name : string; kind : Op.kind }
+  type t
+
+  val create :
+    name:string ->
+    nodes:node list ->
+    edges:(int * int) list ->
+    (t, string) result
+
+  val create_exn :
+    name:string -> nodes:node list -> edges:(int * int) list -> t
+  val name : t -> string
+  val node_count : t -> int
+  val edge_count : t -> int
+  val nodes : t -> node list
+  val node_ids : t -> int list
+  val mem : t -> int -> bool
+  val node : t -> int -> node
+  val find_node : t -> int -> node option
+  val kind : t -> int -> Op.kind
+  val node_name : t -> int -> string
+  val edges : t -> (int * int) list
+  val is_edge : t -> src:int -> dst:int -> bool
+  val succs : t -> int -> int list
+  val preds : t -> int -> int list
+  val sources : t -> int list
+  val sinks : t -> int list
+  val topological_order : t -> int list
+  val nodes_of_kind : t -> Op.kind -> int list
+  val kind_counts : t -> (Op.kind * int) list
+  val critical_path : t -> latency:(int -> int) -> int
+  val distances_to_sink : t -> latency:(int -> int) -> int -> int
+  val distances_from_source : t -> latency:(int -> int) -> int -> int
+  val reverse : t -> t
+  val pp : Format.formatter -> t -> unit
+end
+
+(* A raw case: what [create] is handed, plus a salt for the latencies. *)
+type raw_graph = {
+  raw_nodes : (int * string * Op.kind) list;
+  raw_edges : (int * int) list;
+  salt : int;
+}
+
+(* [create]'s answer on [raw] as text: its error with [create_exn]'s, or
+   one line per accessor call on the graph, its reverse and its double
+   reverse, with [Not_found] spelled out. The ids probed are the listed
+   ones, their neighbours and -1, so absent ids are asked about too. *)
+module Observe (G : GRAPH) = struct
+  let observe raw =
+    let nodes =
+      List.map (fun (id, name, kind) -> { G.id; name; kind }) raw.raw_nodes
+    in
+    match G.create ~name:"g" ~nodes ~edges:raw.raw_edges with
+    | Error msg -> (
+      match G.create_exn ~name:"g" ~nodes ~edges:raw.raw_edges with
+      | _ -> Error (msg ^ " / create_exn raised nothing")
+      | exception Invalid_argument raised -> Error (msg ^ " / " ^ raised))
+    | Ok g ->
+      let listed = List.map (fun (id, _, _) -> id) raw.raw_nodes in
+      let probes =
+        List.sort_uniq Int.compare
+          ((-1) :: List.concat_map (fun id -> [ id - 1; id; id + 1 ]) listed)
+      in
+      let latency id = 1 + (Hashtbl.hash (id, raw.salt) mod 4) in
+      let ints l = String.concat "," (List.map string_of_int l) in
+      let node (v : G.node) =
+        Printf.sprintf "%d:%s:%s" v.G.id v.G.name (Op.to_string v.G.kind)
+      in
+      let lines = ref [] in
+      let say label f =
+        let text = try f () with Not_found -> "Not_found" in
+        lines := (label ^ " = " ^ text) :: !lines
+      in
+      let view tag g =
+        let say label = say (tag ^ label) in
+        say "name" (fun () -> G.name g);
+        say "counts" (fun () ->
+            Printf.sprintf "%d/%d" (G.node_count g) (G.edge_count g));
+        say "nodes" (fun () -> String.concat " " (List.map node (G.nodes g)));
+        say "node_ids" (fun () -> ints (G.node_ids g));
+        let edge (a, b) = Printf.sprintf "%d>%d" a b in
+        say "edges" (fun () -> String.concat " " (List.map edge (G.edges g)));
+        say "sources" (fun () -> ints (G.sources g));
+        say "sinks" (fun () -> ints (G.sinks g));
+        say "topo" (fun () -> ints (G.topological_order g));
+        say "kind_counts" (fun () ->
+            String.concat " "
+              (List.map
+                 (fun (k, c) -> Printf.sprintf "%s:%d" (Op.to_string k) c)
+                 (G.kind_counts g)));
+        List.iter
+          (fun k ->
+            say ("of_kind " ^ Op.to_string k) (fun () ->
+                ints (G.nodes_of_kind g k)))
+          Op.all;
+        say "critical_path" (fun () ->
+            string_of_int (G.critical_path g ~latency));
+        say "pp" (fun () -> Format.asprintf "%a" G.pp g);
+        let to_sink = G.distances_to_sink g ~latency
+        and from_source = G.distances_from_source g ~latency in
+        List.iter
+          (fun p ->
+            let say label = say (Printf.sprintf "%s %d" label p) in
+            say "mem" (fun () -> string_of_bool (G.mem g p));
+            say "node" (fun () -> node (G.node g p));
+            say "find_node" (fun () ->
+                Option.fold ~none:"None" ~some:node (G.find_node g p));
+            say "kind" (fun () -> Op.to_string (G.kind g p));
+            say "node_name" (fun () -> G.node_name g p);
+            say "succs" (fun () -> ints (G.succs g p));
+            say "preds" (fun () -> ints (G.preds g p));
+            say "to_sink" (fun () -> string_of_int (to_sink p));
+            say "from_source" (fun () -> string_of_int (from_source p));
+            say "is_edge" (fun () ->
+                ints
+                  (List.filter (fun q -> G.is_edge g ~src:p ~dst:q) probes)))
+          probes
+      in
+      view "" g;
+      view "rev " (G.reverse g);
+      view "rev rev " (G.reverse (G.reverse g));
+      Ok (List.rev !lines)
+end
+
+module Observe_graph = Observe (Graph)
+module Observe_reference = Observe (Reference_graph)
+
+let raw_of_graph g =
+  ( List.map
+      (fun (v : Graph.node) -> (v.Graph.id, v.Graph.name, v.Graph.kind))
+      (Graph.nodes g),
+    Graph.edges g )
+
+(* [Generator.sized]'s graph renumbered and shuffled: a random order of its
+   nodes takes ascending ids whose gaps are mostly 1 (so a dense run keeps
+   the direct lookup in play) and sometimes wide, from 0 or a random
+   start; the node and edge lists are shuffled. *)
+let valid_raw_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 10_000 in
+    let* max_nodes = 1 -- 60 in
+    let g = Generator.sized ~seed ~max_nodes () in
+    let* order = shuffle_l (Graph.node_ids g) in
+    let* gaps =
+      list_repeat (Graph.node_count g)
+        (frequency [ (8, return 1); (1, 2 -- 9); (1, 10 -- 100_000) ])
+    in
+    let* first = frequency [ (2, return 0); (1, 0 -- 1000) ] in
+    let fresh = Hashtbl.create 64 in
+    ignore
+      (List.fold_left2
+         (fun next id gap ->
+           Hashtbl.replace fresh id next;
+           next + gap)
+         first order gaps);
+    let tr id = Hashtbl.find fresh id in
+    let nodes, edges = raw_of_graph g in
+    let* nodes =
+      shuffle_l (List.map (fun (id, n, k) -> (tr id, n, k)) nodes)
+    in
+    let* edges = shuffle_l (List.map (fun (a, b) -> (tr a, tr b)) edges) in
+    return (nodes, edges))
+
+(* One structural fault, on a valid graph's lists. *)
+let fault_gen (nodes, edges) =
+  QCheck.Gen.(
+    let ids = List.map (fun (id, _, _) -> id) nodes in
+    let absent = 1 + List.fold_left max 0 ids in
+    let insert x l =
+      let* k = 0 -- List.length l in
+      return
+        (List.filteri (fun i _ -> i < k) l
+        @ (x :: List.filteri (fun i _ -> i >= k) l))
+    in
+    let add_edge e =
+      let* edges = insert e edges in
+      return (nodes, edges)
+    in
+    let of_kind k =
+      List.filter_map
+        (fun (id, _, kind) -> if kind = k then Some id else None)
+        nodes
+    in
+    let ops =
+      List.filter
+        (fun id -> not (List.mem id (of_kind Op.Input @ of_kind Op.Output)))
+        ids
+    in
+    (* A path of operations that starts with an edge, walked forward along
+       random successors; closing it back to its start makes a cycle. *)
+    let cycle =
+      let op_edges =
+        List.filter (fun (a, b) -> List.mem a ops && List.mem b ops) edges
+      in
+      if op_edges = [] then return (nodes, edges)
+      else
+        let* a, b = oneofl op_edges in
+        let* steps = 0 -- 4 in
+        let rec walk v steps =
+          let next =
+            List.filter_map
+              (fun (x, y) -> if x = v && List.mem y ops then Some y else None)
+              edges
+          in
+          if steps = 0 || next = [] then return v
+          else
+            let* w = oneofl next in
+            walk w (steps - 1)
+        in
+        let* v = walk b steps in
+        add_edge (v, a)
+    in
+    let* pick = oneofl ids in
+    let* other = oneofl ids in
+    oneof
+      [
+        (let* neg = 1 -- 5 in
+         let negate (id, n, k) = ((if id = pick then -neg else id), n, k) in
+         return (List.map negate nodes, edges));
+        (let* k = oneofl Op.all in
+         let* nodes = insert (pick, "dup", k) nodes in
+         return (nodes, edges));
+        (let* e =
+           oneofl
+             [
+               (pick, absent); (absent, pick); (-1, pick); (absent, absent + 1);
+               (absent, absent);
+             ]
+         in
+         add_edge e);
+        add_edge (pick, pick);
+        (if edges = [] then add_edge (pick, pick)
+         else
+           let* e = oneofl edges in
+           add_edge e);
+        cycle;
+        (match of_kind Op.Input with
+         | [] -> add_edge (pick, other)
+         | inputs ->
+           let* i = oneofl inputs in
+           add_edge (other, i));
+        (match of_kind Op.Output with
+         | [] -> add_edge (other, pick)
+         | outputs ->
+           let* o = oneofl outputs in
+           add_edge (o, other));
+      ])
+
+(* Half the cases are valid lists, the rest carry one to three faults. *)
+let raw_graph_gen =
+  QCheck.Gen.(
+    let* lists = valid_raw_gen in
+    let* faults = frequency [ (2, return 0); (1, return 1); (1, 2 -- 3) ] in
+    let rec damage lists k =
+      if k = 0 then return lists
+      else
+        let* lists = fault_gen lists in
+        damage lists (k - 1)
+    in
+    let* raw_nodes, raw_edges = damage lists faults in
+    let* salt = int_bound 1000 in
+    return { raw_nodes; raw_edges; salt })
+
+let print_raw_graph raw =
+  Printf.sprintf "nodes=[%s] edges=[%s] salt=%d"
+    (String.concat "; "
+       (List.map
+          (fun (id, n, k) -> Printf.sprintf "%d %s %s" id n (Op.to_string k))
+          raw.raw_nodes))
+    (String.concat "; "
+       (List.map (fun (a, b) -> Printf.sprintf "%d>%d" a b) raw.raw_edges))
+    raw.salt
+
+let prop_graph_matches_reference =
+  QCheck.Test.make ~name:"Graph arrays == the map-based graph" ~count:400
+    ~long_factor:40
+    (QCheck.make raw_graph_gen ~print:print_raw_graph)
+    (fun raw ->
+      match (Observe_graph.observe raw, Observe_reference.observe raw) with
+      | Error a, Error b when a = b -> true
+      | Ok a, Ok b when a = b -> true
+      | Ok a, Ok b ->
+        (* Both sides make the same calls, so their lines align. *)
+        let x, y = List.find (fun (x, y) -> x <> y) (List.combine a b) in
+        QCheck.Test.fail_reportf "%s\nreference: %s" x y
+      | a, b ->
+        let show = function Ok _ -> "Ok" | Error e -> "Error " ^ e in
+        QCheck.Test.fail_reportf "%s\nreference: %s" (show a) (show b))
 
 (* --- Pasap: the class loop == the priority-queue loop ------------------ *)
 
@@ -853,6 +1395,7 @@ let () =
         List.map to_alcotest [ prop_cgraph_incremental; prop_bitset_model ] );
       ( "fprint",
         List.map to_alcotest [ prop_fingerprint_matches_reference ] );
+      ( "graph", List.map to_alcotest [ prop_graph_matches_reference ] );
       ( "pasap", List.map to_alcotest [ prop_pasap_matches_queue ] );
       ( "modulo", List.map to_alcotest [ prop_modulo_matches_bumps ] );
       ( "slots", List.map to_alcotest [ prop_slots_match_scans ] );

@@ -555,6 +555,40 @@ let test_oversized_power_range () =
         "\"p_step\" 1e-300 cannot advance a power range past 2" );
     ]
 
+(* T is capped at [Request.max_time_limit], as on the command line: the
+   engine keeps state per cycle of T, so T = 10^8 would exhaust memory.
+   Every route that takes a T refuses one past the cap. *)
+let test_time_cap () =
+  with_server @@ fun srv ->
+  List.iter
+    (fun (path, fields, expected) ->
+      let status, body =
+        request srv ~meth:"POST" ~path
+          ("{\"benchmark\":\"hal\",\"power\":10," ^ fields ^ "}")
+      in
+      Alcotest.(check int) (path ^ " " ^ fields ^ ": 400") 400 status;
+      match json_field "reason" body with
+      | Some (Json.String reason) ->
+        Alcotest.(check string) (path ^ ": reason") expected reason
+      | _ -> Alcotest.fail ("time cap body: " ^ body))
+    [
+      ( "/synth", "\"time\":100000000",
+        "\"time\" must be <= 1000000, got 100000000" );
+      ( "/check", "\"time\":1000001",
+        "\"time\" must be <= 1000000, got 1000001" );
+      ( "/preflight", "\"time\":100000000",
+        "\"time\" must be <= 1000000, got 100000000" );
+      ( "/sweep", "\"time\":100000000",
+        "\"time\" must be <= 1000000, got 100000000" );
+      ( "/pareto", "\"times\":[8,1000001]",
+        "\"times\" entries must be integers in 1..1000000" );
+    ];
+  let status, _ =
+    request srv ~meth:"POST" ~path:"/preflight"
+      "{\"benchmark\":\"hal\",\"time\":1000000,\"power\":10}"
+  in
+  Alcotest.(check int) "preflight at the cap: 200" 200 status
+
 (* The graph fingerprint runs on the handler thread before any deadline
    applies, so its cost must stay near-linear in any client graph: a
    10 000-node chain of alike nodes is answered (422, T=1 is below its
@@ -1229,6 +1263,8 @@ let () =
           Alcotest.test_case "graceful shutdown" `Quick test_graceful_shutdown;
           Alcotest.test_case "client reads past the body cap" `Quick
             test_call_reads_past_the_body_cap;
+          Alcotest.test_case "time past the cap answered 400" `Quick
+            test_time_cap;
         ] );
       ( "telemetry",
         [
