@@ -1192,10 +1192,16 @@ let overload_bench () =
    the dev profile, below compare.exe's 50 ms noise floor, and twenty
    take 0.4-0.7 s. Each leg runs [leg_runs] times and records the
    fastest run as the gated "wall_s" and the median as "median_s": the
-   minimum is the run the host disturbed least. Writes a compare.exe-gated
-   "sections" array to BENCH_scaling.json. *)
+   minimum is the run the host disturbed least. Every record also carries
+   the leg's answer as "result", which compare.exe checks before any time:
+   an engine leg's area, decision counts and design digest, a scheduler
+   leg's digest of one call's bindings and the offset delays that call
+   counted. Writes a compare.exe-gated "sections" array to
+   BENCH_scaling.json. *)
 let sched_calls = 20
 let leg_runs = 3
+let offset_delays = Metrics.counter "pasap.offset_delays"
+let digest s = Json.String (Digest.to_hex (Digest.string s))
 
 let scaling_bench () =
   section_header "Scaling: scheduler/engine wall time on sized DFGs (P<=40)";
@@ -1208,14 +1214,15 @@ let scaling_bench () =
     let nodes = Graph.node_count g in
     let horizon = (cp * 2) + (nodes / 4) in
     let power_limit = 40. in
-    let add ?(extra = []) name (wall_s, median_s) =
+    let add ?(extra = []) ~result name (wall_s, median_s) =
       records :=
         section name wall_s
           ([
              ("median_s", num median_s); ("nodes", int nodes);
              ("horizon", int horizon);
            ]
-          @ extra)
+          @ extra
+          @ [ ("result", Json.Obj result) ])
         :: !records
     in
     (* Each run starts from a compacted heap, so no run pays on its clock
@@ -1231,24 +1238,36 @@ let scaling_bench () =
       (fst (List.hd runs), (List.hd times, List.nth times (leg_runs / 2)))
     in
     let sched name run =
-      let outcome, ((wall_s, median_s) as t) =
+      let (), ((wall_s, median_s) as t) =
         timed_leg (fun () ->
-            for _ = 2 to sched_calls do
+            for _ = 1 to sched_calls do
               ignore (run ())
-            done;
-            run ())
+            done)
       in
-      (match outcome with
-      | Pasap.Feasible _ -> ()
-      | Pasap.Infeasible { reason; _ } ->
-        Format.eprintf "scaling: %s-%s infeasible: %s@." name label reason;
-        exit 1);
+      let before = Metrics.counter_value offset_delays in
+      let bindings =
+        match run () with
+        | Pasap.Feasible s -> Schedule.bindings s
+        | Pasap.Infeasible { reason; _ } ->
+          Format.eprintf "scaling: %s-%s infeasible: %s@." name label reason;
+          exit 1
+      in
+      let delays = Metrics.counter_value offset_delays - before in
       Format.printf
         "%-14s %8.3fs  (median %.3fs; %d nodes, horizon %d, %d calls)@."
         (Printf.sprintf "%s-%s" name label)
         wall_s median_s nodes horizon sched_calls;
       add
         ~extra:[ ("calls", int sched_calls) ]
+        ~result:
+          [
+            ( "bindings",
+              digest
+                (String.concat " "
+                   (List.map (fun (id, t) -> Printf.sprintf "%d:%d" id t)
+                      bindings)) );
+            ("offset_delays", int delays);
+          ]
         (Printf.sprintf "scaling-%s-%s" name label)
         t
     in
@@ -1261,12 +1280,21 @@ let scaling_bench () =
               ~power_limit g)
       in
       match outcome with
-      | Engine.Synthesized (_, stats) ->
+      | Engine.Synthesized (d, stats) ->
         Format.printf "%-14s %8.3fs  (median %.3fs; %a)@."
           (Printf.sprintf "engine-%s" label)
           wall_s median_s Engine.pp_stats stats;
         add
           ~extra:[ ("decisions", int stats.Engine.decisions) ]
+          ~result:
+            [
+              ("area", num (Design.area d).Design.total);
+              ("decisions", int stats.Engine.decisions);
+              ("merges", int stats.Engine.merges);
+              ("retypes", int stats.Engine.retype_merges);
+              ("backtracks", int stats.Engine.backtracks);
+              ("design", digest (Format.asprintf "%a" Design.pp d));
+            ]
           (Printf.sprintf "scaling-engine-%s" label)
           t
       | Engine.Infeasible { reason } ->

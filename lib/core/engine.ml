@@ -88,6 +88,13 @@ type state = {
   mutable time_locked : bool;
   locked_times : (int, int) Hashtbl.t; (* valid once time_locked *)
   assigned_profile : Profile.t; (* power of committed ops only *)
+  (* What the schedulers read, per index of [g], kept current by every
+     commit, revert, retype and default upgrade: the module each op runs
+     on ([info]) and its locked start, -1 while it is free (committed ops,
+     and once [time_locked] every op). *)
+  latency : int array;
+  power : float array;
+  locked : int array;
   mutable n_merges : int;
   mutable n_retypes : int;
   mutable n_fresh : int;
@@ -106,16 +113,49 @@ let info st op =
 let unassigned st =
   List.filter (fun op -> not (Hashtbl.mem st.assigned op)) (Graph.node_ids st.g)
 
-let locked_list st =
-  let committed =
-    Hashtbl.fold (fun op (_, t) acc -> (op, t) :: acc) st.assigned []
+let index st op = Graph.index st.g op
+let id_at st i = (Graph.node_at st.g i).Graph.id
+
+let set_spec st i (m : Module_spec.t) =
+  st.latency.(i) <- m.latency;
+  st.power.(i) <- m.power
+
+(* [None] when the kept arrays agree with [info], [assigned] and
+   [locked_times]; else the first index where they do not, rebuilt from
+   scratch. [self_check] runs it every iteration. *)
+let state_drift st =
+  let lock op =
+    match Hashtbl.find_opt st.assigned op with
+    | Some (_, t) -> t
+    | None when st.time_locked ->
+      Option.value ~default:(-1) (Hashtbl.find_opt st.locked_times op)
+    | None -> -1
   in
-  if st.time_locked then
-    Hashtbl.fold
-      (fun op t acc ->
-        if Hashtbl.mem st.assigned op then acc else (op, t) :: acc)
-      st.locked_times committed
-  else committed
+  let rec go i =
+    if i = Graph.node_count st.g then None
+    else
+      let op = id_at st i in
+      let { Schedule.latency; power } = info st op in
+      if
+        latency <> st.latency.(i)
+        || (not (Float.equal power st.power.(i)))
+        || lock op <> st.locked.(i)
+      then
+        Some
+          (Printf.sprintf
+             "self-check: scheduler input of operation %d is latency %d, \
+              power %g, lock %d, but %d, %g, %d from scratch"
+             op st.latency.(i) st.power.(i) st.locked.(i) latency power
+             (lock op))
+      else go (i + 1)
+  in
+  go 0
+
+(* [s], an array of starts by index, as a schedule. *)
+let schedule_of st s =
+  let sched = ref Schedule.empty in
+  Array.iteri (fun i t -> sched := Schedule.set !sched (id_at st i) t) s;
+  !sched
 
 (* Wall-clock interrupts only: the iteration cap is checked at
    engine-iteration boundaries, not inside schedulers or default selection,
@@ -126,13 +166,13 @@ let interrupted st =
 let cancelled st () = interrupted st <> None
 
 let run_pasap st =
-  Pasap.run st.g ~info:(info st) ~horizon:st.time_limit
-    ~power_limit:st.power_limit ~locked:(locked_list st)
+  Pasap.starts st.g ~latency:st.latency ~power:st.power ~locked:st.locked
+    ~horizon:st.time_limit ~power_limit:st.power_limit
     ~cancelled:(cancelled st) ()
 
 let run_palap st =
-  Palap.run st.g ~info:(info st) ~horizon:st.time_limit
-    ~power_limit:st.power_limit ~locked:(locked_list st)
+  Palap.starts st.g ~latency:st.latency ~power:st.power ~locked:st.locked
+    ~horizon:st.time_limit ~power_limit:st.power_limit
     ~cancelled:(cancelled st) ()
 
 (* --- initial default-module selection ------------------------------- *)
@@ -205,6 +245,7 @@ let rec settle_defaults st attempts =
       (match first_upgrade (node :: ancestors st.g node) with
       | Some (op, m) ->
         Hashtbl.replace st.default_spec op m;
+        set_spec st (index st op) m;
         st.n_upgrades <- st.n_upgrades + 1;
         Metrics.incr m_upgrades;
         settle_defaults st (attempts - 1)
@@ -228,7 +269,7 @@ let under_cap st name =
   | None -> true
   | Some cap -> spec_count st name < cap
 
-let arity st op = List.length (Graph.preds st.g op)
+let arity st op = Array.length (Graph.pred_indices st.g (index st op))
 
 let mux_penalty st op =
   st.cost_model.Cost_model.mux_input_area *. float_of_int (arity st op)
@@ -239,39 +280,43 @@ let earliest_start st pasap ?trial op =
   let latency p =
     match trial with
     | Some (inst, (m : Module_spec.t))
-      when List.exists (fun (q, _) -> q = p) inst.placed ->
+      when List.exists (fun (q, _) -> q = id_at st p) inst.placed ->
       m.latency
-    | Some _ | None -> (info st p).Schedule.latency
+    | Some _ | None -> st.latency.(p)
   in
-  List.fold_left
-    (fun acc p -> max acc (Schedule.start pasap p + latency p))
-    0 (Graph.preds st.g op)
+  Array.fold_left
+    (fun acc p -> max acc (pasap.(p) + latency p))
+    0
+    (Graph.pred_indices st.g (index st op))
 
 (* Latest cycle by which [op] must have finished so that every successor can
    still start at its palap time. *)
 let deadline st palap op =
-  List.fold_left
-    (fun acc s -> min acc (Schedule.start palap s))
-    st.time_limit (Graph.succs st.g op)
+  Array.fold_left
+    (fun acc s -> min acc palap.(s))
+    st.time_limit
+    (Graph.succ_indices st.g (index st op))
 
 (* Committing an operation pins a start time, which caps the windows of its
    still-unassigned neighbours. An operation whose predecessors are still
    free but whose successors are all placed (or are primary outputs, which
    are placed late anyway) should therefore sit as LATE as possible;
    the default is as early as possible. This mirrors the palap placement of
-   sinks in [fresh_candidate]. *)
+   sinks in [fresh_candidate]. Locked mode keeps every start, so it never
+   prefers; before the lock an op is locked exactly when it is committed. *)
 let prefer_late st op =
-  (match Graph.succs st.g op with
-  | [] -> true
-  | succs ->
-    List.for_all
-      (fun s ->
-        Hashtbl.mem st.assigned s
-        || (match Graph.kind st.g s with
-           | Op.Output -> true
-           | Op.Add | Op.Sub | Op.Mult | Op.Comp | Op.Input -> false))
-      succs)
-  && List.exists (fun p -> not (Hashtbl.mem st.assigned p)) (Graph.preds st.g op)
+  let i = index st op in
+  let committed j = st.locked.(j) >= 0 in
+  (not st.time_locked)
+  && Array.for_all
+       (fun s ->
+         committed s
+         ||
+         match (Graph.node_at st.g s).Graph.kind with
+         | Op.Output -> true
+         | Op.Add | Op.Sub | Op.Mult | Op.Comp | Op.Input -> false)
+       (Graph.succ_indices st.g i)
+  && Array.exists (fun p -> not (committed p)) (Graph.pred_indices st.g i)
 
 (* Power pre-check against the committed operations only. For a retype the
    instance's existing operations change power and latency, so rebuild its
@@ -350,21 +395,21 @@ let gain_of st = function
    the all-instances enumeration so the candidate store can evaluate a
    single (operation, instance) entry on demand. *)
 let merge_candidate st pasap palap op inst =
-  let locked_at = Hashtbl.find_opt st.locked_times op in
   let consider (m : Module_spec.t) retype =
     let d = m.Module_spec.latency in
     let lo = earliest_start st pasap ?trial:(Option.map (fun r -> (inst, r)) retype) op in
     let hi = deadline st palap op - d in
     let lo, hi =
-      match (st.time_locked, locked_at) with
-      | true, Some t -> (max lo t, min hi t)
-      | true, None | false, _ -> (lo, hi)
+      if st.time_locked then
+        let t = st.locked.(index st op) in
+        (max lo t, min hi t)
+      else (lo, hi)
     in
     if st.time_locked && not (Module_spec.equal m (Hashtbl.find st.default_spec op))
     then None (* locked mode must not change the power profile shape *)
     else
       let placements =
-        if (not st.time_locked) && prefer_late st op then
+        if prefer_late st op then
           [
             Slots.latest inst.starts ~d ~lo ~hi;
             Slots.earliest inst.starts ~d ~lo ~hi;
@@ -417,20 +462,18 @@ let fresh_candidate st pasap palap op =
   match spec with
   | None -> None
   | Some spec ->
-    let late = Schedule.start palap op in
+    let i = index st op in
+    let late = palap.(i) in
     let start =
       if
-        (not st.time_locked)
-        && prefer_late st op
+        prefer_late st op
         && Profile.fits st.assigned_profile ~start:late
              ~latency:spec.Module_spec.latency ~power:spec.Module_spec.power
              ~limit:st.power_limit
       then late
-      else Schedule.start pasap op
+      else pasap.(i)
     in
     Some (Fresh { op; spec; start })
-
-let slack pasap palap op = Schedule.start palap op - Schedule.start pasap op
 
 (* Equal-gain ties resolve in dataflow order (earlier pasap start first):
    committing a consumer before its producer would cap the producer's
@@ -440,11 +483,11 @@ let decision_order st pasap palap a b =
   if not (Float.equal ga gb) then Float.compare gb ga
   else
     let op_of = function Merge { op; _ } | Fresh { op; _ } -> op in
-    let ta = Schedule.start pasap (op_of a)
-    and tb = Schedule.start pasap (op_of b) in
+    let ia = index st (op_of a) and ib = index st (op_of b) in
+    let ta = pasap.(ia) and tb = pasap.(ib) in
     if ta <> tb then Int.compare ta tb
     else
-    let sa = slack pasap palap (op_of a) and sb = slack pasap palap (op_of b) in
+    let sa = palap.(ia) - ta and sb = palap.(ib) - tb in
     if sa <> sb then Int.compare sa sb
     else if op_of a <> op_of b then Int.compare (op_of a) (op_of b)
     else
@@ -688,13 +731,28 @@ let respec st inst (m : Module_spec.t) =
     inst.placed;
   inst.spec <- m;
   List.iter
-    (fun (_, t) ->
+    (fun (op, t) ->
+      set_spec st (index st op) m;
       Profile.add st.assigned_profile ~start:t ~latency:m.latency ~power:m.power)
     inst.placed
+
+(* Sets [op]'s scheduler inputs to module [m] locked at [start]; the
+   returned thunk puts back what was there. *)
+let pin st op start m =
+  let i = index st op in
+  let latency = st.latency.(i) and power = st.power.(i)
+  and locked = st.locked.(i) in
+  set_spec st i m;
+  st.locked.(i) <- start;
+  fun () ->
+    st.latency.(i) <- latency;
+    st.power.(i) <- power;
+    st.locked.(i) <- locked
 
 let commit st decision =
   match decision with
   | Fresh { op; spec; start } ->
+    let unpin = pin st op start spec in
     let starts = Slots.create () in
     Slots.add starts start;
     let inst =
@@ -708,6 +766,7 @@ let commit st decision =
     {
       revert =
         (fun () ->
+          unpin ();
           Profile.remove st.assigned_profile ~start
             ~latency:spec.Module_spec.latency ~power:spec.Module_spec.power;
           Hashtbl.remove st.assigned op;
@@ -717,6 +776,7 @@ let commit st decision =
   | Merge { op; inst; start; retype } ->
     let old_spec = inst.spec in
     Option.iter (respec st inst) retype;
+    let unpin = pin st op start inst.spec in
     inst.placed <- (op, start) :: inst.placed;
     Slots.add inst.starts start;
     Hashtbl.replace st.assigned op (inst, start);
@@ -731,6 +791,7 @@ let commit st decision =
           inst.placed <- List.filter (fun (q, _) -> q <> op) inst.placed;
           Slots.remove inst.starts start;
           Hashtbl.remove st.assigned op;
+          unpin ();
           if Option.is_some retype then respec st inst old_spec);
     }
 
@@ -784,7 +845,10 @@ let lock_unassigned st valid_pasap =
   st.time_locked <- true;
   Hashtbl.reset st.locked_times;
   List.iter
-    (fun op -> Hashtbl.replace st.locked_times op (Schedule.start valid_pasap op))
+    (fun op ->
+      let i = index st op in
+      Hashtbl.replace st.locked_times op valid_pasap.(i);
+      st.locked.(i) <- valid_pasap.(i))
     (unassigned st)
 
 (* Self-check: after a backtrack-and-lock event the engine trusts
@@ -792,7 +856,8 @@ let lock_unassigned st valid_pasap =
    schedule here would corrupt everything downstream. Re-lint it. *)
 let self_check_lock st s =
   match
-    Schedule.validate st.g s ~info:(info st) ~time_limit:st.time_limit
+    Schedule.validate st.g (schedule_of st s) ~info:(info st)
+      ~time_limit:st.time_limit
       ~power_limit:st.power_limit ()
   with
   | Ok () -> Ok ()
@@ -877,6 +942,9 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
       time_locked = false;
       locked_times = Hashtbl.create 64;
       assigned_profile = Profile.create ~horizon:time_limit;
+      latency = Array.make (Graph.node_count g) 0;
+      power = Array.make (Graph.node_count g) 0.;
+      locked = Array.make (Graph.node_count g) (-1);
       n_merges = 0;
       n_retypes = 0;
       n_fresh = 0;
@@ -884,6 +952,7 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
       n_upgrades = 0;
     }
   in
+  Hashtbl.iter (fun op m -> set_spec st (index st op) m) default_spec;
   match settle_defaults st (Graph.node_count g + 5) with
   | Error reason ->
     Metrics.incr m_infeasible;
@@ -931,8 +1000,7 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
       in
       let diverges = function
         | _ when not locked -> false
-        | Pasap.Feasible s ->
-          Schedule.bindings s <> Schedule.bindings valid_pasap
+        | Pasap.Feasible s -> s <> valid_pasap
         | Pasap.Infeasible _ -> interrupted st = None
       in
       let diverged name =
@@ -941,6 +1009,12 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
              "self-check: %s after the lock differs from the locked schedule"
              name)
       in
+      (* [self_check] rebuilds the schedulers' inputs from scratch before
+         each scheduler call of the iteration. *)
+      let drift () = if self_check then state_drift st else None in
+      match drift () with
+      | Some e -> `Error e
+      | None ->
       let palap = reschedule run_palap in
       if diverges palap then diverged "palap"
       else
@@ -963,6 +1037,9 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
              (Graph.node_name st.g op))
       | Ok (Some best) -> (
         let undo = commit st best in
+        match drift () with
+        | Some e -> `Error e
+        | None ->
         match reschedule run_pasap with
         | Pasap.Infeasible _ when interrupted st <> None ->
           (* The re-schedule was cancelled by the deadline, not genuinely
@@ -1016,7 +1093,7 @@ let run ?(cost_model = Cost_model.default) ?(policy = Min_power)
       List.iter
         (fun op ->
           let spec = Hashtbl.find st.default_spec op in
-          let start = Schedule.start valid_pasap op in
+          let start = valid_pasap.(index st op) in
           ignore (commit st (Fresh { op; spec; start })))
         remaining;
       let forced = List.length remaining in

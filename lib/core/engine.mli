@@ -67,9 +67,12 @@ type outcome =
     [self_check] re-lints the locked schedule after every
     backtrack-and-lock event via {!Pchls_sched.Schedule.validate}, still
     runs palap and pasap after the lock and requires both to return the
-    locked schedule, and additionally cross-checks every iteration's
-    candidate pick from the persistent gain-ordered store against a full
-    enumeration-and-sort of all candidates; a failed check aborts
+    locked schedule, cross-checks every iteration's candidate pick from
+    the persistent gain-ordered store against a full enumeration-and-sort
+    of all candidates, and before each scheduler call of an iteration
+    rebuilds from scratch the per-operation latency, power and locked
+    start the engine keeps for its schedulers and compares them; a
+    failed check aborts
     synthesis as [Infeasible] with
     the diagnostic in the reason (defence in depth — it should never fire,
     and the run also ends with [Design.assemble]'s full validation either

@@ -8,16 +8,18 @@ let m_runs = Metrics.counter "pasap.runs"
 let m_offset_delays = Metrics.counter "pasap.offset_delays"
 let m_infeasible = Metrics.counter "pasap.infeasible"
 
-type outcome =
-  | Feasible of Schedule.t
+type 'a answer =
+  | Feasible of 'a
   | Infeasible of { node : int; reason : string }
+
+type outcome = Schedule.t answer
 
 let schedule_exn = function
   | Feasible s -> s
   | Infeasible { node; reason } ->
     failwith (Printf.sprintf "pasap infeasible at node %d: %s" node reason)
 
-exception Stop of outcome
+exception Stop of int array answer
 
 (* The running power total placements are checked against: per cycle, or
    with [?period] the steady-state total per congruence class. *)
@@ -100,6 +102,14 @@ let pop h ~rank =
   h.slots.(0) <- h.slots.(h.size);
   sift_down h ~rank 0
 
+(* The indices [locked] does not mark free with -1, ascending. *)
+let locked_indices locked =
+  let order = ref [] in
+  for i = Array.length locked - 1 downto 0 do
+    if locked.(i) <> -1 then order := i :: !order
+  done;
+  Array.of_list !order
+
 (* The loop steps through the cycles 0..horizon and tests one operation at
    a time at the current cycle [t]. Unlocked operations that share a
    (latency, power) form a class; an operation joins its class's heap,
@@ -134,35 +144,33 @@ let pop h ~rank =
 
    Operations are [Graph]'s indices, and the loop reads the graph's own
    predecessor and successor arrays and its longest-path pass for the
-   priorities. Every per-node quantity lives in an array allocated for
-   this call only, and the graph is read-only, so concurrent calls on
-   different domains share nothing they write. *)
-let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
-    ?(cancelled = fun () -> false) () =
-  if horizon < 0 then invalid_arg "Pasap.run: negative horizon";
+   priorities. The graph and the caller's latency, power and locked
+   arrays are only read; every other per-node quantity, the returned
+   starts included, lives in an array allocated for this call, so
+   concurrent calls on different domains share nothing they write. *)
+let starts g ~latency ~power ~locked ?lock_order ?overload_node ~horizon
+    ?(power_limit = infinity) ?period ?(cancelled = fun () -> false) () =
+  let n = Graph.node_count g in
+  if horizon < 0 then invalid_arg "Pasap.starts: negative horizon";
   (match period with
-  | Some p when p < 1 -> invalid_arg "Pasap.run: period < 1"
+  | Some p when p < 1 -> invalid_arg "Pasap.starts: period < 1"
   | Some _ | None -> ());
-  List.iter
-    (fun (id, _) ->
-      if not (Graph.mem g id) then
-        invalid_arg (Printf.sprintf "Pasap.run: locked node %d not in graph" id))
-    locked;
   if
-    List.length (List.sort_uniq Int.compare (List.map fst locked))
-    <> List.length locked
-  then invalid_arg "Pasap.run: node locked twice";
+    Array.length latency <> n || Array.length power <> n
+    || Array.length locked <> n
+  then invalid_arg "Pasap.starts: an array's length is not the node count";
+  let id i = (Graph.node_at g i).Graph.id in
+  let lock_order =
+    match lock_order with Some o -> o | None -> locked_indices locked
+  in
+  let overload_node =
+    match overload_node with
+    | Some node -> node
+    | None -> if Array.length lock_order > 0 then id lock_order.(0) else -1
+  in
   Metrics.incr m_runs;
   Trace.span ~cat:"sched" "pasap.run" @@ fun () ->
-  let n = Graph.node_count g in
-  let id i = (Graph.node_at g i).Graph.id in
   let preds = Graph.pred_indices g and succs = Graph.succ_indices g in
-  let latency = Array.make n 0 and power = Array.make n 0. in
-  for i = 0 to n - 1 do
-    let { Schedule.latency = d; power = p } = info (id i) in
-    latency.(i) <- d;
-    power.(i) <- p
-  done;
   let priority = Graph.longest_paths g ~latency:(Array.get latency) in
   let ledger =
     match period with
@@ -173,34 +181,31 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
   let delays = ref 0 in
   let outcome =
     try
-      (* Reserve the locked operations first, in the order a hash table
-         built from [locked] iterates them: the ledger's floats are sums,
-         and a different order can change a cycle's total in its last
-         bit. *)
-      let locked_tbl = Hashtbl.create 16 in
-      List.iter (fun (id, t) -> Hashtbl.replace locked_tbl id t) locked;
-      Hashtbl.iter
-        (fun id t ->
-          let i = Graph.index g id in
+      (* Reserve the locked operations first, in [lock_order]: the
+         ledger's floats are sums, and a different order can change a
+         cycle's total in its last bit. *)
+      Array.iter
+        (fun i ->
+          let t = locked.(i) in
+          if is_locked.(i) then
+            invalid_arg "Pasap.starts: an index is twice in lock_order";
           if t < 0 || t + latency.(i) > horizon then
             raise
               (Stop
                  (Infeasible
-                    { node = id; reason = "locked start leaves the horizon" }));
+                    { node = id i; reason = "locked start leaves the horizon" }));
           add ledger ~start:t ~latency:latency.(i) ~power:power.(i);
           start.(i) <- t;
           is_locked.(i) <- true)
-        locked_tbl;
-      if peak ledger > power_limit +. Profile.eps then begin
-        let offender = match locked with (id, _) :: _ -> id | [] -> -1 in
+        lock_order;
+      if peak ledger > power_limit +. Profile.eps then
         raise
           (Stop
              (Infeasible
                 {
-                  node = offender;
+                  node = overload_node;
                   reason = "locked operations alone exceed the power limit";
-                }))
-      end;
+                }));
       let unplaced =
         Array.init n (fun i ->
             Array.fold_left
@@ -345,11 +350,7 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
                       })))
           (succs p)
       done;
-      let sched = ref Schedule.empty in
-      for i = 0 to n - 1 do
-        sched := Schedule.set !sched (id i) start.(i)
-      done;
-      Feasible !sched
+      Feasible start
     with Stop o ->
       Metrics.incr m_infeasible;
       (match o with
@@ -363,3 +364,49 @@ let run g ~info ~horizon ?(power_limit = infinity) ?period ?(locked = [])
   in
   if !delays > 0 then Metrics.incr ~by:!delays m_offset_delays;
   outcome
+
+let adapt fn g ~info ~locked schedule =
+  List.iter
+    (fun (id, _) ->
+      if not (Graph.mem g id) then
+        invalid_arg (Printf.sprintf "%s: locked node %d not in graph" fn id))
+    locked;
+  if
+    List.length (List.sort_uniq Int.compare (List.map fst locked))
+    <> List.length locked
+  then invalid_arg (fn ^ ": node locked twice");
+  let n = Graph.node_count g in
+  let id i = (Graph.node_at g i).Graph.id in
+  let latency = Array.make n 0 and power = Array.make n 0. in
+  for i = 0 to n - 1 do
+    let { Schedule.latency = d; power = p } = info (id i) in
+    latency.(i) <- d;
+    power.(i) <- p
+  done;
+  let at = Array.make n (-1) in
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun (id, t) -> Hashtbl.replace tbl id t) locked;
+  let order = ref [] in
+  Hashtbl.iter
+    (fun id t ->
+      let i = Graph.index g id in
+      at.(i) <- t;
+      order := i :: !order)
+    tbl;
+  let overload_node = match locked with (id, _) :: _ -> id | [] -> -1 in
+  match
+    schedule ~latency ~power ~locked:at
+      ~lock_order:(Array.of_list (List.rev !order))
+      ~overload_node
+  with
+  | Infeasible { node; reason } -> Infeasible { node; reason }
+  | Feasible start ->
+    let sched = ref Schedule.empty in
+    Array.iteri (fun i t -> sched := Schedule.set !sched (id i) t) start;
+    Feasible !sched
+
+let run g ~info ~horizon ?power_limit ?period ?(locked = []) ?cancelled () =
+  adapt "Pasap.run" g ~info ~locked
+    (fun ~latency ~power ~locked ~lock_order ~overload_node ->
+      starts g ~latency ~power ~locked ~lock_order ~overload_node ~horizon
+        ?power_limit ?period ?cancelled ())

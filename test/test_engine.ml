@@ -501,6 +501,208 @@ let test_self_check_runs_schedulers_after_lock () =
         (design_signature checked))
     (backtracking_cases ())
 
+(* --- Pinned designs on sized graphs ------------------------------------ *)
+
+(* [g] renumbered: a seeded shuffle of its nodes takes ascending ids with
+   random gaps, so every index lookup goes through [Graph.index]'s binary
+   search. *)
+let sparse g =
+  let rng = Random.State.make [| 7; Graph.node_count g |] in
+  let ids = Array.of_list (Graph.node_ids g) in
+  let n = Array.length ids in
+  for k = n - 1 downto 1 do
+    let j = Random.State.int rng (k + 1) in
+    let x = ids.(k) in
+    ids.(k) <- ids.(j);
+    ids.(j) <- x
+  done;
+  let fresh = Hashtbl.create n in
+  let next = ref (Random.State.int rng 1000) in
+  Array.iter
+    (fun id ->
+      Hashtbl.replace fresh id !next;
+      next := !next + 1 + Random.State.int rng 40)
+    ids;
+  let tr = Hashtbl.find fresh in
+  Graph.create_exn ~name:(Graph.name g)
+    ~nodes:
+      (List.map
+         (fun (v : Graph.node) -> { v with Graph.id = tr v.Graph.id })
+         (Graph.nodes g))
+    ~edges:(List.map (fun (a, b) -> (tr a, tr b)) (Graph.edges g))
+
+(* One run's case and its answer: the stats line and the first 12 hex
+   digits of the MD5 of [Design.pp]'s text, or of the infeasibility
+   reason. *)
+let pinned_run ~seed ~max_nodes ~ids ~t_tag ~p ~policy =
+  let g = Generator.sized ~seed ~max_nodes () in
+  let g = if ids = "sparse" then sparse g else g in
+  let cp =
+    Graph.critical_path g ~latency:(fun id ->
+        (H.table1_info () g id).Schedule.latency)
+  in
+  let t =
+    match t_tag with "cp" -> cp | "1.5cp" -> cp * 3 / 2 | _ -> 2 * cp
+  in
+  let case =
+    Printf.sprintf "seed=%d n=%d %s T=%s(%d) P<=%g %s" seed max_nodes ids
+      t_tag t p
+      (Engine.policy_to_string policy)
+  in
+  let digest s = String.sub (Digest.to_hex (Digest.string s)) 0 12 in
+  ( case,
+    match Engine.run ~policy ~library:lib ~time_limit:t ~power_limit:p g with
+    | Engine.Synthesized (d, stats) ->
+      Format.asprintf "%a %s" Engine.pp_stats stats
+        (digest (Format.asprintf "%a" Design.pp d))
+    | Engine.Infeasible { reason } -> "infeasible " ^ digest reason )
+
+(* The answers of the engine that passed its schedulers an [info] closure
+   and a lock list, so that passing arrays over the graph's index is shown
+   to change no design. In the order [test_pinned_sized_designs] runs the
+   cases: 3 graphs x dense and sparse ids x 3 T x 3 P< x 2 policies; 44
+   runs are infeasible and 22 backtrack. *)
+let pinned_answers =
+  [
+    (* seed=5 n=24 *)
+    "infeasible 1f07161b799f";
+    "infeasible 1f07161b799f";
+    "decisions=14 merges=9 retypes=1 new=4 backtracks=0 upgrades=0 08d67e4903ce";
+    "decisions=14 merges=9 retypes=1 new=4 backtracks=0 upgrades=0 08d67e4903ce";
+    "decisions=14 merges=9 retypes=1 new=4 backtracks=0 upgrades=0 1ea8a67988e8";
+    "decisions=14 merges=9 retypes=1 new=4 backtracks=0 upgrades=0 1ea8a67988e8";
+    "decisions=14 merges=8 retypes=0 new=6 backtracks=1 upgrades=0 7e80700a2c81";
+    "decisions=14 merges=8 retypes=0 new=6 backtracks=1 upgrades=0 7e80700a2c81";
+    "decisions=14 merges=10 retypes=1 new=3 backtracks=0 upgrades=0 b671e9d56f5c";
+    "decisions=14 merges=10 retypes=1 new=3 backtracks=0 upgrades=0 b671e9d56f5c";
+    "decisions=14 merges=10 retypes=1 new=3 backtracks=0 upgrades=0 d52e46ddd926";
+    "decisions=14 merges=10 retypes=1 new=3 backtracks=0 upgrades=0 d52e46ddd926";
+    "decisions=14 merges=8 retypes=0 new=6 backtracks=1 upgrades=0 7fadaf21ebfd";
+    "decisions=14 merges=8 retypes=0 new=6 backtracks=1 upgrades=0 7fadaf21ebfd";
+    "decisions=14 merges=11 retypes=1 new=2 backtracks=0 upgrades=0 bfaaa1602027";
+    "decisions=14 merges=11 retypes=1 new=2 backtracks=0 upgrades=0 bfaaa1602027";
+    "decisions=14 merges=11 retypes=1 new=2 backtracks=0 upgrades=0 541be62d85f8";
+    "decisions=14 merges=11 retypes=1 new=2 backtracks=0 upgrades=0 541be62d85f8";
+    "infeasible c3fbc68648e3";
+    "infeasible c3fbc68648e3";
+    "decisions=14 merges=9 retypes=1 new=4 backtracks=0 upgrades=0 7b043b188d86";
+    "decisions=14 merges=9 retypes=1 new=4 backtracks=0 upgrades=0 7b043b188d86";
+    "decisions=14 merges=9 retypes=1 new=4 backtracks=0 upgrades=0 a1cad96bf141";
+    "decisions=14 merges=9 retypes=1 new=4 backtracks=0 upgrades=0 a1cad96bf141";
+    "decisions=14 merges=7 retypes=0 new=7 backtracks=1 upgrades=0 a622996b0398";
+    "decisions=14 merges=7 retypes=0 new=7 backtracks=1 upgrades=0 a622996b0398";
+    "decisions=14 merges=10 retypes=1 new=3 backtracks=0 upgrades=0 f8fa96d937b1";
+    "decisions=14 merges=10 retypes=1 new=3 backtracks=0 upgrades=0 f8fa96d937b1";
+    "decisions=14 merges=10 retypes=1 new=3 backtracks=0 upgrades=0 51432d4e0635";
+    "decisions=14 merges=10 retypes=1 new=3 backtracks=0 upgrades=0 51432d4e0635";
+    "decisions=14 merges=8 retypes=1 new=5 backtracks=1 upgrades=0 2e7015a9f65a";
+    "decisions=14 merges=8 retypes=1 new=5 backtracks=1 upgrades=0 2e7015a9f65a";
+    "decisions=14 merges=11 retypes=1 new=2 backtracks=0 upgrades=0 5a1ea1c52700";
+    "decisions=14 merges=11 retypes=1 new=2 backtracks=0 upgrades=0 5a1ea1c52700";
+    "decisions=14 merges=11 retypes=1 new=2 backtracks=0 upgrades=0 82e6ba442998";
+    "decisions=14 merges=11 retypes=1 new=2 backtracks=0 upgrades=0 82e6ba442998";
+    (* seed=7 n=40 *)
+    "infeasible cf9ff8a6d017";
+    "infeasible cf9ff8a6d017";
+    "infeasible a2cf5663ef0f";
+    "infeasible a2cf5663ef0f";
+    "decisions=36 merges=23 retypes=3 new=10 backtracks=0 upgrades=0 abc5c6b4f463";
+    "decisions=36 merges=23 retypes=3 new=10 backtracks=0 upgrades=0 abc5c6b4f463";
+    "infeasible e29c225ff9aa";
+    "infeasible e29c225ff9aa";
+    "decisions=36 merges=25 retypes=1 new=10 backtracks=1 upgrades=0 1c06bb475f0d";
+    "decisions=36 merges=25 retypes=1 new=10 backtracks=1 upgrades=0 1c06bb475f0d";
+    "decisions=36 merges=27 retypes=2 new=7 backtracks=0 upgrades=0 f31acbab786b";
+    "decisions=36 merges=27 retypes=2 new=7 backtracks=0 upgrades=0 f31acbab786b";
+    "infeasible bc5796e3c3e8";
+    "infeasible bc5796e3c3e8";
+    "decisions=36 merges=26 retypes=1 new=9 backtracks=1 upgrades=0 10022982b2e5";
+    "decisions=36 merges=26 retypes=1 new=9 backtracks=1 upgrades=0 10022982b2e5";
+    "decisions=36 merges=29 retypes=2 new=5 backtracks=0 upgrades=0 c7746e2b0506";
+    "decisions=36 merges=29 retypes=2 new=5 backtracks=0 upgrades=0 c7746e2b0506";
+    "infeasible 843ed30d30e0";
+    "infeasible 843ed30d30e0";
+    "infeasible d3e156103c82";
+    "infeasible d3e156103c82";
+    "decisions=36 merges=22 retypes=3 new=11 backtracks=0 upgrades=0 3c07575a7bbc";
+    "decisions=36 merges=22 retypes=3 new=11 backtracks=0 upgrades=0 3c07575a7bbc";
+    "infeasible 3e759c1d327d";
+    "infeasible 3e759c1d327d";
+    "decisions=36 merges=25 retypes=0 new=11 backtracks=1 upgrades=0 53b1c22e4c0c";
+    "decisions=36 merges=25 retypes=0 new=11 backtracks=1 upgrades=0 53b1c22e4c0c";
+    "decisions=36 merges=27 retypes=2 new=7 backtracks=0 upgrades=0 ca66f4ce9e2a";
+    "decisions=36 merges=27 retypes=2 new=7 backtracks=0 upgrades=0 ca66f4ce9e2a";
+    "infeasible 644b865785fa";
+    "infeasible 644b865785fa";
+    "decisions=36 merges=25 retypes=0 new=11 backtracks=1 upgrades=0 9949b04d6d1a";
+    "decisions=36 merges=25 retypes=0 new=11 backtracks=1 upgrades=0 9949b04d6d1a";
+    "decisions=36 merges=29 retypes=2 new=5 backtracks=0 upgrades=0 3a67ab66f3f6";
+    "decisions=36 merges=29 retypes=2 new=5 backtracks=0 upgrades=0 3a67ab66f3f6";
+    (* seed=3 n=90 *)
+    "infeasible 8af6c3bf2f47";
+    "infeasible 8af6c3bf2f47";
+    "infeasible 383bec699f4b";
+    "infeasible 383bec699f4b";
+    "decisions=88 merges=67 retypes=2 new=19 backtracks=1 upgrades=0 7984ce05e9f0";
+    "decisions=88 merges=67 retypes=2 new=19 backtracks=1 upgrades=0 7984ce05e9f0";
+    "infeasible 18e82371b346";
+    "infeasible 18e82371b346";
+    "infeasible 91ef97dc2c69";
+    "infeasible 91ef97dc2c69";
+    "decisions=88 merges=71 retypes=3 new=14 backtracks=0 upgrades=0 dfab6c7b482e";
+    "decisions=88 merges=71 retypes=3 new=14 backtracks=0 upgrades=0 dfab6c7b482e";
+    "infeasible 51e15d85ecf2";
+    "infeasible 51e15d85ecf2";
+    "infeasible 75c70b70baab";
+    "infeasible 75c70b70baab";
+    "decisions=88 merges=76 retypes=2 new=10 backtracks=0 upgrades=0 ca5deb6829bb";
+    "decisions=88 merges=76 retypes=2 new=10 backtracks=0 upgrades=0 ca5deb6829bb";
+    "infeasible eff2dfabad8c";
+    "infeasible eff2dfabad8c";
+    "infeasible f3877cb9ac20";
+    "infeasible f3877cb9ac20";
+    "decisions=88 merges=63 retypes=0 new=25 backtracks=1 upgrades=0 d6a80bc416d8";
+    "decisions=88 merges=63 retypes=0 new=25 backtracks=1 upgrades=0 d6a80bc416d8";
+    "infeasible 5b5e13fce8e8";
+    "infeasible 5b5e13fce8e8";
+    "infeasible 1df6fc88af6c";
+    "infeasible 1df6fc88af6c";
+    "decisions=88 merges=62 retypes=2 new=24 backtracks=1 upgrades=0 3e22cb47d02f";
+    "decisions=88 merges=62 retypes=2 new=24 backtracks=1 upgrades=0 3e22cb47d02f";
+    "infeasible 4840a4791420";
+    "infeasible 4840a4791420";
+    "infeasible 5ab4c40829f1";
+    "infeasible 5ab4c40829f1";
+    "decisions=88 merges=76 retypes=2 new=10 backtracks=0 upgrades=0 e2fd18e2e566";
+    "decisions=88 merges=76 retypes=2 new=10 backtracks=0 upgrades=0 e2fd18e2e566";
+  ]
+
+let test_pinned_sized_designs () =
+  let cases =
+    List.concat_map
+      (fun (seed, max_nodes) ->
+        List.concat_map
+          (fun ids ->
+            List.concat_map
+              (fun t_tag ->
+                List.concat_map
+                  (fun p ->
+                    List.map
+                      (fun policy -> (seed, max_nodes, ids, t_tag, p, policy))
+                      [ Engine.Min_power; Engine.Min_area ])
+                  [ 6.; 12.; 40. ])
+              [ "cp"; "1.5cp"; "2cp" ])
+          [ "dense"; "sparse" ])
+      [ (5, 24); (7, 40); (3, 90) ]
+  in
+  Alcotest.(check int) "one answer per case" (List.length cases)
+    (List.length pinned_answers);
+  List.iter2
+    (fun (seed, max_nodes, ids, t_tag, p, policy) expected ->
+      let case, answer = pinned_run ~seed ~max_nodes ~ids ~t_tag ~p ~policy in
+      Alcotest.(check string) case expected answer)
+    cases pinned_answers
+
 let () =
   Alcotest.run "engine"
     [
@@ -552,6 +754,8 @@ let () =
           Alcotest.test_case "cost model changes area" `Quick
             test_cost_model_changes_area;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "pinned sized designs" `Quick
+            test_pinned_sized_designs;
         ] );
       ( "budget",
         [

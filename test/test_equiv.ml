@@ -759,15 +759,13 @@ let raw_of_graph g =
       (Graph.nodes g),
     Graph.edges g )
 
-(* [Generator.sized]'s graph renumbered and shuffled: a random order of its
-   nodes takes ascending ids whose gaps are mostly 1 (so a dense run keeps
-   the direct lookup in play) and sometimes wide, from 0 or a random
-   start; the node and edge lists are shuffled. *)
-let valid_raw_gen =
+(* A graph renumbered and shuffled: a random order of its nodes takes
+   ascending ids whose gaps are mostly 1 (so a dense run keeps the direct
+   lookup in play) and sometimes wide, from 0 or a random start; the node
+   and edge lists are shuffled. [valid_raw_gen] draws it from
+   [Generator.sized]. *)
+let renumbered_raw_gen g =
   QCheck.Gen.(
-    let* seed = int_bound 10_000 in
-    let* max_nodes = 1 -- 60 in
-    let g = Generator.sized ~seed ~max_nodes () in
     let* order = shuffle_l (Graph.node_ids g) in
     let* gaps =
       list_repeat (Graph.node_count g)
@@ -788,6 +786,12 @@ let valid_raw_gen =
     in
     let* edges = shuffle_l (List.map (fun (a, b) -> (tr a, tr b)) edges) in
     return (nodes, edges))
+
+let valid_raw_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 10_000 in
+    let* max_nodes = 1 -- 60 in
+    renumbered_raw_gen (Generator.sized ~seed ~max_nodes ()))
 
 (* One structural fault, on a valid graph's lists. *)
 let fault_gen (nodes, edges) =
@@ -1347,29 +1351,53 @@ let prop_slots_match_scans =
 (* --- Engine: store-driven pick == full enumeration --------------------- *)
 
 (* [~self_check:true] re-derives every iteration's candidate pick by full
-   enumeration and sort, and aborts the run as Infeasible with a
-   "self-check" reason on any divergence from the gain-ordered store —
-   so the property is simply that no such reason ever surfaces. *)
+   enumeration and sort, rebuilds the schedulers' latency, power and lock
+   arrays from scratch, and aborts the run as Infeasible with a
+   "self-check" reason on any divergence from the gain-ordered store or
+   the kept arrays — so the property is simply that no such reason ever
+   surfaces. Half the graphs are renumbered to sparse, shuffled ids, which
+   send the engine's index lookups through [Graph.index]'s binary
+   search. Half the runs use Table 1 with a 2-cycle, 3.5-power ALU, so a
+   retype changes the latency and power of the operations it moves. *)
+let slow_alu_library =
+  Library.of_list_exn
+    (List.map
+       (fun (m : Pchls_fulib.Module_spec.t) ->
+         if m.name = "ALU" then { m with latency = 2; power = 3.5 } else m)
+       (Library.to_list Library.default))
+
 let engine_case_gen =
   QCheck.Gen.(
     let* seed = int_bound 10_000 in
     let* layers = 1 -- 5 in
     let* width = 1 -- 4 in
     let* power = oneofl [ 10.; 15.; 25. ] in
-    return (Generator.layered ~seed ~layers ~width (), power))
+    let* slow_alu = bool in
+    let g = Generator.layered ~seed ~layers ~width () in
+    let* sparse = bool in
+    if not sparse then return (g, power, slow_alu)
+    else
+      let* nodes, edges = renumbered_raw_gen g in
+      let nodes =
+        List.map (fun (id, name, kind) -> { Graph.id; name; kind }) nodes
+      in
+      return
+        (Graph.create_exn ~name:(Graph.name g) ~nodes ~edges, power, slow_alu))
 
 let prop_engine_store_matches_enumeration =
   QCheck.Test.make
     ~name:"engine store pick == full enumeration (self-check)" ~count:60
-    (QCheck.make engine_case_gen ~print:(fun (g, power) ->
-         Format.asprintf "%a P<=%g" Graph.pp g power))
-    (fun (g, power) ->
+    ~long_factor:10
+    (QCheck.make engine_case_gen ~print:(fun (g, power, slow_alu) ->
+         Format.asprintf "%a P<=%g%s" Graph.pp g power
+           (if slow_alu then " slow ALU" else "")))
+    (fun (g, power, slow_alu) ->
       let info = table1_info g in
       let latency id = (info id).Schedule.latency in
       let time_limit = max 1 (Graph.critical_path g ~latency * 2) in
+      let library = if slow_alu then slow_alu_library else Library.default in
       match
-        Engine.run ~self_check:true ~library:Library.default ~time_limit
-          ~power_limit:power g
+        Engine.run ~self_check:true ~library ~time_limit ~power_limit:power g
       with
       | Engine.Synthesized _ -> true
       | Engine.Infeasible { reason } ->

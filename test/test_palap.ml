@@ -85,6 +85,59 @@ let test_locked_respected () =
   Alcotest.(check bool) "pred before it" true (Schedule.start s 0 < 5);
   Alcotest.(check bool) "succ after it" true (Schedule.start s 2 >= 6)
 
+(* Locks are checked before they are mirrored, so an id not in the graph
+   raises as it does for pasap instead of escaping from [info]. *)
+let test_locked_validation () =
+  let g = B.hal in
+  let info = H.table1_info () g in
+  let raises locked =
+    try
+      ignore (Palap.run g ~info ~horizon:20 ~locked ());
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "unknown locked id" true (raises [ (999, 0) ]);
+  Alcotest.(check bool) "double lock" true (raises [ (1, 1); (1, 2) ])
+
+(* A forward lock one cycle past the last start mirrors to -1, the free
+   marker; it must still be a lock, and rejected. *)
+let test_lock_past_horizon_by_one () =
+  let g = H.chain3 () in
+  let n = Graph.node_count g in
+  let answer =
+    Palap.starts g ~latency:(Array.make n 1) ~power:(Array.make n 1.)
+      ~locked:[| -1; 10; -1 |] ~horizon:10 ()
+  in
+  match answer with
+  | Pasap.Feasible _ -> Alcotest.fail "lock past the horizon accepted"
+  | Pasap.Infeasible { node; _ } -> Alcotest.(check int) "blames it" 1 node
+
+(* The array entry point answers the start of every index, as [run] does
+   by id, and leaves its arguments alone. *)
+let test_starts_match_run () =
+  let g = B.elliptic in
+  let info = H.table1_info () g in
+  let ids = Array.of_list (Graph.node_ids g) in
+  let latency = Array.map (fun id -> (info id).Schedule.latency) ids in
+  let power = Array.map (fun id -> (info id).Schedule.power) ids in
+  let locked = Array.make (Array.length ids) (-1) in
+  let fwd = feasible (Palap.run g ~info ~horizon:30 ~power_limit:15. ()) in
+  locked.(3) <- Schedule.start fwd ids.(3);
+  let s =
+    feasible (Palap.run g ~info ~horizon:30 ~power_limit:15.
+                ~locked:[ (ids.(3), locked.(3)) ] ())
+  in
+  match
+    Palap.starts g ~latency ~power ~locked ~horizon:30 ~power_limit:15. ()
+  with
+  | Pasap.Infeasible { reason; _ } -> Alcotest.fail reason
+  | Pasap.Feasible a ->
+    Alcotest.(check (list (pair int int)))
+      "same starts" (Schedule.bindings s)
+      (Array.to_list (Array.mapi (fun i t -> (ids.(i), t)) a));
+    Alcotest.(check int) "lock untouched" (Schedule.start fwd ids.(3))
+      locked.(3)
+
 let test_deterministic () =
   let g = B.cosine in
   let info = H.table1_info () g in
@@ -109,6 +162,11 @@ let () =
           Alcotest.test_case "infeasibility propagates" `Quick
             test_infeasible_propagates;
           Alcotest.test_case "locked times respected" `Quick test_locked_respected;
+          Alcotest.test_case "locked ids validated" `Quick
+            test_locked_validation;
+          Alcotest.test_case "lock past horizon by one" `Quick
+            test_lock_past_horizon_by_one;
+          Alcotest.test_case "starts == run" `Quick test_starts_match_run;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
         ] );
     ]

@@ -148,6 +148,70 @@ let test_locked_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* The array entry point: -1 marks a free index, locked power goes in
+   [lock_order] (ascending by default), and the node named for an overload
+   is [overload_node], by default the id at that order's head. *)
+let test_starts_locks () =
+  let g =
+    Graph.create_exn ~name:"pair"
+      ~nodes:
+        [
+          { Graph.id = 4; name = "i1"; kind = Pchls_dfg.Op.Input };
+          { Graph.id = 9; name = "i2"; kind = Pchls_dfg.Op.Input };
+        ]
+      ~edges:[]
+  in
+  let latency = [| 1; 1 |] and power = [| 3.; 3. |] in
+  let run ?lock_order ?overload_node ~power_limit locked =
+    Pasap.starts g ~latency ~power ~locked ?lock_order ?overload_node
+      ~horizon:5 ~power_limit ()
+  in
+  let node = function
+    | Pasap.Feasible _ -> Alcotest.fail "locked ops exceed budget together"
+    | Pasap.Infeasible { node; _ } -> node
+  in
+  (match run ~power_limit:3. [| 0; -1 |] with
+  | Pasap.Feasible a ->
+    Alcotest.(check (array int)) "free index moved" [| 0; 1 |] a
+  | Pasap.Infeasible { reason; _ } -> Alcotest.fail reason);
+  Alcotest.(check int) "ascending head" 4 (node (run ~power_limit:4. [| 0; 0 |]));
+  Alcotest.(check int) "given order's head" 9
+    (node (run ~lock_order:[| 1; 0 |] ~power_limit:4. [| 0; 0 |]));
+  Alcotest.(check int) "given node" 7
+    (node (run ~overload_node:7 ~power_limit:4. [| 0; 0 |]));
+  Alcotest.(check bool) "index twice in lock_order" true
+    (try
+       ignore (run ~lock_order:[| 0; 0 |] ~power_limit:9. [| 0; 0 |]);
+       false
+     with Invalid_argument _ -> true)
+
+(* [starts] reads its arrays and answers a fresh one, the same as [run]'s
+   schedule. *)
+let test_starts_own_array () =
+  let g = B.hal in
+  let info = H.table1_info () g in
+  let ids = Array.of_list (Graph.node_ids g) in
+  let latency = Array.map (fun id -> (info id).Schedule.latency) ids in
+  let power = Array.map (fun id -> (info id).Schedule.power) ids in
+  let locked = Array.make (Array.length ids) (-1) in
+  let copies = (Array.copy latency, Array.copy power, Array.copy locked) in
+  let starts () =
+    match
+      Pasap.starts g ~latency ~power ~locked ~horizon:20 ~power_limit:10. ()
+    with
+    | Pasap.Feasible a -> a
+    | Pasap.Infeasible { reason; _ } -> Alcotest.fail reason
+  in
+  let a = starts () in
+  let s = feasible (Pasap.run g ~info ~horizon:20 ~power_limit:10. ()) in
+  Alcotest.(check (list (pair int int)))
+    "same as run" (Schedule.bindings s)
+    (Array.to_list (Array.mapi (fun i t -> (ids.(i), t)) a));
+  Array.fill a 0 (Array.length a) (-7);
+  Alcotest.(check bool) "fresh answer" true (starts () <> a);
+  Alcotest.(check bool) "arguments untouched" true
+    (copies = (latency, power, locked))
+
 let test_deterministic () =
   let g = B.elliptic in
   let info = H.table1_info () g in
@@ -306,5 +370,9 @@ let () =
             test_locked_overload_detected;
           Alcotest.test_case "locked argument validation" `Quick
             test_locked_validation;
+          Alcotest.test_case "starts: free marker, lock order" `Quick
+            test_starts_locks;
+          Alcotest.test_case "starts: fresh answer, arguments kept" `Quick
+            test_starts_own_array;
         ] );
     ]
