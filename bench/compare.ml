@@ -4,7 +4,8 @@
 
    Matches sections by name. First, when a baseline section carries a
    "result" (the answer the leg computed: an engine leg's area, counts and
-   design digest, a scheduler leg's bindings digest and offset delays),
+   design digest, a scheduler leg's bindings digest and offset delays, the
+   serve load's status counts and digest of its /synth answers),
    the current section of that name must carry the same one: any
    difference fails
    (exit 1) with "result changed" before any time is read, as a faster

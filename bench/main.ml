@@ -55,6 +55,7 @@ let hit_rate = function
 
 let num f = Json.Number f
 let int n = Json.Number (float_of_int n)
+let digest s = Json.String (Digest.to_hex (Digest.string s))
 
 (* A gated record: bench/compare.exe matches "section" and gates
    "wall_s"; the other fields are context. *)
@@ -889,7 +890,12 @@ let percentile samples p =
    models a fleet re-synthesizing a few hot configurations plus a long
    tail, which is exactly what the coalescing + LRU cache tiers are for.
    Emits BENCH_serve.json (req/s, p50/p99 latency, cache hit rate),
-   gated in CI by bench/compare.exe against bench/serve_baseline.json. *)
+   gated in CI by bench/compare.exe against bench/serve_baseline.json.
+   After the timed load every corpus item is requested once more, in
+   order: that pass's status counts and an MD5 of its bodies (less the
+   "coalesced" field) are the record's "result", which compare.exe checks
+   before time. The load's own status counts depend on how the clients
+   interleave, so they stay context. *)
 let serve_bench () =
   section_header "Serve: zipf load over the benchmark corpus";
   let module Server = Pchls_serve.Server in
@@ -953,7 +959,32 @@ let serve_bench () =
     | Some store -> Store.stats store
     | None -> assert false
   in
+  let answers =
+    Array.map (fun body -> Http.call ~port ~meth:"POST" ~path:"/synth" body) items
+  in
   Server.stop srv;
+  let answered status =
+    Array.fold_left
+      (fun n r -> if r.Http.status = status then n + 1 else n)
+      0 answers
+  in
+  let without_coalesced (r : Http.response) =
+    match Json.parse r.Http.body with
+    | Ok (Json.Obj fields) ->
+      Json.to_string (Json.Obj (List.remove_assoc "coalesced" fields))
+    | Ok _ | Error _ -> r.Http.body
+  in
+  let result =
+    [
+      ("status_200", int (answered 200)); ("status_422", int (answered 422));
+      ( "status_other",
+        int (Array.length answers - answered 200 - answered 422) );
+      ( "bodies_md5",
+        digest
+          (String.concat "\n"
+             (Array.to_list (Array.map without_coalesced answers))) );
+    ]
+  in
   let p50_ms = 1000. *. percentile latencies 0.50
   and p99_ms = 1000. *. percentile latencies 0.99 in
   let req_per_s = float_of_int requests /. wall_s in
@@ -973,6 +1004,7 @@ let serve_bench () =
     infeasible errors;
   Format.printf "cache: %d hits / %d misses (%.0f%% hit rate), %d coalesced@."
     stats.Store.hits stats.Store.misses (100. *. rate) coalesced;
+  Format.printf "answers: %s@." (Json.to_string (Json.Obj result));
   write_sections "BENCH_serve.json"
     [
       section "serve-load" wall_s
@@ -983,6 +1015,7 @@ let serve_bench () =
           ("p99_ms", num p99_ms); ("hit_rate", num rate);
           ("coalesced", int coalesced); ("status_200", int ok);
           ("status_422", int infeasible); ("status_other", int errors);
+          ("result", Json.Obj result);
         ];
     ];
   if errors > 0 then begin
@@ -1201,7 +1234,6 @@ let overload_bench () =
 let sched_calls = 20
 let leg_runs = 3
 let offset_delays = Metrics.counter "pasap.offset_delays"
-let digest s = Json.String (Digest.to_hex (Digest.string s))
 
 let scaling_bench () =
   section_header "Scaling: scheduler/engine wall time on sized DFGs (P<=40)";

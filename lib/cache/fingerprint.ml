@@ -32,20 +32,22 @@ let graph g =
   text (Graph.name g);
   int n;
   int (Graph.edge_count g);
-  let keys =
-    Array.init n (fun i ->
-        let v = Graph.node_at g i in
-        (Op.to_string v.Graph.kind, v.Graph.name))
+  let kinds = Array.init n (fun i -> Op.to_string (Graph.node_at g i).Graph.kind)
+  and names = Array.init n (fun i -> (Graph.node_at g i).Graph.name) in
+  let compare_keys i j =
+    match String.compare kinds.(i) kinds.(j) with
+    | 0 -> String.compare names.(i) names.(j)
+    | c -> c
   in
   let elems = Array.init n Fun.id in
-  Array.stable_sort (fun i j -> compare keys.(i) keys.(j)) elems;
+  Array.stable_sort compare_keys elems;
   let pos = Array.make n 0 and cell = Array.make n 0 in
   let size = Array.make n 0 (* indexed by a cell's start *) in
   let queue = Queue.create () and queued = Array.make n false in
   Array.iteri
     (fun p i ->
       pos.(i) <- p;
-      if p > 0 && compare keys.(elems.(p - 1)) keys.(i) = 0 then
+      if p > 0 && compare_keys elems.(p - 1) i = 0 then
         cell.(i) <- cell.(elems.(p - 1))
       else begin
         cell.(i) <- p;
@@ -56,9 +58,8 @@ let graph g =
     elems;
   Queue.iter
     (fun s ->
-      let kind, name = keys.(elems.(s)) in
-      text kind;
-      text name;
+      text kinds.(elems.(s));
+      text names.(elems.(s));
       int size.(s))
     queue;
   let cells = ref (Queue.length queue) and count = Array.make n 0 in
@@ -148,12 +149,15 @@ let graph g =
      quotient of the stable partition: a cell that no edge names holds
      only isolated nodes, which no splitter touches, so it starts where
      its (kind, name) cell did. *)
-  let edges =
-    Array.concat
-      (List.init n (fun i ->
-           Array.map (fun j -> (cell.(i) * n) + cell.(j)) (succs i)))
-  in
-  Array.sort Int.compare edges;
+  let edges = Array.make (Graph.edge_count g) 0 and k = ref 0 in
+  for i = 0 to n - 1 do
+    Array.iter
+      (fun j ->
+        edges.(!k) <- (cell.(i) * n) + cell.(j);
+        incr k)
+      (succs i)
+  done;
+  Array.stable_sort Int.compare edges;
   Array.iter
     (fun e ->
       int (e / n);

@@ -22,7 +22,7 @@ type t = {
   graph : Graph.t;
   time_limit : int;
   power_limit : float;
-  instances : instance list;
+  instances : instance array; (* by id *)
   schedule : Schedule.t;
   binding : int Int_map.t; (* op -> instance id *)
   register_allocation : int list array;
@@ -33,13 +33,9 @@ type t = {
 let graph d = d.graph
 let time_limit d = d.time_limit
 let power_limit d = d.power_limit
-let instances d = d.instances
+let instances d = Array.to_list d.instances
 let schedule d = d.schedule
-
-let instance_of d op =
-  match Int_map.find_opt op d.binding with
-  | Some i -> List.nth d.instances i
-  | None -> raise Not_found
+let instance_of d op = d.instances.(Int_map.find op d.binding)
 
 let info d op =
   let spec = (instance_of d op).spec in
@@ -61,7 +57,7 @@ let energy_breakdown d =
       ( i.id,
         float_of_int (List.length i.ops)
         *. Module_spec.energy i.spec ))
-    d.instances
+    (instances d)
 
 let energy d = List.fold_left (fun acc (_, e) -> acc +. e) 0. (energy_breakdown d)
 
@@ -199,7 +195,7 @@ let assemble ~cost_model ~graph ~time_limit ~power_limit ~instances =
       graph;
       time_limit;
       power_limit;
-      instances;
+      instances = inst_arr;
       schedule;
       binding;
       register_allocation;
@@ -213,7 +209,7 @@ let pp ppf d =
   Format.fprintf ppf "area: fu=%.0f reg=%.0f mux=%.0f total=%.0f@," d.area.fu
     d.area.registers d.area.mux d.area.total;
   Format.fprintf ppf "%d instances, %d registers, %d mux inputs@,"
-    (List.length d.instances)
+    (Array.length d.instances)
     (register_count d)
     (Interconnect.total d.mux_inputs);
   List.iter
@@ -224,5 +220,5 @@ let pp ppf d =
               (fun (op, t) ->
                 Printf.sprintf "%s@%d" (Graph.node_name d.graph op) t)
               i.ops)))
-    d.instances;
+    (instances d);
   Format.fprintf ppf "@]"

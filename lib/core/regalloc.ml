@@ -1,20 +1,25 @@
 module Graph = Pchls_dfg.Graph
 module Schedule = Pchls_sched.Schedule
+module Int_tbl = Hashtbl.Make (Int)
 
 type lifetime = { node : int; birth : int; death : int }
 
 let lifetimes g s ~info =
+  let id i = (Graph.node_at g i).Graph.id in
   List.filter_map
-    (fun id ->
-      match Graph.succs g id with
-      | [] -> None
+    (fun i ->
+      match Graph.succ_indices g i with
+      | [||] -> None
       | succs ->
-        let birth = Schedule.start s id + (info id).Schedule.latency in
+        let node = id i in
+        let birth = Schedule.start s node + (info node).Schedule.latency in
         let death =
-          List.fold_left (fun acc j -> max acc (Schedule.start s j)) birth succs
+          Array.fold_left
+            (fun acc j -> max acc (Schedule.start s (id j)))
+            birth succs
         in
-        Some { node = id; birth; death })
-    (Graph.node_ids g)
+        Some { node; birth; death })
+    (List.init (Graph.node_count g) Fun.id)
 
 let overlap a b = a.birth <= b.death && b.birth <= a.death
 
@@ -42,9 +47,11 @@ let left_edge lifetimes =
     sorted;
   Array.of_list (List.map (fun (_, nodes) -> List.rev nodes) !registers)
 
-let register_of allocation node =
-  let found = ref None in
-  Array.iteri
-    (fun r nodes -> if !found = None && List.mem node nodes then found := Some r)
-    allocation;
-  match !found with Some r -> r | None -> raise Not_found
+(* The table is built once per partial application. Registers are
+   entered last to first, so a node listed twice keeps the first. *)
+let register_of allocation =
+  let table = Int_tbl.create 64 in
+  for r = Array.length allocation - 1 downto 0 do
+    List.iter (fun node -> Int_tbl.replace table node r) allocation.(r)
+  done;
+  Int_tbl.find table

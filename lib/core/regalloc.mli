@@ -29,6 +29,10 @@ val overlap : lifetime -> lifetime -> bool
     producers listed in [(left_edge ls).(r)], each sorted by birth. *)
 val left_edge : lifetime list -> int list array
 
-(** [register_of allocation] maps each producer node to its register index.
+(** [register_of allocation] maps each producer node to its register index;
+    a node listed in two registers maps to the first. The partial
+    application [register_of allocation] builds a node-to-register table
+    once, and each lookup is then a table find: bind it once and look nodes
+    up in it, do not re-apply it per node.
     @raise Not_found for nodes without a value. *)
 val register_of : int list array -> int -> int

@@ -17,7 +17,7 @@ type row = {
 
 let rows d =
   let g = Design.graph d in
-  let allocation = Design.register_allocation d in
+  let register_of = Regalloc.register_of (Design.register_allocation d) in
   List.map
     (fun (node : Graph.node) ->
       let inst = Design.instance_of d node.Graph.id in
@@ -25,7 +25,7 @@ let rows d =
       let register =
         match Graph.succs g node.Graph.id with
         | [] -> None
-        | _ :: _ -> Some (Regalloc.register_of allocation node.Graph.id)
+        | _ :: _ -> Some (register_of node.Graph.id)
       in
       {
         op = node.Graph.id;

@@ -1,5 +1,3 @@
-module Int_set = Set.Make (Int)
-
 type node = { id : int; name : string; kind : Op.kind }
 
 (* Nodes sit at indices 0..n-1 in ascending id order. [preds], [succs]
@@ -35,65 +33,129 @@ exception Malformed of string
 
 let malformed fmt = Printf.ksprintf (fun msg -> raise (Malformed msg)) fmt
 
+(* A binary min-heap of indices, the frontier of [kahn_order]. *)
+type heap = { slots : int array; mutable size : int }
+
+let rec sift_up h j =
+  let parent = (j - 1) / 2 in
+  let x = h.slots.(j) in
+  if j > 0 && x < h.slots.(parent) then begin
+    h.slots.(j) <- h.slots.(parent);
+    h.slots.(parent) <- x;
+    sift_up h parent
+  end
+
+let rec sift_down h j =
+  let l = (2 * j) + 1 in
+  if l < h.size then begin
+    let c = if l + 1 < h.size && h.slots.(l + 1) < h.slots.(l) then l + 1 else l in
+    let x = h.slots.(j) in
+    if h.slots.(c) < x then begin
+      h.slots.(j) <- h.slots.(c);
+      h.slots.(c) <- x;
+      sift_down h c
+    end
+  end
+
+let push h i =
+  h.slots.(h.size) <- i;
+  h.size <- h.size + 1;
+  sift_up h (h.size - 1)
+
+let pop h =
+  let top = h.slots.(0) in
+  h.size <- h.size - 1;
+  h.slots.(0) <- h.slots.(h.size);
+  sift_down h 0;
+  top
+
 (* Kahn's algorithm with a smallest-index-first frontier so the order is
    deterministic. A node never freed lies on a cycle or downstream of
    one; the error names the smallest. *)
 let kahn_order nodes preds succs =
   let n = Array.length preds in
   let indegree = Array.map Array.length preds in
+  let frontier = { slots = Array.make n 0; size = 0 } in
+  Array.iteri (fun i d -> if d = 0 then push frontier i) indegree;
   let order = Array.make n 0 in
-  let rec go frontier k =
-    match Int_set.min_elt_opt frontier with
-    | None -> k
-    | Some i ->
-      order.(k) <- i;
-      let free f s =
+  let k = ref 0 in
+  while frontier.size > 0 do
+    let i = pop frontier in
+    order.(!k) <- i;
+    incr k;
+    Array.iter
+      (fun s ->
         indegree.(s) <- indegree.(s) - 1;
-        if indegree.(s) = 0 then Int_set.add s f else f
-      in
-      go (Array.fold_left free (Int_set.remove i frontier) succs.(i)) (k + 1)
-  in
-  let sources = Seq.filter (fun i -> indegree.(i) = 0) (Seq.init n Fun.id) in
-  if go (Int_set.of_seq sources) 0 < n then begin
+        if indegree.(s) = 0 then push frontier s)
+      succs.(i)
+  done;
+  if !k < n then begin
     let i = Option.get (Array.find_index (fun d -> d > 0) indegree) in
     malformed "graph has a cycle through node %d" nodes.(i).id
   end;
   order
 
-(* The checks run in a fixed order and the first failure is the error. *)
+(* For each of the [n] keys, the [values] paired with it in [keys], in
+   their order. *)
+let rows n keys values =
+  let count = Array.make n 0 in
+  Array.iter (fun i -> count.(i) <- count.(i) + 1) keys;
+  let rows = Array.map (fun d -> Array.make d 0) count in
+  Array.fill count 0 n 0;
+  Array.iteri
+    (fun k i ->
+      rows.(i).(count.(i)) <- values.(k);
+      count.(i) <- count.(i) + 1)
+    keys;
+  rows
+
+(* The checks run in a fixed order and the first failure is the error.
+   Ids and edges are compared by sorting, never by hashing, so no choice
+   of ids slows construction past O((n + e) log (n + e)). *)
 let create ~name ~nodes ~edges =
-  let seen = Hashtbl.create 64 in
+  let listed = Array.of_list nodes in
+  let n = Array.length listed in
   match
-    List.iter
-      (fun v ->
-        if v.id < 0 then malformed "node %S has negative id %d" v.name v.id;
-        if Hashtbl.mem seen v.id then malformed "duplicate node id %d" v.id;
-        Hashtbl.replace seen v.id ())
-      nodes;
-    List.iter
-      (fun (a, b) ->
-        if not (Hashtbl.mem seen a) then
-          malformed "edge (%d, %d): unknown source %d" a b a;
-        if not (Hashtbl.mem seen b) then
-          malformed "edge (%d, %d): unknown target %d" a b b;
-        if a = b then malformed "self-loop on node %d" a)
+    (* List positions by id. Equal ids keep their list order, so every
+       position after the first of a run repeats an earlier id. The
+       first node in list order that is negative or a repeat fails. *)
+    let by_id = Array.init n Fun.id in
+    Array.stable_sort (fun p q -> Int.compare listed.(p).id listed.(q).id) by_id;
+    let first = ref n in
+    Array.iteri
+      (fun k p ->
+        let v = listed.(p) in
+        if (v.id < 0 || (k > 0 && listed.(by_id.(k - 1)).id = v.id)) && p < !first
+        then first := p)
+      by_id;
+    if !first < n then begin
+      let v = listed.(!first) in
+      if v.id < 0 then malformed "node %S has negative id %d" v.name v.id;
+      malformed "duplicate node id %d" v.id
+    end;
+    let nodes = Array.map (fun p -> listed.(p)) by_id in
+    let edge_count = List.length edges in
+    let src = Array.make edge_count 0 and dst = Array.make edge_count 0 in
+    List.iteri
+      (fun k (a, b) ->
+        let i = slot nodes a in
+        if i < 0 then malformed "edge (%d, %d): unknown source %d" a b a;
+        let j = slot nodes b in
+        if j < 0 then malformed "edge (%d, %d): unknown target %d" a b b;
+        if i = j then malformed "self-loop on node %d" a;
+        src.(k) <- i;
+        dst.(k) <- j)
       edges;
-    let sorted_edges = List.sort_uniq compare edges in
-    if List.compare_lengths sorted_edges edges <> 0 then
-      malformed "duplicate edge";
-    let nodes = Array.of_list nodes in
-    Array.sort (fun a b -> Int.compare a.id b.id) nodes;
-    (* Prepending the edges in descending order leaves each list ascending. *)
-    let preds = Array.make (Array.length nodes) []
-    and succs = Array.make (Array.length nodes) [] in
-    List.iter
-      (fun (a, b) ->
-        let i = slot nodes a and j = slot nodes b in
-        succs.(i) <- j :: succs.(i);
-        preds.(j) <- i :: preds.(j))
-      (List.rev sorted_edges);
-    let preds = Array.map Array.of_list preds
-    and succs = Array.map Array.of_list succs in
+    let succs = rows n src dst and preds = rows n dst src in
+    Array.iter (Array.stable_sort Int.compare) preds;
+    (* A sorted row holds a repeated edge side by side. *)
+    Array.iter
+      (fun row ->
+        Array.stable_sort Int.compare row;
+        for k = 1 to Array.length row - 1 do
+          if row.(k) = row.(k - 1) then malformed "duplicate edge"
+        done)
+      succs;
     Array.iteri
       (fun i v ->
         match v.kind with
@@ -104,7 +166,7 @@ let create ~name ~nodes ~edges =
         | Op.Input | Op.Output | Op.Add | Op.Sub | Op.Mult | Op.Comp -> ())
       nodes;
     let topo = kahn_order nodes preds succs in
-    { name; nodes; preds; succs; topo; edge_count = List.length sorted_edges }
+    { name; nodes; preds; succs; topo; edge_count }
   with
   | g -> Ok g
   | exception Malformed msg -> Error msg

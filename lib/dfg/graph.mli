@@ -22,8 +22,15 @@ type t
 (** [create ~name ~nodes ~edges] builds a validated graph.
 
     Errors when: a node id is negative or duplicated; an edge endpoint does
-    not exist; an edge is a self-loop or duplicated; the graph has a cycle;
-    an [Input] node has a predecessor; an [Output] node has a successor. *)
+    not exist; an edge is a self-loop or duplicated; an [Input] node has a
+    predecessor; an [Output] node has a successor; the graph has a cycle.
+    The error is the first failure in that order: the nodes in list order
+    (a negative id before a repeat at the same node), the edges in list
+    order (unknown source, unknown target, self-loop), any duplicate edge,
+    the orientation checks in ascending id order, and a cycle, named by the
+    smallest id the topological order never reaches. Ids and edges are
+    compared by sorting, so no choice of ids makes construction slower than
+    O((n + e) log (n + e)). *)
 val create :
   name:string -> nodes:node list -> edges:(int * int) list -> (t, string) result
 

@@ -84,9 +84,18 @@ let parse text =
         go ())
       | Some c when Char.code c < 0x20 ->
         fail "unescaped control character in string"
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
+      | Some _ ->
+        (* A run of plain bytes is copied at once. *)
+        let start = !pos in
+        while
+          !pos < n
+          &&
+          let c = text.[!pos] in
+          c <> '"' && c <> '\\' && Char.code c >= 0x20
+        do
+          advance ()
+        done;
+        Buffer.add_substring buf text start (!pos - start);
         go ()
     in
     go ();
@@ -207,13 +216,15 @@ let member key = function
 
 (* Compact writer, the inverse of [parse] for everything the parser can
    produce. Integral values print in full: plain digits below 1e15
-   (counters, cycle counts, status codes), %.17g above. Other finite
+   (counters, cycle counts, status codes), written as the int they equal
+   (-0. keeps its sign), and %.17g above. Other finite
    values print as the first of %.15g/%.16g/%.17g that reads back as the
    same double, which is also the shortest, so 27.2 is "27.2", not
    "27.199999999999999". Anything non-finite has no JSON spelling and
    becomes [null]. *)
 let number f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if Float.is_integer f && Float.abs f < 1e15 then
+    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
   else if not (Float.is_finite f) then "null"
   else if Float.is_integer f then Printf.sprintf "%.17g" f
   else

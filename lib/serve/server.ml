@@ -396,6 +396,19 @@ let respond status fields =
 
 (* --- handlers ----------------------------------------------------------- *)
 
+(* The request's own work outside the engine is timed under three
+   spans: [serve.parse] (the body and the graph it names),
+   [serve.fingerprint] and [serve.encode] (the response body). *)
+let parse_request req =
+  Trace.span ~cat:"serve" "serve.parse" @@ fun () ->
+  let json = parse_body req in
+  (json, graph_field json)
+
+let fingerprint ?policy srv g =
+  Trace.span ~cat:"serve" "serve.fingerprint" @@ fun () ->
+  Explore.fingerprint ?policy ~library:srv.config.library g
+
+let encode f = Trace.span ~cat:"serve" "serve.encode" f
 let dispatch srv f = Pool.run srv.pool f
 
 (* The serve.hang chaos seam: an armed fault turns this engine task into
@@ -477,8 +490,7 @@ let report_response ?(degraded = false) ~name r =
     @ [ ("infeasible", Json.Bool infeasible); ("report", Preflight.to_json r) ])
 
 let handle_synth srv req =
-  let json = parse_body req in
-  let name, g = graph_field json in
+  let json, (name, g) = parse_request req in
   let time_limit = time_field json in
   let power_limit = power_field json in
   match degrade_mode srv json with
@@ -493,7 +505,7 @@ let handle_synth srv req =
     let policy = policy_field json in
     let preflight = preflight_field json in
     let budget = budget_field srv.config json in
-    let fp = Explore.fingerprint ?policy ~library:srv.config.library g in
+    let fp = fingerprint ?policy srv g in
     let key =
       Printf.sprintf "synth|%s|t=%d|p=%h|pf=%b|%s|deg=%s" fp time_limit
         power_limit preflight (Request.signature budget)
@@ -512,13 +524,14 @@ let handle_synth srv req =
       respond status (fields @ [ coalesced ])
     in
     with_degraded mode
-      (match result with
-      | Explore.Feasible { area; peak; design } ->
-        answer 200 (design_fields name design ~area ~peak)
-      | Explore.Infeasible reason | Explore.Pruned reason ->
-        answer 422 (infeasible_fields name reason)
-      | Explore.Failed reason ->
-        Http.response 500 (error_body ~error:"internal" reason))
+      (encode @@ fun () ->
+       match result with
+       | Explore.Feasible { area; peak; design } ->
+         answer 200 (design_fields name design ~area ~peak)
+       | Explore.Infeasible reason | Explore.Pruned reason ->
+         answer 422 (infeasible_fields name reason)
+       | Explore.Failed reason ->
+         Http.response 500 (error_body ~error:"internal" reason))
 
 let degraded_sweep srv ~name g ~times ~powers =
   let points =
@@ -551,8 +564,7 @@ let degraded_sweep srv ~name g ~times ~powers =
     ]
 
 let handle_sweep srv req ~pareto =
-  let json = parse_body req in
-  let name, g = graph_field json in
+  let json, (name, g) = parse_request req in
   let times, powers = grid_fields json in
   match degrade_mode srv json with
   | `Preflight -> with_degraded `Preflight (degraded_sweep srv ~name g ~times ~powers)
@@ -560,7 +572,7 @@ let handle_sweep srv req ~pareto =
     let policy = policy_field json in
     let preflight = preflight_field json in
     let budget = budget_field srv.config json in
-    let fp = Explore.fingerprint ?policy ~library:srv.config.library g in
+    let fp = fingerprint ?policy srv g in
     let key =
       Printf.sprintf "sweep|%s|t=%s|p=%s|pf=%b|%s|deg=%s" fp
         (String.concat "," (List.map string_of_int times))
@@ -579,30 +591,32 @@ let handle_sweep srv req ~pareto =
                 ~library:srv.config.library ?cache:srv.cache ~fp g ~times
                 ~powers))
     in
-    let fields =
-      [
-        ("name", Json.String name);
-        ("points", Json.List (List.map json_of_point points));
-      ]
-      @ (if pareto then
-           [
-             ( "pareto",
-               Json.List (List.map json_of_point (Explore.pareto points)) );
-           ]
-         else [])
-      @ [ coalesced ]
-    in
-    let status, fields = apply_partial 200 fields partial in
-    with_degraded mode (respond status fields)
+    with_degraded mode
+      (encode @@ fun () ->
+       let fields =
+         [
+           ("name", Json.String name);
+           ("points", Json.List (List.map json_of_point points));
+         ]
+         @ (if pareto then
+              [
+                ( "pareto",
+                  Json.List (List.map json_of_point (Explore.pareto points))
+                );
+              ]
+            else [])
+         @ [ coalesced ]
+       in
+       let status, fields = apply_partial 200 fields partial in
+       respond status fields)
 
 let handle_check srv req =
-  let json = parse_body req in
-  let name, g = graph_field json in
+  let json, (name, g) = parse_request req in
   let time_limit = time_field json in
   let power_limit = power_field json in
   let policy = policy_field json in
   let budget = budget_field srv.config json in
-  let fp = Explore.fingerprint ?policy ~library:srv.config.library g in
+  let fp = fingerprint ?policy srv g in
   let result, partial =
     engine_task srv budget (fun deadline ->
         Explore.solve ?policy ?deadline ~library:srv.config.library
@@ -614,6 +628,7 @@ let handle_check srv req =
       dispatch srv (fun () ->
           Analysis.run_all ~library:srv.config.library design)
     in
+    encode @@ fun () ->
     let status = if Diag.has_errors ds then 422 else 200 in
     let status, fields =
       apply_partial status
@@ -628,6 +643,7 @@ let handle_check srv req =
        `pchls check --json` prints), so both surfaces stay in lockstep. *)
     respond status (fields @ [ ("diagnostics", Diag.list_to_json ds) ])
   | Explore.Infeasible reason | Explore.Pruned reason ->
+    encode @@ fun () ->
     let status, fields =
       apply_partial 422 (infeasible_fields name reason) partial
     in
@@ -635,8 +651,7 @@ let handle_check srv req =
   | Explore.Failed reason -> Http.response 500 (error_body ~error:"internal" reason)
 
 let handle_preflight srv req =
-  let json = parse_body req in
-  let name, g = graph_field json in
+  let json, (name, g) = parse_request req in
   let time_limit = time_field json in
   let power_limit = power_field json in
   (* The exact clique search is exponential in the graph size and runs

@@ -919,6 +919,577 @@ let prop_graph_matches_reference =
         let show = function Ok _ -> "Ok" | Error e -> "Error " ^ e in
         QCheck.Test.fail_reportf "%s\nreference: %s" (show a) (show b))
 
+(* --- Text format: the one-pass reader == the split-based reader -------- *)
+
+(* [Text_format.of_string] before it walked the text by index, kept
+   verbatim: every line split on '\n', trimmed, split on ' ' and matched
+   as a word list. *)
+module Reference_text_format = struct
+  type accum = {
+    mutable graph_name : string option;
+    mutable nodes : Graph.node list; (* reversed *)
+    mutable edges : (int * int) list; (* reversed *)
+  }
+
+  let parse_line acc lineno line =
+    let fail fmt =
+      Printf.ksprintf (fun msg -> Error (Printf.sprintf "line %d: %s" lineno msg)) fmt
+    in
+    let words =
+      String.split_on_char ' ' (String.trim line)
+      |> List.filter (fun w -> w <> "")
+    in
+    match words with
+    | [] -> Ok ()
+    | comment :: _ when String.length comment > 0 && comment.[0] = '#' -> Ok ()
+    | [ "graph"; name ] -> (
+      match acc.graph_name with
+      | None ->
+        acc.graph_name <- Some name;
+        Ok ()
+      | Some _ -> fail "duplicate graph line")
+    | "graph" :: _ -> fail "graph line takes exactly one name"
+    | [ "node"; id; name; kind ] -> (
+      match (int_of_string_opt id, Op.of_string kind) with
+      | Some id, Ok kind ->
+        acc.nodes <- { Graph.id; name; kind } :: acc.nodes;
+        Ok ()
+      | None, _ -> fail "node id %S is not an integer" id
+      | _, Error msg -> fail "%s" msg)
+    | "node" :: _ -> fail "expected: node <id> <name> <kind>"
+    | [ "edge"; a; b ] -> (
+      match (int_of_string_opt a, int_of_string_opt b) with
+      | Some a, Some b ->
+        acc.edges <- (a, b) :: acc.edges;
+        Ok ()
+      | None, _ | _, None -> fail "edge endpoints must be integers")
+    | "edge" :: _ -> fail "expected: edge <src> <dst>"
+    | keyword :: _ -> fail "unknown keyword %S" keyword
+
+  let of_string text =
+    let acc = { graph_name = None; nodes = []; edges = [] } in
+    let lines = String.split_on_char '\n' text in
+    let rec go lineno = function
+      | [] ->
+        let name = Option.value acc.graph_name ~default:"unnamed" in
+        Graph.create ~name ~nodes:(List.rev acc.nodes) ~edges:(List.rev acc.edges)
+      | line :: rest -> (
+        match parse_line acc lineno line with
+        | Ok () -> go (lineno + 1) rest
+        | Error msg -> Error msg)
+    in
+    go 1 lines
+end
+
+let spellings =
+  [
+    (Op.Add, [ "add"; "+"; "ADD" ]); (Op.Sub, [ "sub"; "-" ]);
+    (Op.Mult, [ "mult"; "mul"; "*"; "Mul" ]); (Op.Comp, [ "comp"; "cmp"; ">"; "<" ]);
+    (Op.Input, [ "input"; "in"; "imp" ]); (Op.Output, [ "output"; "out"; "xpt" ]);
+  ]
+
+(* One line's words, spelled with random spacing: leading and trailing
+   blanks, tabs and a CR, runs of spaces between words. *)
+let spell_line_gen words =
+  QCheck.Gen.(
+    let* lead = oneofl [ ""; ""; " "; "   "; "\t"; " \t"; "\012" ] in
+    let* trail = oneofl [ ""; ""; " "; "\t"; "\r"; " \r"; "\t\r" ] in
+    let* gaps =
+      list_repeat (max 0 (List.length words - 1)) (oneofl [ " "; " "; "  "; "    " ])
+    in
+    let body =
+      match words with
+      | [] -> ""
+      | w :: rest -> List.fold_left2 (fun acc g w -> acc ^ g ^ w) w gaps rest
+    in
+    return (lead ^ body ^ trail))
+
+(* The lines of a raw graph case (valid or faulty lists, sparse and
+   shuffled ids), nodes and edges interleaved in their own orders, with an
+   optional graph line and kinds under any of their spellings. *)
+let text_lines_gen =
+  QCheck.Gen.(
+    let* raw = raw_graph_gen in
+    let* node_lines =
+      flatten_l
+        (List.map
+           (fun (id, name, kind) ->
+             let* kind = oneofl (List.assoc kind spellings) in
+             return [ "node"; string_of_int id; name; kind ])
+           raw.raw_nodes)
+    in
+    let edge_lines =
+      List.map (fun (a, b) -> [ "edge"; string_of_int a; string_of_int b ]) raw.raw_edges
+    in
+    let rec interleave a b =
+      match (a, b) with
+      | [], l | l, [] -> return l
+      | x :: a', y :: b' ->
+        let* first = bool in
+        if first then
+          let* rest = interleave a' b in
+          return (x :: rest)
+        else
+          let* rest = interleave a b' in
+          return (y :: rest)
+    in
+    let* lines = interleave node_lines edge_lines in
+    let* graph_line = oneofl [ []; [ [ "graph"; "g" ] ]; [ [ "graph"; "hal_2" ] ] ] in
+    return (graph_line @ lines))
+
+(* One change a client could make to a line list: ids in the other forms
+   [int_of_string_opt] reads or refuses, unknown kinds and keywords,
+   missing and extra words, a second graph line, a tab between words. *)
+let text_fault_gen lines =
+  QCheck.Gen.(
+    let n = List.length lines in
+    let* at = 0 -- max 0 (n - 1) in
+    let edit f = return (List.mapi (fun i l -> if i = at then f l else l) lines) in
+    let* id_form =
+      oneofl
+        [
+          (fun s -> "+" ^ s); (fun s -> "-" ^ s); (fun s -> "0x" ^ s);
+          (fun s -> if String.length s > 1 then String.sub s 0 1 ^ "_" ^ String.sub s 1 (String.length s - 1) else s ^ "_");
+          (fun s -> "_" ^ s); (fun s -> "0u" ^ s); (fun s -> "0b1" ^ s);
+          (fun s -> s ^ "x"); (fun _ -> "0o17"); (fun _ -> "9999999999999999999999");
+          (fun _ -> "-0");
+        ]
+    in
+    let* word = oneofl [ "foo"; "vertex"; "Node"; "EDGE"; "graphs"; "#x"; "addx"; "12" ] in
+    oneof
+      [
+        edit (function
+          | kw :: id :: rest -> kw :: id_form id :: rest
+          | l -> l);
+        edit (function
+          | [ "edge"; a; b ] -> [ "edge"; a; id_form b ]
+          | l -> l);
+        edit (function
+          | [ "node"; id; name; _ ] -> [ "node"; id; name; word ]
+          | l -> l);
+        edit (function _ :: rest -> word :: rest | [] -> [ word ]);
+        edit (fun l -> List.filteri (fun i _ -> i < List.length l - 1) l);
+        edit (fun l -> l @ [ word ]);
+        (let* name = oneofl [ "g"; "other" ] in
+         let* k = 0 -- n in
+         return
+           (List.filteri (fun i _ -> i < k) lines
+           @ ([ "graph"; name ] :: List.filteri (fun i _ -> i >= k) lines)));
+        edit (function a :: b :: rest -> (a ^ "\t" ^ b) :: rest | l -> l);
+      ])
+
+(* Half the texts are clean, the rest carry one or two changes; blank and
+   comment lines go anywhere, and the last newline is optional. *)
+let dfg_text_gen =
+  QCheck.Gen.(
+    let* lines = text_lines_gen in
+    let* changes = frequency [ (2, return 0); (1, return 1); (1, return 2) ] in
+    let rec change lines k =
+      if k = 0 then return lines
+      else
+        let* lines = text_fault_gen lines in
+        change lines (k - 1)
+    in
+    let* lines = change lines changes in
+    let* spelled = flatten_l (List.map spell_line_gen lines) in
+    let* spelled =
+      flatten_l
+        (List.map
+           (fun line ->
+             let* extra =
+               frequency
+                 [
+                   (6, return []);
+                   (1, oneofl [ [ "" ]; [ "   " ]; [ "\t" ]; [ "\r" ]; [ "# node 1 x add" ]; [ "  #graph z" ]; [ "#" ] ]);
+                 ]
+             in
+             return (extra @ [ line ]))
+           spelled)
+    in
+    let* final_newline = bool in
+    let text = String.concat "\n" (List.concat spelled) in
+    return (if final_newline then text ^ "\n" else text))
+
+let prop_text_matches_reference =
+  QCheck.Test.make ~name:"one-pass DFG reader == the split-based reader"
+    ~count:400 ~long_factor:40
+    (QCheck.make dfg_text_gen ~print:(Printf.sprintf "%S"))
+    (fun text ->
+      let show = function
+        | Ok g ->
+          Printf.sprintf "Ok %s\n%s" (Graph.name g) (Pchls_dfg.Text_format.to_string g)
+        | Error e -> "Error " ^ e
+      in
+      let a = show (Pchls_dfg.Text_format.of_string text)
+      and b = show (Reference_text_format.of_string text) in
+      a = b || QCheck.Test.fail_reportf "%s\nreference: %s" a b)
+
+(* --- JSON: run copies and int printing == the byte-at-a-time reader ---- *)
+
+(* [Json.parse] and [Json.number] before the reader copied runs of plain
+   bytes and the writer printed integers with [string_of_int], kept
+   verbatim; the type is [Json]'s own, so answers compare directly. *)
+module Reference_json = struct
+  type t = Pchls_obs.Json.t =
+    | Null
+    | Bool of bool
+    | Number of float
+    | String of string
+    | List of t list
+    | Obj of (string * t) list
+
+  exception Fail of int * string
+
+  let parse text =
+    let n = String.length text in
+    let pos = ref 0 in
+    let fail msg = raise (Fail (!pos, msg)) in
+    let peek () = if !pos < n then Some text.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+        advance ();
+        skip_ws ()
+      | Some _ | None -> ()
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | Some c' -> fail (Printf.sprintf "expected %C, got %C" c c')
+      | None -> fail (Printf.sprintf "expected %C, got end of input" c)
+    in
+    let literal word value =
+      let l = String.length word in
+      if !pos + l <= n && String.sub text !pos l = word then begin
+        pos := !pos + l;
+        value
+      end
+      else fail (Printf.sprintf "expected %s" word)
+    in
+    let hex4 () =
+      if !pos + 4 > n then fail "truncated \\u escape";
+      let s = String.sub text !pos 4 in
+      pos := !pos + 4;
+      match int_of_string_opt ("0x" ^ s) with
+      | Some c -> c
+      | None -> fail (Printf.sprintf "bad \\u escape %S" s)
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' -> (
+          advance ();
+          (match peek () with
+          | Some '"' -> Buffer.add_char buf '"'
+          | Some '\\' -> Buffer.add_char buf '\\'
+          | Some '/' -> Buffer.add_char buf '/'
+          | Some 'b' -> Buffer.add_char buf '\b'
+          | Some 'f' -> Buffer.add_char buf '\012'
+          | Some 'n' -> Buffer.add_char buf '\n'
+          | Some 'r' -> Buffer.add_char buf '\r'
+          | Some 't' -> Buffer.add_char buf '\t'
+          | Some 'u' ->
+            advance ();
+            let c = hex4 () in
+            (* Keep it simple: encode the scalar as UTF-8; surrogate pairs
+               outside the BMP are not reassembled (the tracer never emits
+               them). *)
+            if c < 0x80 then Buffer.add_char buf (Char.chr c)
+            else if c < 0x800 then begin
+              Buffer.add_char buf (Char.chr (0xC0 lor (c lsr 6)));
+              Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3F)))
+            end
+            else begin
+              Buffer.add_char buf (Char.chr (0xE0 lor (c lsr 12)));
+              Buffer.add_char buf (Char.chr (0x80 lor ((c lsr 6) land 0x3F)));
+              Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3F)))
+            end;
+            pos := !pos - 1 (* the shared advance below *)
+          | Some c -> fail (Printf.sprintf "bad escape \\%C" c)
+          | None -> fail "unterminated escape");
+          advance ();
+          go ())
+        | Some c when Char.code c < 0x20 ->
+          fail "unescaped control character in string"
+        | Some c ->
+          Buffer.add_char buf c;
+          advance ();
+          go ()
+      in
+      go ();
+      Buffer.contents buf
+    in
+    let parse_number () =
+      let start = !pos in
+      let digits () =
+        let d = ref 0 in
+        let rec go () =
+          match peek () with
+          | Some '0' .. '9' ->
+            incr d;
+            advance ();
+            go ()
+          | Some _ | None -> ()
+        in
+        go ();
+        if !d = 0 then fail "expected digit"
+      in
+      if peek () = Some '-' then advance ();
+      (match peek () with
+      | Some '0' -> advance () (* no leading zeros *)
+      | Some '1' .. '9' -> digits ()
+      | Some _ | None -> fail "expected digit");
+      if peek () = Some '.' then begin
+        advance ();
+        digits ()
+      end;
+      (match peek () with
+      | Some ('e' | 'E') ->
+        advance ();
+        (match peek () with
+        | Some ('+' | '-') -> advance ()
+        | Some _ | None -> ());
+        digits ()
+      | Some _ | None -> ());
+      match float_of_string_opt (String.sub text start (!pos - start)) with
+      | Some f -> f
+      | None -> fail "malformed number"
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some 'n' -> literal "null" Null
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some '"' -> String (parse_string ())
+      | Some ('-' | '0' .. '9') -> Number (parse_number ())
+      | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          List []
+        end
+        else
+          let rec elems acc =
+            let v = parse_value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              elems (v :: acc)
+            | Some ']' ->
+              advance ();
+              List.rev (v :: acc)
+            | Some c -> fail (Printf.sprintf "expected ',' or ']', got %C" c)
+            | None -> fail "unterminated array"
+          in
+          List (elems [])
+      | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Obj []
+        end
+        else
+          let field () =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            (k, v)
+          in
+          let rec fields acc =
+            let kv = field () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              fields (kv :: acc)
+            | Some '}' ->
+              advance ();
+              List.rev (kv :: acc)
+            | Some c -> fail (Printf.sprintf "expected ',' or '}', got %C" c)
+            | None -> fail "unterminated object"
+          in
+          Obj (fields [])
+      | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+    in
+    match
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage after JSON value";
+      v
+    with
+    | v -> Ok v
+    | exception Fail (at, msg) ->
+      Error (Printf.sprintf "byte %d: %s" at msg)
+
+  let number f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else if not (Float.is_finite f) then "null"
+    else if Float.is_integer f then Printf.sprintf "%.17g" f
+    else
+      let s = Printf.sprintf "%.15g" f in
+      if float_of_string s = f then s
+      else
+        let s = Printf.sprintf "%.16g" f in
+        if float_of_string s = f then s else Printf.sprintf "%.17g" f
+end
+
+module Json = Pchls_obs.Json
+
+(* Bytes a string may hold: plain ASCII, the characters JSON escapes,
+   control bytes and bytes past ASCII. *)
+let json_char_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, char_range 'a' 'z'); (2, oneofl [ ' '; '"'; '\\'; '/'; '#'; ':' ]);
+        (1, map Char.chr (0 -- 0x1f)); (1, map Char.chr (0x80 -- 0xff));
+      ])
+
+(* One byte spelled as JSON would let a writer spell it, or as it must
+   not: a raw control byte, a bad escape or a short [\u]. *)
+let spell_char_gen c =
+  QCheck.Gen.(
+    let code = Char.code c in
+    let u = Printf.sprintf "\\u%04x" code and big_u = Printf.sprintf "\\u%04X" code in
+    let plain = String.make 1 c in
+    let named =
+      match c with
+      | '"' -> [ "\\\"" ] | '\\' -> [ "\\\\" ] | '/' -> [ "/"; "\\/" ]
+      | '\b' -> [ "\\b" ] | '\012' -> [ "\\f" ] | '\n' -> [ "\\n" ]
+      | '\r' -> [ "\\r" ] | '\t' -> [ "\\t" ]
+      | _ -> []
+    in
+    let valid =
+      if code < 0x20 || c = '"' || c = '\\' then named @ (if code < 0x80 then [ u; big_u ] else [])
+      else if code < 0x80 then plain :: u :: named
+      else [ plain ]
+    in
+    frequency
+      [
+        (30, oneofl valid);
+        (1, return plain);
+        (1, oneofl [ "\\x"; "\\u12"; "\\uZZ12"; "\\u00e9"; "\\u20AC"; "\\ud83d"; "\\" ]);
+      ])
+
+let json_string_gen =
+  QCheck.Gen.(
+    let* chars = list_size (0 -- 12) json_char_gen in
+    let* spelled = flatten_l (List.map spell_char_gen chars) in
+    return ("\"" ^ String.concat "" spelled ^ "\""))
+
+let json_number_gen =
+  QCheck.Gen.(
+    let digits = map (String.concat "") (list_size (1 -- 4) (map string_of_int (0 -- 9))) in
+    let* sign = oneofl [ ""; ""; "-" ] in
+    let* int = frequency [ (4, digits); (1, return "0"); (1, return "00") ] in
+    let* frac = frequency [ (2, return ""); (1, map (( ^ ) ".") digits); (1, return ".") ] in
+    let* exp =
+      frequency
+        [ (3, return ""); (1, map (fun d -> "e" ^ d) digits); (1, map (fun d -> "E-" ^ d) digits);
+          (1, return "e+400"); (1, return "e") ]
+    in
+    return (sign ^ int ^ frac ^ exp))
+
+(* A JSON document written with random blanks, escapes and numbers, and
+   sometimes cut, or with a byte dropped or put in. *)
+let json_text_gen =
+  QCheck.Gen.(
+    let ws = oneofl [ ""; ""; " "; "\n  "; "\t"; "\r\n" ] in
+    let rec value depth =
+      let leaf =
+        frequency
+          [
+            (1, oneofl [ "null"; "true"; "false"; "nul"; "tru" ]);
+            (3, json_string_gen); (3, json_number_gen);
+          ]
+      in
+      if depth = 0 then leaf
+      else
+        let items = list_size (0 -- 4) (value (depth - 1)) in
+        let* w1 = ws and* w2 = ws in
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun l -> "[" ^ w1 ^ String.concat ("," ^ w2) l ^ "]") items);
+            ( 1,
+              let* fields =
+                list_size (0 -- 4)
+                  (let* k = json_string_gen and* v = value (depth - 1) and* w = ws in
+                   return (k ^ w ^ ":" ^ w ^ v))
+              in
+              return ("{" ^ w1 ^ String.concat ("," ^ w2) fields ^ w2 ^ "}") );
+          ]
+    in
+    let* text = value 3 and* w1 = ws and* w2 = ws in
+    let text = w1 ^ text ^ w2 in
+    let n = String.length text in
+    frequency
+      [
+        (6, return text);
+        (1, map (fun k -> String.sub text 0 k) (0 -- n));
+        (1, map (fun k -> String.sub text 0 k ^ String.sub text (min n (k + 1)) (max 0 (n - k - 1))) (0 -- n));
+        ( 1,
+          let* k = 0 -- n and* c = json_char_gen in
+          return (String.sub text 0 k ^ String.make 1 c ^ String.sub text k (n - k)) );
+      ])
+
+let prop_json_parse_matches_reference =
+  QCheck.Test.make ~name:"run-copying JSON reader == the byte reader"
+    ~count:1000 ~long_factor:40
+    (QCheck.make json_text_gen ~print:(Printf.sprintf "%S"))
+    (fun text ->
+      let a = Json.parse text and b = Reference_json.parse text in
+      a = b
+      ||
+      let show = function
+        | Ok v -> "Ok " ^ Json.to_string v
+        | Error e -> "Error " ^ e
+      in
+      QCheck.Test.fail_reportf "%s\nreference: %s" (show a) (show b))
+
+(* Doubles at every scale: integral ones on both sides of 1e15 and 2^53,
+   random bit patterns (subnormals, infinities and NaNs among them) and
+   the edges themselves. *)
+let double_gen =
+  QCheck.Gen.(
+    let edges =
+      [
+        0.; -0.; 1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 2. ** 53. -. 1.;
+        2. ** 53. +. 2.; 2. ** 53.; -.(2. ** 53.); Float.min_float;
+        Float.epsilon *. Float.min_float; 5e-324; -5e-324; 1e-310; max_float;
+        infinity; neg_infinity; nan; 0.5; -0.5; 123456789012345.;
+      ]
+    in
+    frequency
+      [
+        (2, oneofl edges);
+        (3, map float_of_int (int_range (-1_000_000) 1_000_000));
+        (2, map (fun k -> Float.of_int k *. (10. ** 14.)) (int_range (-30) 30));
+        (3, map Int64.float_of_bits ui64);
+        (2, float);
+        (1, map (fun x -> Float.round (x *. 1e6) /. 1e3) float);
+      ])
+
+let prop_json_number_matches_reference =
+  QCheck.Test.make ~name:"int-printing JSON writer == %.0f" ~count:2000
+    ~long_factor:40
+    (QCheck.make double_gen ~print:(Printf.sprintf "%h"))
+    (fun f ->
+      let a = Json.to_string (Json.Number f) and b = Reference_json.number f in
+      a = b || QCheck.Test.fail_reportf "%s\nreference: %s" a b)
+
 (* --- Pasap: the class loop == the priority-queue loop ------------------ *)
 
 (* [Pasap.run] before it stepped through per-cycle buckets, less its
@@ -1424,6 +1995,13 @@ let () =
       ( "fprint",
         List.map to_alcotest [ prop_fingerprint_matches_reference ] );
       ( "graph", List.map to_alcotest [ prop_graph_matches_reference ] );
+      ("text", List.map to_alcotest [ prop_text_matches_reference ]);
+      ( "json",
+        List.map to_alcotest
+          [
+            prop_json_parse_matches_reference;
+            prop_json_number_matches_reference;
+          ] );
       ( "pasap", List.map to_alcotest [ prop_pasap_matches_queue ] );
       ( "modulo", List.map to_alcotest [ prop_modulo_matches_bumps ] );
       ( "slots", List.map to_alcotest [ prop_slots_match_scans ] );

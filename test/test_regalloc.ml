@@ -82,6 +82,23 @@ let test_register_of () =
   Alcotest.check_raises "missing" Not_found (fun () ->
       ignore (Regalloc.register_of regs 9))
 
+(* A hand-made allocation answers as the scan over registers did: a node
+   listed in two registers reads the first, an unlisted one raises. One
+   partial application serves every lookup. *)
+let test_register_of_table () =
+  let register_of = Regalloc.register_of [| [ 4; 7 ]; [ 2; 7 ]; [ 4 ]; [] |] in
+  Alcotest.(check (list int)) "registers" [ 1; 0; 0 ]
+    (List.map register_of [ 2; 4; 7 ]);
+  List.iter
+    (fun absent ->
+      Alcotest.check_raises
+        (Printf.sprintf "absent %d" absent)
+        Not_found
+        (fun () -> ignore (register_of absent)))
+    [ 0; 3; -1 ];
+  Alcotest.check_raises "empty allocation" Not_found (fun () ->
+      ignore (Regalloc.register_of [||] 0))
+
 (* Optimality on interval graphs: register count equals max concurrent
    lifetimes, checked on all benchmarks under ASAP. *)
 let test_left_edge_optimal_on_benchmarks () =
@@ -149,6 +166,8 @@ let () =
             test_left_edge_count_is_max_overlap;
           Alcotest.test_case "empty input" `Quick test_left_edge_empty;
           Alcotest.test_case "register_of" `Quick test_register_of;
+          Alcotest.test_case "register_of: first register wins" `Quick
+            test_register_of_table;
           Alcotest.test_case "optimal on all benchmarks" `Quick
             test_left_edge_optimal_on_benchmarks;
         ] );

@@ -774,6 +774,37 @@ let test_request_id_in_flight_trace () =
          List.assoc_opt "request_id" e.Event.args = Some "rid-traced-7")
        spans)
 
+(* A /synth's parse, fingerprint and encode each leave a span inside its
+   serve.request span, on the handler's own lane. *)
+let test_request_work_spans () =
+  with_server @@ fun srv ->
+  let status, _ =
+    request srv ~meth:"POST" ~path:"/synth"
+      {|{"dfg": "graph g\nnode 0 a input\nnode 1 b add\nnode 2 c output\nedge 0 1\nedge 1 2", "time": 4}|}
+  in
+  Alcotest.(check int) "synth answered" 200 status;
+  let events = flight_events srv in
+  let within (outer : Event.t) (e : Event.t) =
+    e.Event.tid = outer.Event.tid
+    && e.Event.ts_ns >= outer.Event.ts_ns
+    && Event.end_ns e <= Event.end_ns outer
+  in
+  let synths =
+    List.filter
+      (fun e ->
+        e.Event.name = "serve.request"
+        && List.assoc_opt "path" e.Event.args = Some "/synth")
+      events
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " inside the /synth request") true
+        (List.exists
+           (fun e ->
+             e.Event.name = name && List.exists (fun r -> within r e) synths)
+           events))
+    [ "serve.parse"; "serve.fingerprint"; "serve.encode" ]
+
 let test_metrics_prometheus_negotiation () =
   with_server @@ fun srv ->
   let { Http.status; headers = head; body } =
@@ -1272,6 +1303,8 @@ let () =
             test_request_id_on_every_response;
           Alcotest.test_case "request id in flight trace" `Quick
             test_request_id_in_flight_trace;
+          Alcotest.test_case "parse, fingerprint and encode spans" `Quick
+            test_request_work_spans;
           Alcotest.test_case "prometheus negotiation" `Quick
             test_metrics_prometheus_negotiation;
           Alcotest.test_case "debug flight endpoint" `Quick
